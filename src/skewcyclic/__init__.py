@@ -19,7 +19,6 @@ from .ring import CrtVector, RingContext, RingElement
 from .automorphisms import (
     Automorphism,
     automorphism_count,
-    automorphism_from_image,
     enumerate_automorphisms,
     enumerate_automorphisms_bruteforce,
     find_automorphism_for_permutation,

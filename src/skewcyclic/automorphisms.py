@@ -157,10 +157,6 @@ class Automorphism:
         return f"sigma: x -> {self.sigma_x} [{self.cycle_str()}]"
 
 
-def automorphism_from_image(ctx: RingContext, sigma_x: RingElement) -> Automorphism:
-    return Automorphism(ctx, sigma_x)
-
-
 def identity_automorphism(ctx: RingContext) -> Automorphism:
     return Automorphism(ctx, ctx.x)
 

@@ -74,21 +74,25 @@ def build_minimal_code(recipe: MinimalCodeRecipe) -> ConvCode:
     return code
 
 
+def _check_completion(g: SkewPoly, u: SkewPoly) -> None:
+    """u must be a unit that agrees with g on every component of g's support."""
+    if not u.is_unit():
+        raise NotAUnit("the completing polynomial must be a unit")
+    for l in g.support():
+        if u.component(l) != g.component(l):
+            raise ComponentMismatch(f"u and g differ in component {l}")
+
+
 def direct_complement(g: SkewPoly, u: SkewPoly) -> SkewPoly:
     """g' = sum of the components of u outside the support of g.
 
     Requires u to be a unit agreeing with g on g's support; then
     g + g' = u and the ideals of g and g' intersect trivially.
     """
-    if not u.is_unit():
-        raise NotAUnit("the completing polynomial must be a unit")
+    _check_completion(g, u)
     support = g.support()
-    for l in support:
-        if u.component(l) != g.component(l):
-            raise ComponentMismatch(f"u and g differ in component {l}")
-    ctx = g.context
     out = SkewPoly.zero(g.sigma)
-    for l in range(1, ctx.r + 1):
+    for l in range(1, g.context.r + 1):
         if l not in support:
             out = out + u.component(l)
     return out
@@ -96,12 +100,7 @@ def direct_complement(g: SkewPoly, u: SkewPoly) -> SkewPoly:
 
 def idempotent_generator(g: SkewPoly, u: SkewPoly) -> SkewPoly:
     """e = u^{-1} g; idempotent, generating the same left ideal as g."""
-    if not u.is_unit():
-        raise NotAUnit("the completing polynomial must be a unit")
-    support = g.support()
-    for l in support:
-        if u.component(l) != g.component(l):
-            raise ComponentMismatch(f"u and g differ in component {l}")
+    _check_completion(g, u)
     e = u.unit_inverse() * g
     assert e * e == e
     return e

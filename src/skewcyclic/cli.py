@@ -122,15 +122,17 @@ def cmd_automorphisms(args) -> int:
     return 0
 
 
-def _load_descriptor(path: str) -> dict:
+def _load_json(path: str, what: str):
+    """Every JSON input file goes through here: unreadable or malformed
+    files become ParseError (exit 3)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read descriptor {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _build_from_descriptor(desc: dict, degree_cap=None):
+def _build_from_descriptor(desc: dict):
     try:
         field = parse_field(desc["field"])
         n = int(desc["n"])
@@ -209,8 +211,8 @@ def _apply_overrides(desc: dict, args) -> dict:
 
 
 def cmd_build(args) -> int:
-    desc = _apply_overrides(_load_descriptor(args.recipe), args)
-    sigma, code = _build_from_descriptor(desc, args.degree_cap)
+    desc = _apply_overrides(_load_json(args.recipe, "descriptor"), args)
+    sigma, code = _build_from_descriptor(desc)
     report = None
     expected = desc.get("expected") or {}
     if args.with_distance or "distance" in expected:
@@ -243,8 +245,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    desc = _apply_overrides(_load_descriptor(args.recipe), args)
-    sigma, code = _build_from_descriptor(desc, args.degree_cap)
+    desc = _apply_overrides(_load_json(args.recipe, "descriptor"), args)
+    sigma, code = _build_from_descriptor(desc)
     report = free_distance(code.generator, args.state_cap)
     payload = report.as_dict()
     payload["parameters"] = {"n": code.n, "k": code.k, "delta": code.delta}
@@ -289,10 +291,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_equivalence(args) -> int:
     field = parse_field(args.field)
-    with open(args.matrix_a, "r", encoding="utf-8") as fh:
-        A = matrix_from_dict(field, json.load(fh))
-    with open(args.matrix_b, "r", encoding="utf-8") as fh:
-        B = matrix_from_dict(field, json.load(fh))
+    A = matrix_from_dict(field, _load_json(args.matrix_a, "matrix"))
+    B = matrix_from_dict(field, _load_json(args.matrix_b, "matrix"))
     found = strong_equivalence(A, B)
     if found is None:
         payload = {"equivalent": False}
@@ -320,8 +320,7 @@ def cmd_equivalence(args) -> int:
 def cmd_verify_paper(args) -> int:
     fixtures = None
     if args.fixtures:
-        with open(args.fixtures, "r", encoding="utf-8") as fh:
-            fixtures = json.load(fh)
+        fixtures = _load_json(args.fixtures, "fixtures")
     results = verify.run_checks(fixtures, only=args.only, state_cap=args.state_cap)
     if args.format == "json":
         print(
@@ -370,7 +369,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None, help="override the descriptor's length")
         p.add_argument("--sigma", default=None, help="override the descriptor's automorphism")
         p.add_argument("--state-cap", type=int, default=2 ** 16)
-        p.add_argument("--degree-cap", type=int, default=None, help="cap for skew-unit inverse searches")
 
     p = sub.add_parser("build", help="build a code from a recipe/descriptor file")
     common(p)

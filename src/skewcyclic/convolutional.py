@@ -29,7 +29,7 @@ from .skew import SkewPoly
 class PolyMatrix:
     """Rectangular matrix of polynomials in z over a fixed field."""
 
-    __slots__ = ("field", "entries")
+    __slots__ = ("field", "entries", "_minors")
 
     def __init__(self, field: FieldSpec, entries):
         rows = tuple(tuple(e for e in row) for row in entries)
@@ -41,6 +41,7 @@ class PolyMatrix:
                 assert isinstance(e, Poly) and e.field == field
         self.field = field
         self.entries = rows
+        self._minors = None
 
     # -- constructors -------------------------------------------------------
 
@@ -48,10 +49,6 @@ class PolyMatrix:
     def identity(cls, field, k):
         one, zero = Poly.one(field), Poly.zero(field)
         return cls(field, [[one if i == j else zero for j in range(k)] for i in range(k)])
-
-    @classmethod
-    def from_rows(cls, field, rows):
-        return cls(field, rows)
 
     @classmethod
     def constant(cls, field, codes):
@@ -155,48 +152,30 @@ class PolyMatrix:
 
     def rank(self) -> int:
         """Rank over the rational function field F(z)."""
-        field = self.field
-        a = [list(row) for row in self.entries]
-        m, n = self.nrows, self.ncols
-        r = 0
-        for c in range(n):
-            piv = None
-            for i in range(r, m):
-                if not a[i][c].is_zero():
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            for i in range(r + 1, m):
-                if not a[i][c].is_zero():
-                    # cross-multiply to clear; scales rows but keeps rank
-                    fi, fr = a[i][c], a[r][c]
-                    a[i] = [x * fr - a[r][j] * fi for j, x in enumerate(a[i])]
-            r += 1
-            if r == m:
-                break
-        return r
+        return linalg.bareiss(self.field, self.entries)[0]
 
     def k_minors(self):
-        """All maximal (k x k) minors, k = nrows; requires nrows <= ncols."""
-        k = self.nrows
-        assert k <= self.ncols
-        rows = range(k)
-        return [
-            self.submatrix(rows, cols).det()
-            for cols in itertools.combinations(range(self.ncols), k)
-        ]
+        """All maximal (k x k) minors, k = nrows, with the column sets in
+        lexicographic order; requires nrows <= ncols.  Computed once: the
+        entries are immutable, so the tuple is kept on the matrix."""
+        if self._minors is None:
+            k = self.nrows
+            assert k <= self.ncols
+            rows = range(k)
+            self._minors = tuple(
+                self.submatrix(rows, cols).det()
+                for cols in itertools.combinations(range(self.ncols), k)
+            )
+        return self._minors
 
     def complexity(self) -> int:
         """Max degree over the k-minors (the code's total memory)."""
-        if self.rank() != self.nrows:
+        degs = []
+        if self.nrows <= self.ncols:
+            degs = [m.degree for m in self.k_minors() if not m.is_zero()]
+        if not degs:
             raise RankDeficient("complexity needs full row rank")
-        best = NEG_INF
-        for m in self.k_minors():
-            if not m.is_zero() and m.degree > best:
-                best = m.degree
-        return int(best)
+        return int(max(degs))
 
     def is_minimal(self) -> bool:
         return self.complexity() == sum(self.row_degrees())
@@ -208,8 +187,9 @@ class PolyMatrix:
         return tuple(sorted(self.row_degrees()))
 
     def is_right_invertible(self) -> bool:
-        """Constant nonzero gcd of the maximal minors."""
-        if self.nrows > self.ncols or self.rank() != self.nrows:
+        """Constant nonzero gcd of the maximal minors (all zero means the
+        rows are dependent)."""
+        if self.nrows > self.ncols:
             return False
         g = None
         for m in self.k_minors():
@@ -218,61 +198,42 @@ class PolyMatrix:
             g = m if g is None else poly_gcd(g, m)
             if g.degree == 0:
                 return True
-        return g is not None and g.degree == 0
+        return False
 
     # -- Smith form and consequences -------------------------------------------
 
     def smith_form(self):
-        """(L, S, R, Linv, Rinv) with self = L*S*R, L and R unimodular, S
-        diagonal with each diagonal entry dividing the next."""
+        """(S, Linv, Rinv) with Linv*self*Rinv = S, Linv and Rinv unimodular,
+        S diagonal with each diagonal entry dividing the next."""
         field = self.field
         m, n = self.nrows, self.ncols
         S = [list(row) for row in self.entries]
-        L = PolyMatrix.identity(field, m).entries
-        Li = PolyMatrix.identity(field, m).entries
-        R = PolyMatrix.identity(field, n).entries
-        Ri = PolyMatrix.identity(field, n).entries
-        L, Li, R, Ri = (
-            [list(r) for r in L],
-            [list(r) for r in Li],
-            [list(r) for r in R],
-            [list(r) for r in Ri],
-        )
+        Li = [list(row) for row in PolyMatrix.identity(field, m).entries]
+        Ri = [list(row) for row in PolyMatrix.identity(field, n).entries]
 
         def row_swap(i, j):
             S[i], S[j] = S[j], S[i]
             Li[i], Li[j] = Li[j], Li[i]
-            for t in range(m):
-                L[t][i], L[t][j] = L[t][j], L[t][i]
 
         def col_swap(i, j):
             for t in range(m):
                 S[t][i], S[t][j] = S[t][j], S[t][i]
             for t in range(n):
-                R[i][t], R[j][t] = R[j][t], R[i][t]
-            for t in range(n):
                 Ri[t][i], Ri[t][j] = Ri[t][j], Ri[t][i]
 
         def row_addmul(dst, src, q: Poly):
-            # S[dst] += q*S[src]; compensate L by subtracting, Li by adding
             S[dst] = [a + q * b for a, b in zip(S[dst], S[src])]
             Li[dst] = [a + q * b for a, b in zip(Li[dst], Li[src])]
-            for t in range(m):
-                L[t][src] = L[t][src] - q * L[t][dst]
 
         def col_addmul(dst, src, q: Poly):
             for t in range(m):
                 S[t][dst] = S[t][dst] + S[t][src] * q
             for t in range(n):
                 Ri[t][dst] = Ri[t][dst] + Ri[t][src] * q
-            R[src] = [a - q * b for a, b in zip(R[src], R[dst])]
 
         def row_scale(i, c_code):
-            inv = field.inv_c(c_code)
             S[i] = [e.scale(c_code) for e in S[i]]
             Li[i] = [e.scale(c_code) for e in Li[i]]
-            for t in range(m):
-                L[t][i] = L[t][i].scale(inv)
 
         rank_pos = 0
         while True:
@@ -325,28 +286,17 @@ class PolyMatrix:
             rank_pos += 1
             if rank_pos == min(m, n):
                 break
-        to_m = lambda rows: PolyMatrix(field, rows)
-        return to_m(L), to_m(S), to_m(R), to_m(Li), to_m(Ri)
+        return PolyMatrix(field, S), PolyMatrix(field, Li), PolyMatrix(field, Ri)
 
     def right_inverse(self) -> "PolyMatrix":
         """Gtilde with self * Gtilde = I, via the Smith form."""
         if not self.is_right_invertible():
             raise NotRightInvertible("minor gcd is not a nonzero constant")
         k, n = self.shape
-        L, S, R, Li, Ri = self.smith_form()
+        S, Li, Ri = self.smith_form()
         for i in range(k):
             assert S[i, i].degree == 0, "invariant factors must be constant"
-        # self = L [I 0] R after absorbing the unit diagonal into L
-        D = PolyMatrix(
-            self.field,
-            [
-                [
-                    (S[i, j] if i == j else Poly.zero(self.field))
-                    for j in range(k)
-                ]
-                for i in range(k)
-            ],
-        )
+        # Li * self * Ri = [D 0] with D constant, so self * (Ri[:, :k] D^-1 Li) = I
         Dinv = PolyMatrix(
             self.field,
             [
@@ -373,7 +323,7 @@ class PolyMatrix:
         if not self.is_right_invertible():
             raise NotRightInvertible("minor gcd is not a nonzero constant")
         k, n = self.shape
-        _, S, _, _, Ri = self.smith_form()
+        _, _, Ri = self.smith_form()
         H = PolyMatrix(
             self.field, [[Ri[i, j] for j in range(k, n)] for i in range(n)]
         )

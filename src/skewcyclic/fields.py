@@ -203,10 +203,6 @@ class FieldSpec:
     def gen(self) -> "FieldElement":
         return FieldElement(self, self.generator_code)
 
-    @property
-    def generator(self) -> "FieldElement":
-        return self.gen
-
     def from_code(self, code: int) -> "FieldElement":
         return FieldElement(self, code % self.q)
 

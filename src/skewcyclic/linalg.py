@@ -1,35 +1,55 @@
-"""Dense linear algebra over a FieldSpec, on integer-code matrices, plus a
-fraction-free determinant for matrices of polynomials."""
+"""Dense linear algebra over a FieldSpec, on integer-code matrices, plus one
+fraction-free elimination (rank and determinant) for matrices of polynomials."""
 
 from __future__ import annotations
 
 from .fields import FieldSpec, Poly
 
 
-def poly_det(field: FieldSpec, rows) -> Poly:
-    """Bareiss determinant of a square list-of-lists of Poly over F[z]."""
-    n = len(rows)
-    assert all(len(r) == n for r in rows), "matrix must be square"
+def bareiss(field: FieldSpec, rows):
+    """Fraction-free (Bareiss) elimination of a list-of-lists of Poly over F[z].
+
+    Works on any shape; a column without a pivot below the current row is
+    skipped.  Returns (rank, det): the rank over F(z), and for square input
+    the determinant (zero when singular), else None.  After each step every
+    remaining entry is a minor of the input, so the divisions are exact.
+    """
     a = [list(r) for r in rows]
+    m = len(a)
+    n = len(a[0]) if a else 0
     sign = 1
     prev = Poly.one(field)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero(field)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = Poly.zero(field)
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        for i in range(r, m):
+            if not a[i][c].is_zero():
+                break
+        else:
+            continue
+        if i != r:
+            a[r], a[i] = a[i], a[r]
+            sign = -sign
+        piv, prow = a[r][c], a[r]
+        for i in range(r + 1, m):
+            row = a[i]
+            f = row[c]
+            for j in range(c + 1, n):
+                row[j] = (row[j] * piv - f * prow[j]).exact_div(prev)
+        prev = piv
+        r += 1
+    if m != n:
+        return r, None
+    if r < n:
+        return r, Poly.zero(field)
+    return r, (-prev if sign < 0 else prev)
+
+
+def poly_det(field: FieldSpec, rows) -> Poly:
+    """Determinant of a square list-of-lists of Poly over F[z]."""
+    assert all(len(r) == len(rows) for r in rows), "matrix must be square"
+    return bareiss(field, rows)[1]
 
 
 def _echelon(field: FieldSpec, rows, ncols):

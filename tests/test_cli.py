@@ -220,6 +220,26 @@ def test_equivalence_command(tmp_path, capsys):
     assert json.loads(out)["equivalent"] is False
 
 
+def test_equivalence_missing_matrix_file_exit_3(tmp_path, capsys):
+    a = {"rows": 1, "cols": 3, "entries": [["1+z", "a^2+a*z", "a+a^2*z"]]}
+    pa = tmp_path / "a.json"
+    pa.write_text(json.dumps(a))
+    code, _, err = run(
+        capsys, "equivalence", "--field", "GF(4):y^2+y+1",
+        "--matrix-a", str(pa), "--matrix-b", str(tmp_path / "missing.json"),
+    )
+    assert code == 3
+    assert "missing.json" in err
+
+
+def test_verify_paper_malformed_fixtures_exit_3(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"minC3": ')
+    code, _, err = run(capsys, "verify-paper", "--fixtures", str(path))
+    assert code == 3
+    assert "broken.json" in err
+
+
 def test_verify_paper_only_minc3(capsys):
     code, out, _ = run(capsys, "verify-paper", "--only", "minC3", "--format", "table")
     assert code == 0

@@ -5,6 +5,7 @@ import pytest
 from skewcyclic import (
     ConvCode,
     PolyMatrix,
+    free_distance,
     generator_matrix,
     membership,
     skew_from_vector,
@@ -12,6 +13,7 @@ from skewcyclic import (
     unit_product,
     vector_from_skew,
 )
+from skewcyclic import linalg
 from skewcyclic.errors import (
     LengthMismatch,
     NotReduced,
@@ -86,6 +88,21 @@ def test_generator_matrix_golden(sig27, poly_g):
     assert G.forney_indices() == (2, 2, 2)
 
 
+def test_minors_computed_once(poly_g, monkeypatch):
+    """Build plus distance on the (7,3,6) golden: one determinant per maximal minor."""
+    calls = []
+    det = linalg.poly_det
+
+    def counting_det(field, rows):
+        calls.append(1)
+        return det(field, rows)
+
+    monkeypatch.setattr(linalg, "poly_det", counting_det)
+    code = ConvCode.from_reduced(poly_g)
+    assert free_distance(code.generator).distance == 12
+    assert len(calls) == 35
+
+
 def test_generator_matrix_block_code(sig27):
     ctx = sig27.context
     g = SkewPoly.constant(sig27, ctx.idempotent(2))
@@ -145,8 +162,12 @@ def test_complexity_examples(F4, ctx43, sig43):
     assert G3.complexity() == 3
     const = PolyMatrix.identity(F4, 2)
     assert const.complexity() == 0
-    with pytest.raises(RankDeficient):
-        PolyMatrix(F4, [[Poly.zero(F4), Poly.zero(F4)]]).complexity()
+    one, z, zero = Poly.one(F4), Poly.x(F4), Poly.zero(F4)
+    wide = PolyMatrix(F4, [[one], [z]])  # more rows than columns
+    singular = PolyMatrix(F4, [[one, z], [z, z * z]])  # second row = z * first
+    for bad in (PolyMatrix(F4, [[zero, zero]]), wide, singular):
+        with pytest.raises(RankDeficient):
+            bad.complexity()
 
 
 def test_right_invertibility_examples(F2):
@@ -156,9 +177,12 @@ def test_right_invertibility_examples(F2):
     gt = G.right_inverse()
     assert (G * gt).to_strings() == [["1"]]
     bad = PolyMatrix(F2, [[z, zero]])
-    assert not bad.is_right_invertible()
-    with pytest.raises(NotRightInvertible):
-        bad.right_inverse()
+    wide = PolyMatrix(F2, [[one], [z]])  # more rows than columns
+    singular = PolyMatrix(F2, [[one, z], [one + z, z + z * z]])  # rank 1
+    for M in (bad, wide, singular):
+        assert not M.is_right_invertible()
+        with pytest.raises(NotRightInvertible):
+            M.right_inverse()
 
 
 def test_parity_check_examples(F2, sig27, poly_g):
@@ -195,16 +219,45 @@ def test_smith_form_random(F4):
                 for _ in range(k)
             ],
         )
-        L, S, R, Li, Ri = M.smith_form()
-        assert L * S * R == M
-        assert (L * Li) == PolyMatrix.identity(F4, k)
-        assert (Ri * R) == PolyMatrix.identity(F4, n)
-        assert L.det().degree == 0 and R.det().degree == 0
+        S, Li, Ri = M.smith_form()
+        assert Li * M * Ri == S
+        # constant nonzero determinants: Li and Ri are unimodular, i.e.
+        # M = Li^-1 S Ri^-1 with polynomial inverses
+        assert Li.det().degree == 0 and Ri.det().degree == 0
+        assert all(
+            S[i, j].is_zero() for i in range(k) for j in range(n) if i != j
+        )
         # diagonal divisibility
         for i in range(min(k, n) - 1):
             a, b = S[i, i], S[i + 1, i + 1]
             if not a.is_zero() and not b.is_zero():
                 assert (b % a).is_zero()
+
+
+def test_rank_and_det_agree_random(F4):
+    """The one fraction-free elimination, checked against itself: row rank
+    equals column rank, and a square matrix has full rank iff det != 0."""
+    rng = random.Random(59)
+    for _ in range(60):
+        m, n = rng.randrange(1, 5), rng.randrange(1, 5)
+        # sparse low-degree entries, so rank deficiency and pivot-free
+        # columns both occur
+        M = PolyMatrix(
+            F4,
+            [
+                [
+                    Poly(F4, [rng.randrange(4) for _ in range(rng.randrange(1, 3))])
+                    if rng.random() < 0.5
+                    else Poly.zero(F4)
+                    for _ in range(n)
+                ]
+                for _ in range(m)
+            ],
+        )
+        r = M.rank()
+        assert r == M.transpose().rank() <= min(m, n)
+        if m == n:
+            assert (r == n) == (not M.det().is_zero())
 
 
 def test_right_inverse_and_parity_over_f8(sig87, ctx87):
