@@ -29,7 +29,7 @@ from .skew import SkewPoly
 class PolyMatrix:
     """Rectangular matrix of polynomials in z over a fixed field."""
 
-    __slots__ = ("field", "entries", "_minors")
+    __slots__ = ("field", "entries")
 
     def __init__(self, field: FieldSpec, entries):
         rows = tuple(tuple(e for e in row) for row in entries)
@@ -41,7 +41,6 @@ class PolyMatrix:
                 assert isinstance(e, Poly) and e.field == field
         self.field = field
         self.entries = rows
-        self._minors = None
 
     # -- constructors -------------------------------------------------------
 
@@ -155,30 +154,30 @@ class PolyMatrix:
         return linalg.bareiss(self.field, self.entries)[0]
 
     def k_minors(self):
-        """All maximal (k x k) minors, k = nrows, with the column sets in
-        lexicographic order; requires nrows <= ncols.  Computed once: the
-        entries are immutable, so the tuple is kept on the matrix."""
-        if self._minors is None:
-            k = self.nrows
-            assert k <= self.ncols
-            rows = range(k)
-            self._minors = tuple(
-                self.submatrix(rows, cols).det()
-                for cols in itertools.combinations(range(self.ncols), k)
-            )
-        return self._minors
+        """The maximal (k x k) minors, k = nrows, yielded lazily with the
+        column sets in lexicographic order; none when nrows > ncols."""
+        rows = range(self.nrows)
+        for cols in itertools.combinations(range(self.ncols), self.nrows):
+            yield self.submatrix(rows, cols).det()
 
     def complexity(self) -> int:
         """Max degree over the k-minors (the code's total memory)."""
-        degs = []
-        if self.nrows <= self.ncols:
-            degs = [m.degree for m in self.k_minors() if not m.is_zero()]
+        degs = [m.degree for m in self.k_minors() if not m.is_zero()]
         if not degs:
             raise RankDeficient("complexity needs full row rank")
         return int(max(degs))
 
     def is_minimal(self) -> bool:
-        return self.complexity() == sum(self.row_degrees())
+        """Forney's predictable-degree criterion: the leading row-coefficient
+        matrix (row i holds the z^d_i coefficients, d_i the degree of row i)
+        has full row rank over F.  For a full-rank matrix this is
+        complexity() == sum(row_degrees()); a rank-deficient one is never
+        minimal."""
+        lead = [
+            [e.lc() if e.degree == d else 0 for e in row]
+            for row, d in zip(self.entries, self.row_degrees())
+        ]
+        return linalg.rank(self.field, lead) == self.nrows
 
     def forney_indices(self):
         """Row degrees of a minimal generator matrix, as a sorted tuple."""
@@ -188,9 +187,8 @@ class PolyMatrix:
 
     def is_right_invertible(self) -> bool:
         """Constant nonzero gcd of the maximal minors (all zero means the
-        rows are dependent)."""
-        if self.nrows > self.ncols:
-            return False
+        rows are dependent); stops at the first minor that makes the gcd
+        constant."""
         g = None
         for m in self.k_minors():
             if m.is_zero():
@@ -430,13 +428,12 @@ class ConvCode:
     def from_generator(cls, G: PolyMatrix, support=None, reduced=None):
         if not G.is_right_invertible():
             raise NotRightInvertible("generator matrix must be right invertible")
-        delta = G.complexity()
         forney = G.forney_indices()
         return cls(
             generator=G,
             n=G.ncols,
             k=G.nrows,
-            delta=delta,
+            delta=sum(forney),
             forney=forney,
             support=tuple(support) if support is not None else None,
             reduced_generator=reduced,

@@ -237,8 +237,8 @@ def _witness_from_inputs(G: PolyMatrix, blocks):
 
 def _report(G, d, witness, q):
     k, n = G.shape
-    delta = G.complexity()
-    m = max(int(x) for x in G.row_degrees())
+    degs = G.row_degrees()
+    delta, m = sum(degs), max(degs)
     s = singleton_bound(n, k, delta)
     g = griesmer_bound(n, k, delta, m, q)
     attains = "singleton" if d == s else ("griesmer" if d == g else "below")

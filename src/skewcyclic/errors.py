@@ -77,10 +77,6 @@ class NonUnitScalar(SkewCyclicError):
     pass
 
 
-class DegreeCapExceeded(SkewCyclicError):
-    pass
-
-
 class DecompositionNotFound(SkewCyclicError):
     pass
 

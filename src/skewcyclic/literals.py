@@ -219,8 +219,16 @@ def matrix_from_dict(field: FieldSpec, data: dict) -> PolyMatrix:
         rows, cols = int(data["rows"]), int(data["cols"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad matrix JSON: {exc}") from exc
-    if len(entries) != rows or any(len(r) != cols for r in entries):
-        raise ParseError("matrix JSON shape mismatch")
+    if (
+        rows < 1
+        or cols < 1
+        or not isinstance(entries, list)
+        or len(entries) != rows
+        or any(not isinstance(r, list) or len(r) != cols for r in entries)
+    ):
+        raise ParseError("matrix JSON needs rows x cols entries, both at least 1")
+    if not all(isinstance(e, str) for r in entries for e in r):
+        raise ParseError("matrix JSON entries must be polynomial strings")
     return PolyMatrix(
         field, [[parse_poly(field, e, "z") for e in row] for row in entries]
     )

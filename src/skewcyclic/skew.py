@@ -17,7 +17,6 @@ from typing import NamedTuple
 from . import linalg
 from .errors import (
     DecompositionNotFound,
-    DegreeCapExceeded,
     FixedIdempotent,
     IndexOutOfRange,
     MixedAlgebras,
@@ -287,85 +286,52 @@ class SkewPoly:
         return rows
 
     def is_unit(self) -> bool:
-        """Exact unit test: the module matrix must have constant nonzero
-        determinant (equivalently, a two-sided inverse exists)."""
-        if not self.coeffs:
+        """Exact unit test, the only one: the module matrix must have
+        constant nonzero determinant.  Setting z = 0 is a ring map onto A,
+        so a unit's constant term is a unit of A; that is checked first."""
+        if not self.coeffs or not self.context.is_unit(self.coeffs[0]):
             return False
-        for cyc in self.sigma.cycles:
-            if all(not self.component(j) for j in cyc):
-                return False
         d = linalg.poly_det(self.context.field, self.module_matrix())
-        return not d.is_zero() and d.degree == 0
+        return d.degree == 0
 
-    def unit_inverse(self, degree_cap: int | None = None) -> "SkewPoly":
-        """Two-sided inverse, or NotAUnit.
+    def unit_inverse(self) -> "SkewPoly":
+        """Two-sided inverse of a unit; NotAUnit when is_unit() says no.
 
-        Solves f*g = 1 as an F-linear system in the coefficients of g,
-        sweeping deg_z g upward.  The default cap is the proven bound
-        (n-1)*deg_z f, which makes the search a complete decision
-        procedure; a smaller explicit cap may end with DegreeCapExceeded.
+        Row i of the module matrix M is vec(x^i f), so vec(g f) = vec(g) M
+        and g f = 1 is the F-linear system vec(g) M = vec(1) in the
+        z-coefficients of vec(g).  deg_z g is raised from 0; for a unit the
+        loop ends within inverse_degree_bound().
         """
+        if not self.is_unit():
+            raise NotAUnit(f"{self} is not a unit")
         ctx = self.context
-        if not self.coeffs:
-            raise NotAUnit("0 is not a unit")
-        # sound fast rejection: a whole Pi-cycle of zero components
-        for cyc in self.sigma.cycles:
-            if all(not self.component(j) for j in cyc):
-                raise NotAUnit(f"components {cyc} all vanish")
-        bound = self.inverse_degree_bound()
-        cap = bound if degree_cap is None else degree_cap
         n = ctx.n
-        # block (j, l) of the system: multiplication by sigma^l(f_j) acting on g_l
-        sigma_pows = {}
-
-        def twisted(j, l):
-            key = (j, l)
-            if key not in sigma_pows:
-                sigma_pows[key] = self.sigma.apply(self.coeffs[j], l)
-            return sigma_pows[key]
-
-        one_vec = ctx.one.codes
-        for D in range(0, cap + 1):
-            rows = [
-                [0] * (n * (D + 1))
-                for _ in range(n * (len(self.coeffs) + D))
-            ]
-            for l in range(D + 1):
-                for j in range(len(self.coeffs)):
-                    c = twisted(j, l)
-                    if not c:
-                        continue
-                    t = j + l
-                    # columns for g_l; multiplication by c in A, basis x^i
-                    shifted = c
-                    for i in range(n):
-                        col = l * n + i
-                        for rowi, code in enumerate(shifted.codes):
-                            if code:
-                                rows[t * n + rowi][col] = ctx.field.add_c(
-                                    rows[t * n + rowi][col], code
-                                )
-                        shifted = shifted * ctx.x
-            rhs = list(one_vec) + [0] * (n * (len(self.coeffs) + D) - n)
+        M = self.module_matrix()
+        depth = len(self.coeffs)
+        for D in range(self.inverse_degree_bound() + 1):
+            # unknown j*n + i: z^j coefficient of vec(g)_i;
+            # equation t*n + c: z^t coefficient of column c of vec(g) M
+            rows = [[0] * (n * (D + 1)) for _ in range(n * (D + depth))]
+            for i, row in enumerate(M):
+                for c, entry in enumerate(row):
+                    for s, code in enumerate(entry.codes):
+                        if code:
+                            for j in range(D + 1):
+                                rows[(j + s) * n + c][j * n + i] = code
+            rhs = list(ctx.one.codes) + [0] * (n * (D + depth - 1))
             sol = linalg.solve(ctx.field, rows, rhs)
-            if sol is None:
-                continue
-            g = SkewPoly(
-                self.sigma,
-                [
-                    ctx.from_codes(sol[l * n : (l + 1) * n])
-                    for l in range(D + 1)
-                ],
-            )
-            assert self * g == SkewPoly.one(self.sigma)
-            if g * self != SkewPoly.one(self.sigma):
-                raise AssertionError("right inverse failed to be two-sided")
-            return g
-        if cap >= bound:
-            raise NotAUnit(f"no inverse up to the proven degree bound {bound}")
-        raise DegreeCapExceeded(
-            f"no inverse with degree <= {cap}; bound {bound} not reached"
+            if sol is not None:
+                break
+        else:
+            raise AssertionError("unit without an inverse inside the degree bound")
+        g = SkewPoly(
+            self.sigma,
+            [ctx.from_codes(sol[j * n : (j + 1) * n]) for j in range(D + 1)],
         )
+        one = SkewPoly.one(self.sigma)
+        if g * self != one or self * g != one:
+            raise AssertionError("inverse failed to be two-sided")
+        return g
 
 
 # -- elementary and simple units ---------------------------------------------
@@ -483,8 +449,8 @@ def decompose_into_elementary(u: SkewPoly, max_steps: int = 1000):
     """
     sigma = u.sigma
     ctx = u.context
-    inv = u.unit_inverse()  # also certifies unit-ness
-    del inv
+    if not u.is_unit():
+        raise NotAUnit("only units decompose into elementary units")
     if u == SkewPoly.one(sigma):
         return []
     direct = _is_single_component_shift(u)

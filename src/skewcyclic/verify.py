@@ -15,6 +15,7 @@ from .automorphisms import (
 from .builder import MinimalCodeRecipe, build_minimal_code, direct_complement, orthogonal_sum
 from .convolutional import ConvCode
 from .distance import free_distance, griesmer_bound, singleton_bound
+from .errors import ParseError
 from .literals import (
     matrix_from_dict,
     parse_field,
@@ -268,26 +269,36 @@ def _check_complement(env):
 
 
 def run_checks(fixtures: dict | None = None, only: str | None = None, state_cap: int = 2 ** 16):
-    """Run all named golden checks (optionally filtered by substring)."""
+    """Run all named golden checks (optionally filtered by substring).
+
+    Fixtures without the keys that name the checks raise ParseError; a key
+    missing inside a check fails that check."""
     fx = fixtures if fixtures is not None else load_default_fixtures()
+    try:
+        factor_keys, aut_keys = list(fx["factors"]), list(fx["automorphisms"])
+        n_c3, n_c5 = len(fx["minC3"]["distances"]), len(fx["minC5"]["distances"])
+    except (KeyError, TypeError) as exc:
+        raise ParseError(
+            f"fixtures need factors, automorphisms, minC3 and minC5 distances: {exc!r}"
+        ) from exc
     env = _Env(fx)
     jobs = []
-    for key in fx["factors"]:
+    for key in factor_keys:
         jobs.append((f"factor-{key}", lambda k=key: _check_factorization(env, k)))
-    for key in fx["automorphisms"]:
+    for key in aut_keys:
         jobs.append((f"aut-{key}", lambda k=key: _check_automorphisms(env, k)))
     jobs.append(("skew-F2n7-shifts", lambda: _check_skew_shifts(env)))
     jobs.append(("skew-F2n7-vinv", lambda: _check_unit_inverse(env)))
     jobs.append(("genmat-F2n7", lambda: _check_generator_matrix(env)))
     jobs.append(("dist-F2n7", lambda: _check_dist_f2n7(env, state_cap)))
-    for i in range(len(fx["minC3"]["distances"])):
+    for i in range(n_c3):
         jobs.append(
             (
                 f"minC3-d{i+1}",
                 lambda i=i: _check_family_entry(env, "F4n3", f"minC3-d{i+1}", i, state_cap),
             )
         )
-    for i in range(len(fx["minC5"]["distances"])):
+    for i in range(n_c5):
         jobs.append(
             (
                 f"minC5-m{i+1}",

@@ -128,3 +128,35 @@ def identity_units_constant(ctx, degree_cap, restrict_to_unit_constant=False):
                 units += 1
                 assert f.degree <= 0
         assert units > 0
+
+
+def unit_inverse_by_solving(f):
+    """Test-only oracle for units of A[z;sigma], independent of the module
+    determinant: one F-linear solve of f*g = 1, built from the twisted
+    product, with deg_z g at the proven bound.  The inverse is unique and a
+    right inverse is two-sided, so this returns the inverse of a unit and
+    None for a non-unit."""
+    from skewcyclic import linalg
+    from skewcyclic.skew import SkewPoly
+
+    if not f:
+        return None
+    ctx = f.context
+    n, D, depth = ctx.n, f.inverse_degree_bound(), len(f.coeffs)
+    # (f g)_t = sum_{j+l=t} sigma^l(f_j) g_l: column l*n + i holds
+    # sigma^l(f_j) x^i in the rows of z^(j+l)
+    rows = [[0] * (n * (D + 1)) for _ in range(n * (depth + D))]
+    for l in range(D + 1):
+        for j, a in enumerate(f.coeffs):
+            c = f.sigma.apply(a, l)
+            for i in range(n):
+                for r, code in enumerate(c.codes):
+                    rows[(j + l) * n + r][l * n + i] = code
+                c = c * ctx.x
+    rhs = list(ctx.one.codes) + [0] * (n * (depth + D - 1))
+    sol = linalg.solve(ctx.field, rows, rhs)
+    if sol is None:
+        return None
+    return SkewPoly(
+        f.sigma, [ctx.from_codes(sol[l * n : (l + 1) * n]) for l in range(D + 1)]
+    )

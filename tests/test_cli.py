@@ -232,6 +232,36 @@ def test_equivalence_missing_matrix_file_exit_3(tmp_path, capsys):
     assert "missing.json" in err
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        {"rows": 0, "cols": 0, "entries": []},
+        {"rows": 1, "cols": 3, "entries": 5},
+        {"rows": 1, "cols": 2, "entries": [[1, 2]]},
+    ],
+    ids=["empty", "entries-not-a-list", "entries-not-strings"],
+)
+def test_equivalence_bad_matrix_exit_3(tmp_path, capsys, matrix):
+    a = {"rows": 1, "cols": 3, "entries": [["1+z", "a^2+a*z", "a+a^2*z"]]}
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(a))
+    pb.write_text(json.dumps(matrix))
+    code, _, err = run(
+        capsys, "equivalence", "--field", "GF(4):y^2+y+1",
+        "--matrix-a", str(pa), "--matrix-b", str(pb),
+    )
+    assert code == 3
+    assert "matrix JSON" in err
+
+
+def test_verify_paper_fixtures_missing_key_exit_3(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    code, _, err = run(capsys, "verify-paper", "--fixtures", str(path))
+    assert code == 3
+    assert "factors" in err
+
+
 def test_verify_paper_malformed_fixtures_exit_3(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"minC3": ')

@@ -13,7 +13,7 @@ from skewcyclic import (
     unit_product,
     vector_from_skew,
 )
-from skewcyclic import linalg
+from skewcyclic import linalg, make_field
 from skewcyclic.errors import (
     LengthMismatch,
     NotReduced,
@@ -21,7 +21,7 @@ from skewcyclic.errors import (
     RankDeficient,
     ZeroPolynomial,
 )
-from skewcyclic.fields import Poly
+from skewcyclic.fields import Poly, poly_gcd
 from skewcyclic.skew import SkewPoly
 
 GOLDEN_G = [
@@ -89,7 +89,9 @@ def test_generator_matrix_golden(sig27, poly_g):
 
 
 def test_minors_computed_once(poly_g, monkeypatch):
-    """Build plus distance on the (7,3,6) golden: one determinant per maximal minor."""
+    """Build plus distance on the (7,3,6) golden: right invertibility (checked
+    by the build and again by the distance search) stops at the first
+    constant minor gcd, and minimality and delta take no minors at all."""
     calls = []
     det = linalg.poly_det
 
@@ -100,7 +102,7 @@ def test_minors_computed_once(poly_g, monkeypatch):
     monkeypatch.setattr(linalg, "poly_det", counting_det)
     code = ConvCode.from_reduced(poly_g)
     assert free_distance(code.generator).distance == 12
-    assert len(calls) == 35
+    assert len(calls) == 8  # 4 minors per right-invertibility check
 
 
 def test_generator_matrix_block_code(sig27):
@@ -258,6 +260,39 @@ def test_rank_and_det_agree_random(F4):
         assert r == M.transpose().rank() <= min(m, n)
         if m == n:
             assert (r == n) == (not M.det().is_zero())
+
+
+def test_minimality_and_right_invertibility_random(F2, F4):
+    """The leading-coefficient minimality test against its definition,
+    complexity == sum of row degrees (rank-deficient: not minimal), and the
+    early-exit right invertibility against the gcd of every maximal minor."""
+    rng = random.Random(67)
+    for field in (F2, make_field(3, 1), F4, make_field(5, 1)):
+        q = field.q
+        for _ in range(500):
+            m, n = rng.randrange(1, 4), rng.randrange(1, 5)
+            M = PolyMatrix(
+                field,
+                [
+                    [
+                        Poly(field, [rng.randrange(q) for _ in range(rng.randrange(1, 4))])
+                        if rng.random() < 0.7
+                        else Poly.zero(field)
+                        for _ in range(n)
+                    ]
+                    for _ in range(m)
+                ],
+            )
+            try:
+                minimal = M.complexity() == sum(M.row_degrees())
+            except RankDeficient:
+                minimal = False
+            assert M.is_minimal() == minimal
+            g = None
+            for minor in M.k_minors():
+                if not minor.is_zero():
+                    g = minor if g is None else poly_gcd(g, minor)
+            assert M.is_right_invertible() == (g is not None and g.degree == 0)
 
 
 def test_right_inverse_and_parity_over_f8(sig87, ctx87):

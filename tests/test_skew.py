@@ -3,17 +3,21 @@ import random
 
 import pytest
 
+from helpers import unit_inverse_by_solving
 from skewcyclic import (
+    RingContext,
     decompose_into_elementary,
     elementary_unit,
     elementary_unit_inverse,
+    find_automorphism_for_permutation,
     identity_automorphism,
     is_elementary_unit,
+    make_field,
+    permutation_from_cycles,
     simple_unit,
     unit_product,
 )
 from skewcyclic.errors import (
-    DegreeCapExceeded,
     FixedIdempotent,
     MixedAlgebras,
     NonUnitScalar,
@@ -232,18 +236,74 @@ def test_unit_inverse_trivia(sig27, poly_g):
         SkewPoly.zero(sig27).unit_inverse()
 
 
-def test_unit_inverse_degree_cap(sig27, poly_v):
-    with pytest.raises(DegreeCapExceeded):
-        poly_v.unit_inverse(degree_cap=1)  # true inverse has degree 2
-    assert poly_v.unit_inverse(degree_cap=2) == poly_v.unit_inverse()
-
-
 def test_zero_cycle_block_rejection(sig27, poly_g):
     # g vanishes on the whole cycle {1}? no; but eps2+eps3-supported elements
     # vanish on cycle (1): proven non-unit without any solving
     f = poly_g  # support {3}: cycle {2,3} is hit, cycle {1} is all zero
     assert f.component(1) == SkewPoly.zero(sig27)
     assert not f.is_unit()
+
+
+def test_non_unit_constant_term_rejected(sig27):
+    """Nonzero on every sigma-cycle, yet not a unit: the constant term
+    eps1 + eps2 vanishes on component 3, and z = 0 maps units to units."""
+    ctx = sig27.context
+    e = ctx.idempotent
+    f = SkewPoly(sig27, (e(1) + e(2), e(3)))
+    assert all(any(f.component(j) for j in cyc) for cyc in sig27.cycles)
+    assert not ctx.is_unit(f.constant_term)
+    assert not f.is_unit()
+    with pytest.raises(NotAUnit):
+        f.unit_inverse()
+    assert unit_inverse_by_solving(f) is None
+
+
+def _sigma_by_cycles(p, n, cycles):
+    ctx = RingContext(make_field(p, 1), n)
+    return find_automorphism_for_permutation(
+        ctx, permutation_from_cycles(ctx.r, cycles)
+    )
+
+
+def test_unit_decision_agrees_with_linear_system_oracle(sig27, sig43):
+    """is_unit and unit_inverse against one solve of f*g = 1 at the proven
+    degree bound, in characteristic 2 and in odd characteristic.  Samples:
+    units u = c * unit_product(...), non-units with a unit constant term
+    u * (1 + z c e_C) with e_C the idempotent of a whole sigma-cycle (its
+    e_C block has a unit leading coefficient, so degrees add there), and
+    random f."""
+    rng = random.Random(61)
+    cases = (
+        (sig27, 2, 2),
+        (sig43, 3, 3),
+        (_sigma_by_cycles(3, 4, [(1, 2)]), 3, 3),
+        (_sigma_by_cycles(5, 4, [(1, 2), (3, 4)]), 3, 3),
+    )
+    for sig, unit_deg, rand_deg in cases:
+        ctx = sig.context
+        one = SkewPoly.one(sig)
+        moved = [min(c) for c in sig.cycles if len(c) > 1]
+        samples = []
+        for _ in range(10):
+            c = SkewPoly.constant(sig, _some_units(ctx, rng, 1)[0])
+            d = rng.randrange(unit_deg + 1)
+            u = c * unit_product(sig, rng.choice(moved), _some_units(ctx, rng, d))
+            cyc = rng.choice(sig.cycles)
+            e_c = sum((ctx.idempotent(j) for j in cyc), ctx.zero)
+            a = _some_units(ctx, rng, 1)[0] * e_c
+            samples.append((u, True))
+            samples.append((u * (one + SkewPoly.z_power(sig, 1, a)), False))
+            samples.append((_random_skew(rng, sig, rand_deg), None))
+        for f, built_as_unit in samples:
+            want = unit_inverse_by_solving(f)
+            assert f.is_unit() == (want is not None), f
+            if built_as_unit is not None:
+                assert f.is_unit() == built_as_unit, f
+            if want is None:
+                with pytest.raises(NotAUnit):
+                    f.unit_inverse()
+            else:
+                assert f.unit_inverse() == want
 
 
 def test_simple_unit_examples(sig43, sig27):
