@@ -74,10 +74,8 @@ def build_minimal_code(recipe: MinimalCodeRecipe) -> ConvCode:
     return code
 
 
-def _check_completion(g: SkewPoly, u: SkewPoly) -> None:
-    """u must be a unit that agrees with g on every component of g's support."""
-    if not u.is_unit():
-        raise NotAUnit("the completing polynomial must be a unit")
+def _check_components(g: SkewPoly, u: SkewPoly) -> None:
+    """u must agree with g on every component of g's support."""
     for l in g.support():
         if u.component(l) != g.component(l):
             raise ComponentMismatch(f"u and g differ in component {l}")
@@ -89,7 +87,9 @@ def direct_complement(g: SkewPoly, u: SkewPoly) -> SkewPoly:
     Requires u to be a unit agreeing with g on g's support; then
     g + g' = u and the ideals of g and g' intersect trivially.
     """
-    _check_completion(g, u)
+    if not u.is_unit():
+        raise NotAUnit("the completing polynomial must be a unit")
+    _check_components(g, u)
     support = g.support()
     out = SkewPoly.zero(g.sigma)
     for l in range(1, g.context.r + 1):
@@ -99,25 +99,32 @@ def direct_complement(g: SkewPoly, u: SkewPoly) -> SkewPoly:
 
 
 def idempotent_generator(g: SkewPoly, u: SkewPoly) -> SkewPoly:
-    """e = u^{-1} g; idempotent, generating the same left ideal as g."""
-    _check_completion(g, u)
-    e = u.unit_inverse() * g
-    assert e * e == e
+    """e = u^{-1} g; idempotent, generating the same left ideal as g.
+
+    u must be a unit (unit_inverse decides, raising NotAUnit) agreeing
+    with g on g's support."""
+    u_inv = u.unit_inverse()
+    _check_components(g, u)
+    e = u_inv * g
+    if e * e != e:
+        raise AssertionError("u^-1 g failed to be idempotent")
     return e
 
 
 def orthogonal_sum(codes) -> ConvCode:
     """Direct sum of minimal codes whose supports sit in disjoint cycles."""
     codes = list(codes)
-    assert codes, "need at least one code"
+    if not codes:
+        raise BadParameters("need at least one code")
     if len(codes) == 1:
         return codes[0]
-    sigma = codes[0].reduced_generator.sigma
-    supports = []
     for c in codes:
-        assert c.reduced_generator is not None, "codes must carry their generators"
-        assert len(c.support) == 1, "summands must be minimal (singleton support)"
-        supports.append(c.support[0])
+        if c.reduced_generator is None:
+            raise BadParameters("codes must carry their generators")
+        if len(c.support) != 1:
+            raise BadParameters("summands must be minimal (singleton support)")
+    sigma = codes[0].reduced_generator.sigma
+    supports = [c.support[0] for c in codes]
     for i, li in enumerate(supports):
         for lj in supports[i + 1 :]:
             if sigma.same_cycle(li, lj):
@@ -128,9 +135,9 @@ def orthogonal_sum(codes) -> ConvCode:
     for c in codes:
         g = g + c.reduced_generator
     combined = ConvCode.from_reduced(g)
-    assert combined.delta == sum(c.delta for c in codes)
     want = tuple(sorted(f for c in codes for f in c.forney))
-    assert combined.forney == want
+    if combined.delta != sum(c.delta for c in codes) or combined.forney != want:
+        raise AssertionError("direct sum failed to add the parameters")
     return combined
 
 

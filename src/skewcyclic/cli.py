@@ -132,6 +132,13 @@ def _load_json(path: str, what: str):
         raise ParseError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _json_typed(value, kind, what):
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "a list"
+        raise ParseError(f"{what} must be {name}, got {value!r}")
+    return value
+
+
 def _build_from_descriptor(desc: dict):
     try:
         field = parse_field(desc["field"])
@@ -139,6 +146,7 @@ def _build_from_descriptor(desc: dict):
         sigma_text = desc["sigma"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"descriptor needs field, n, sigma: {exc}") from exc
+    _json_typed(desc.get("expected") or {}, dict, "expected")
     ctx = RingContext(field, n)
     sigma = parse_sigma(ctx, sigma_text)
     if "generator" in desc:
@@ -150,7 +158,10 @@ def _build_from_descriptor(desc: dict):
         recipe = {"l": desc["l"], "d": desc["d"], "scalars": desc.get("scalars", [])}
     if recipe is None:
         raise ParseError("descriptor needs either a generator or a recipe")
-    components = recipe.get("components", [recipe])
+    _json_typed(recipe, dict, "recipe")
+    components = _json_typed(recipe.get("components", [recipe]), list, "components")
+    if not components:
+        raise ParseError("recipe components must not be empty")
     codes = []
     for comp in components:
         try:
@@ -158,7 +169,8 @@ def _build_from_descriptor(desc: dict):
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"recipe component needs l and d: {exc}") from exc
         scalars = tuple(
-            parse_ring_element(ctx, s) for s in comp.get("scalars", [])
+            parse_ring_element(ctx, s)
+            for s in _json_typed(comp.get("scalars", []), list, "scalars")
         )
         codes.append(build_minimal_code(MinimalCodeRecipe(sigma, l, d, scalars)))
     return sigma, (codes[0] if len(codes) == 1 else orthogonal_sum(codes))
@@ -200,7 +212,7 @@ def _check_expected(desc, code, report) -> list:
 
 def _apply_overrides(desc: dict, args) -> dict:
     """--field/--n/--sigma given on the command line win over the file."""
-    out = dict(desc)
+    out = dict(_json_typed(desc, dict, "descriptor"))
     if getattr(args, "field", None):
         out["field"] = args.field
     if getattr(args, "n", None):

@@ -286,50 +286,40 @@ class PolyMatrix:
                 break
         return PolyMatrix(field, S), PolyMatrix(field, Li), PolyMatrix(field, Ri)
 
+    def _smith_completion(self):
+        """(Li, Ri) from one Smith form, with Li * self * Ri = [I 0].
+
+        smith_form makes each nonzero invariant factor monic, so a right
+        invertible k x n matrix (k <= n, constant invariant factors) has
+        S = [I 0]; any other S raises NotRightInvertible.
+        """
+        k, n = self.shape
+        if k > n:
+            raise NotRightInvertible("more rows than columns")
+        S, Li, Ri = self.smith_form()
+        one = Poly.one(self.field)
+        if any(S[i, i] != one for i in range(k)):
+            raise NotRightInvertible("invariant factors are not all 1")
+        return Li, Ri
+
     def right_inverse(self) -> "PolyMatrix":
         """Gtilde with self * Gtilde = I, via the Smith form."""
-        if not self.is_right_invertible():
-            raise NotRightInvertible("minor gcd is not a nonzero constant")
         k, n = self.shape
-        S, Li, Ri = self.smith_form()
-        for i in range(k):
-            assert S[i, i].degree == 0, "invariant factors must be constant"
-        # Li * self * Ri = [D 0] with D constant, so self * (Ri[:, :k] D^-1 Li) = I
-        Dinv = PolyMatrix(
-            self.field,
-            [
-                [
-                    (
-                        Poly(self.field, (self.field.inv_c(S[i, i].lc()),))
-                        if i == j
-                        else Poly.zero(self.field)
-                    )
-                    for j in range(k)
-                ]
-                for i in range(k)
-            ],
-        )
-        first_cols = PolyMatrix(
-            self.field, [[Ri[i, j] for j in range(k)] for i in range(n)]
-        )
-        gt = first_cols * Dinv * Li
-        assert (self * gt) == PolyMatrix.identity(self.field, k)
+        Li, Ri = self._smith_completion()
+        # Li * self * Ri = [I 0], so self * Ri[:, :k] = Li^-1
+        gt = Ri.submatrix(range(n), range(k)) * Li
+        if self * gt != PolyMatrix.identity(self.field, k):
+            raise AssertionError("Smith-form right inverse failed its check")
         return gt
 
     def parity_check(self) -> "PolyMatrix":
-        """H (n x (n-k)) with self * H = 0, from a unimodular completion."""
-        if not self.is_right_invertible():
-            raise NotRightInvertible("minor gcd is not a nonzero constant")
+        """H (n x (n-k)) with self * H = 0: the last n-k columns of the
+        unimodular Smith-form completion."""
         k, n = self.shape
-        _, _, Ri = self.smith_form()
-        H = PolyMatrix(
-            self.field, [[Ri[i, j] for j in range(k, n)] for i in range(n)]
-        )
-        zero = PolyMatrix(
-            self.field,
-            [[Poly.zero(self.field)] * (n - k) for _ in range(k)],
-        )
-        assert (self * H) == zero
+        _, Ri = self._smith_completion()
+        H = Ri.submatrix(range(n), range(k, n))
+        if not (self * H).is_zero():
+            raise AssertionError("Smith-form parity check failed its check")
         return H
 
     def to_strings(self):
@@ -449,68 +439,80 @@ class ConvCode:
         return (self.n, self.k, self.delta)
 
 
-def strong_equivalence(
-    G: PolyMatrix,
-    Gp: PolyMatrix,
-    max_n: int = 8,
-    max_q: int = 9,
-):
+# strong_equivalence enumerates n! permutations and up to q^nullity diagonals
+EQUIVALENCE_MAX_N = 8
+EQUIVALENCE_MAX_Q = 9
+EQUIVALENCE_MAX_NULLITY = 14
+
+
+def strong_equivalence(G: PolyMatrix, Gp: PolyMatrix):
     """Search for (P, D) with im G = im(Gp * P * D); None if inequivalent.
 
     P runs over all n! column permutations.  For each P the diagonal D is
     not enumerated directly: membership of the rows of Gp*P*D in im G is
     linear in the diagonal entries, so candidates come from a nullspace
-    over F and only those with all entries nonzero are verified both ways.
+    over F, and the first one with all entries nonzero is checked.
+
+    The witness is checked with T = B*Gtilde, B = Gp*P*D: T*G == B and
+    det T a nonzero constant, one k x k determinant.  Why this decides
+    im B = im G: B is a column permutation and nonzero rescaling of Gp, so
+    each maximal minor of B is a nonzero constant times a minor of Gp, and
+    B is right invertible.  B = T*G with T square, and T*(G*Btilde) = I, so
+    T is right invertible, hence unimodular, and im B = im G.  Every
+    nullspace candidate has rows of B in im G, that is T*G == B, so the
+    check never fails and the first candidate is the answer.
     """
     field = G.field
     if G.shape != Gp.shape:
         return None
     k, n = G.shape
-    if n > max_n or field.q > max_q:
-        raise SearchSpaceTooLarge(f"n <= {max_n} and q <= {max_q} required")
-    if not (G.is_right_invertible() and Gp.is_right_invertible()):
-        raise NotRightInvertible("both matrices must be right invertible")
+    if n > EQUIVALENCE_MAX_N or field.q > EQUIVALENCE_MAX_Q:
+        raise SearchSpaceTooLarge(
+            f"n <= {EQUIVALENCE_MAX_N} and q <= {EQUIVALENCE_MAX_Q} required"
+        )
     gt = G.right_inverse()
+    if not Gp.is_right_invertible():
+        raise NotRightInvertible("both matrices must be right invertible")
     # Q = I - Gtilde*G annihilates exactly im G (row vectors w with w*Q = 0)
     Q = PolyMatrix.identity(field, n) - (gt * G)
+    # z-coefficients of Gp[r][i] * Q[j][c], shared by every permutation
+    prods = [
+        [[[(a * q).codes for q in Q.entries[j]] for j in range(n)] for a in row]
+        for row in Gp.entries
+    ]
     one = Poly.one(field)
     zero = Poly.zero(field)
     for perm in itertools.permutations(range(n)):
-        B = PolyMatrix(field, [[row[p] for p in perm] for row in Gp.entries])
-        # rows of B*diag(d) lie in im G: for all r, c: sum_j B[r][j] Q[j][c] d_j = 0
+        # rows of B*diag(d) lie in im G, B = Gp*P: for all r, c:
+        # sum_j Gp[r][perm[j]] Q[j][c] d_j = 0, coefficient by coefficient in z
         eqs = []
         for r in range(k):
-            coeffs = []
-            for j in range(n):
-                acc = zero
-                if not B.entries[r][j].is_zero():
-                    acc = B.entries[r][j]
-                coeffs.append(acc)
             for c in range(n):
-                poly_coeffs = [coeffs[j] * Q.entries[j][c] for j in range(n)]
-                depth = 0
-                for p in poly_coeffs:
-                    if not p.is_zero():
-                        depth = max(depth, int(p.degree) + 1)
-                for t in range(depth):
-                    eqs.append(
-                        [
-                            (p.codes[t] if t < len(p.codes) else 0)
-                            for p in poly_coeffs
-                        ]
-                    )
-        basis = linalg.nullspace(field, eqs) if eqs else []
-        if eqs and not basis:
-            continue
-        if not eqs:
-            basis = [
-                [1 if i == j else 0 for j in range(n)] for i in range(n)
-            ]
-        if len(basis) > 14:
+                cols = [prods[r][perm[j]][j][c] for j in range(n)]
+                for t in range(max(len(p) for p in cols)):
+                    eqs.append([p[t] if t < len(p) else 0 for p in cols])
+        if eqs:
+            basis = linalg.nullspace(field, eqs)
+            if not basis:
+                continue
+        else:
+            basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        if len(basis) > EQUIVALENCE_MAX_NULLITY:
             raise SearchSpaceTooLarge("nullspace too large to enumerate")
         found = _nonvanishing_combination(field, basis)
         if found is None:
             continue
+        B = PolyMatrix(
+            field,
+            [[row[p].scale(d) for p, d in zip(perm, found)] for row in Gp.entries],
+        )
+        T = B * gt
+        if T * G != B or T.det().degree != 0:
+            raise AssertionError("equivalence candidate failed its check")
+        P = PolyMatrix(
+            field,
+            [[one if perm[j] == i else zero for j in range(n)] for i in range(n)],
+        )
         D = PolyMatrix(
             field,
             [
@@ -518,24 +520,7 @@ def strong_equivalence(
                 for i in range(n)
             ],
         )
-        BD = B * D
-        if not BD.is_right_invertible():
-            continue
-        bd_inv = BD.right_inverse()
-        ok = all(
-            membership(G, BD.row(r), gt) is not None for r in range(k)
-        ) and all(
-            membership(BD, G.row(r), bd_inv) is not None for r in range(k)
-        )
-        if ok:
-            P = PolyMatrix(
-                field,
-                [
-                    [one if perm[j] == i else zero for j in range(n)]
-                    for i in range(n)
-                ],
-            )
-            return P, D
+        return P, D
     return None
 
 

@@ -155,18 +155,6 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
 
     zero_state = tuple((0,) * d for d in degs)
 
-    if delta == 0:
-        # block code: scan the q^k - 1 nonzero messages directly
-        best, best_u = None, None
-        for a in inputs:
-            if not any(a):
-                continue
-            w = sum(1 for c in inp_out[a] if c)
-            if best is None or w < best:
-                best, best_u = w, a
-        witness = _witness_from_inputs(G, [best_u])
-        return _report(G, best, witness, field.q)
-
     # Dijkstra over states; a path must leave the zero state with a nonzero
     # input block and ends on its first return to the zero state.
     dist = {}

@@ -44,8 +44,15 @@ def _prime_power(q: int):
     raise ParseError("field size must be >= 2")
 
 
+def _text(text) -> str:
+    """Literal entry points take strings only (JSON may hold anything)."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected a literal string, got {text!r}")
+    return text
+
+
 def parse_field(text: str) -> FieldSpec:
-    m = _FIELD_RE.match(text.strip())
+    m = _FIELD_RE.match(_text(text).strip())
     if not m:
         raise ParseError(f"bad field literal {text!r}; expected GF(q)[:modulus]")
     q = int(m.group(1))
@@ -120,7 +127,7 @@ def _split_terms(text: str):
 
 
 def parse_element(field: FieldSpec, text: str) -> FieldElement:
-    m = _ELEM_RE.match(text.strip())
+    m = _ELEM_RE.match(_text(text).strip())
     if not m:
         raise ParseError(f"bad element literal {text!r}")
     tok = m.group(1)
@@ -132,7 +139,7 @@ def parse_element(field: FieldSpec, text: str) -> FieldElement:
 
 def parse_poly(field: FieldSpec, text: str, var: str = "x") -> Poly:
     acc = Poly.zero(field)
-    for sign, term in _split_terms(text):
+    for sign, term in _split_terms(_text(text)):
         m = _TERM_RE.match(term)
         if not m or (m.group("coeff") is None and m.group("var") is None):
             raise ParseError(f"bad term {term!r}")
@@ -161,7 +168,7 @@ def parse_skew(sigma: Automorphism, text: str) -> SkewPoly:
     ctx = sigma.context
     parts = {}
     const_terms = []
-    for sign, term in _split_terms(text):
+    for sign, term in _split_terms(_text(text)):
         if term.startswith("z"):
             m = re.match(r"^z(?:\^(\d+))?\s*\*?\s*(?:\((?P<inner>.*)\))?$", term)
             if not m:
@@ -191,7 +198,7 @@ _PERM_RE = re.compile(r"\(([^()]*)\)")
 
 
 def parse_sigma(ctx: RingContext, text: str) -> Automorphism:
-    text = text.strip()
+    text = _text(text).strip()
     if text.startswith("sigma:"):
         text = text[len("sigma:") :]
     if text.startswith("perm:"):

@@ -149,18 +149,15 @@ class RingContext:
         self._check(a)
         if not a:
             raise ZeroInput("cannot normalize the zero element")
-        parts = []
-        support = []
-        for k, (part, pi) in enumerate(
-            zip(self.crt_forward(a).parts, self.factors), start=1
-        ):
-            if part.is_zero():
-                parts.append(Poly.one(self.field) % pi)
-            else:
-                support.append(k)
-                _, u, _ = poly_ext_gcd(part, pi)
-                parts.append(u % pi)
-        return self.crt_backward(CrtVector(self, tuple(parts))), tuple(support)
+        support = tuple(
+            k
+            for k, part in enumerate(self.crt_forward(a).parts, start=1)
+            if not part.is_zero()
+        )
+        # a + (idempotents off the support) is a unit whose inverse b has
+        # b*a = sum of the idempotents on the support
+        fill = [self.idempotent(k) for k in range(1, self.r + 1) if k not in support]
+        return self.inv(sum(fill, a)), support
 
     def _check(self, a: "RingElement") -> "RingElement":
         if a.context is not self and a.context != self:

@@ -395,19 +395,8 @@ def unit_product(sigma: Automorphism, l: int, scalars) -> SkewPoly:
 
 def _local_inverse(ctx, c: RingElement, i: int) -> RingElement:
     """Inverse of a nonzero element of K^(i), inside that component."""
-    from .fields import Poly, poly_ext_gcd
-    from .ring import CrtVector
-
-    parts = []
-    for k, pi in enumerate(ctx.factors, start=1):
-        if k == i:
-            res = c.as_poly() % pi
-            assert not res.is_zero()
-            _, u, _ = poly_ext_gcd(res, pi)
-            parts.append(u % pi)
-        else:
-            parts.append(Poly.zero(ctx.field))
-    return ctx.crt_backward(CrtVector(ctx, tuple(parts)))
+    e = ctx.idempotent(i)
+    return ctx.inv(c * e + ctx.one - e) * e
 
 
 def _constant_factors(sigma, c: RingElement):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from skewcyclic import linalg
 from skewcyclic import (
     ConvCode,
     MinimalCodeRecipe,
@@ -160,6 +161,23 @@ def test_idempotent_generator(sig27, poly_g, poly_v, sig43, ctx43):
     assert idempotent_generator(e2, one43) == e2
 
 
+def test_idempotent_generator_decides_the_unit_once(poly_g, poly_v, monkeypatch):
+    """unit_inverse decides whether v is a unit: one module determinant."""
+    calls = []
+    det = linalg.poly_det
+
+    def counting_det(field, rows):
+        calls.append(1)
+        return det(field, rows)
+
+    monkeypatch.setattr(linalg, "poly_det", counting_det)
+    e = idempotent_generator(poly_g, poly_v)
+    assert len(calls) == 1
+    assert poly_v * e == poly_g
+    with pytest.raises(NotAUnit):
+        idempotent_generator(poly_g, poly_g)
+
+
 def test_orthogonal_sum_f8(sig87, ctx87):
     alpha = ctx87.field.gen
     e = ctx87.idempotent
@@ -188,6 +206,11 @@ def test_orthogonal_sum_trivia(sig87, ctx87, sig43, ctx43):
     assert s.delta == 0
     assert s.k == 2
     assert s.generator == generator_matrix(e1 + e2)
+    with pytest.raises(BadParameters):
+        orthogonal_sum([])
+    both = ConvCode.from_reduced(e1 + e2)  # support (1, 2): not minimal
+    with pytest.raises(BadParameters):
+        orthogonal_sum([both, ConvCode.from_reduced(e1)])
 
 
 def test_orthogonal_sum_rejects_same_cycle(sig43, ctx43):

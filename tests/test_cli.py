@@ -109,6 +109,44 @@ def test_build_fixed_idempotent_exit_4(tmp_path, capsys):
     assert "FixedIdempotent" in err
 
 
+_GOOD_DESC = {
+    "field": "GF(4):y^2+y+1",
+    "n": 3,
+    "sigma": "x^2",
+    "recipe": {"l": 2, "d": 1, "scalars": ["1"]},
+}
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        5,
+        "ab",
+        {**_GOOD_DESC, "recipe": "x"},
+        {**_GOOD_DESC, "recipe": {"components": 5}},
+        {**_GOOD_DESC, "recipe": {"components": []}},
+        {**_GOOD_DESC, "recipe": {"l": 2, "d": 1, "scalars": 5}},
+        {**_GOOD_DESC, "recipe": {"l": 2, "d": 1, "scalars": [1]}},
+        {**_GOOD_DESC, "expected": 5},
+        {**_GOOD_DESC, "generator": 5},
+        {**_GOOD_DESC, "sigma": 7},
+        {**_GOOD_DESC, "field": 4},
+    ],
+    ids=[
+        "top-level-number", "top-level-string", "recipe-not-object",
+        "components-not-list", "components-empty", "scalars-not-list",
+        "scalar-not-string", "expected-not-object", "generator-not-string",
+        "sigma-not-string", "field-not-string",
+    ],
+)
+def test_build_malformed_descriptor_exit_3(tmp_path, capsys, desc):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(desc))
+    code, _, err = run(capsys, "build", "--recipe", str(path))
+    assert code == 3
+    assert err.startswith("parse error:")
+
+
 def test_build_multi_component(tmp_path, capsys):
     desc = {
         "field": "GF(8):y^3+y+1",

@@ -4,10 +4,14 @@ import pytest
 
 from skewcyclic import (
     ConvCode,
+    MinimalCodeRecipe,
     PolyMatrix,
+    RingContext,
+    build_minimal_code,
     free_distance,
     generator_matrix,
     membership,
+    orthogonal_sum,
     skew_from_vector,
     strong_equivalence,
     unit_product,
@@ -22,6 +26,7 @@ from skewcyclic.errors import (
     ZeroPolynomial,
 )
 from skewcyclic.fields import Poly, poly_gcd
+from skewcyclic.literals import parse_field, parse_sigma
 from skewcyclic.skew import SkewPoly
 
 GOLDEN_G = [
@@ -352,6 +357,77 @@ def test_strong_equivalence_negative(sig43, ctx43, F4):
     other = PolyMatrix(F4, [[one, z, z]])
     # distances differ (3 vs 6), so the codes cannot be strongly equivalent
     assert strong_equivalence(G, other) is None
+
+
+def _code(field_text, n, perm, comps):
+    """A minimal code (one component) or an orthogonal sum of them."""
+    ctx = RingContext(parse_field(field_text), n)
+    sig = parse_sigma(ctx, "perm:" + perm)
+    codes = [build_minimal_code(MinimalCodeRecipe(sig, l, d)) for l, d in comps]
+    return codes[0] if len(codes) == 1 else orthogonal_sum(codes)
+
+
+def _permuted_rescaled(G, perm, scales):
+    return PolyMatrix(
+        G.field,
+        [[row[p].scale(c) for p, c in zip(perm, scales)] for row in G.entries],
+    )
+
+
+@pytest.mark.parametrize(
+    "field_text, n, perm, comps",
+    [
+        ("GF(3)", 4, "(1,2)(3)", ((1, 1), (3, 0))),  # (4,3,1)
+        ("GF(3)", 4, "(1,2)(3)", ((1, 2), (3, 0))),  # (4,3,2)
+        ("GF(4):y^2+y+1", 5, "(1)(2,3)", ((2, 1),)),  # (5,2,2)
+        ("GF(4):y^2+y+1", 5, "(1)(2,3)", ((2, 2),)),  # (5,2,4)
+        ("GF(5)", 4, "(1,2)(3,4)", ((1, 1), (3, 1))),  # (4,2,2)
+        ("GF(5)", 4, "(1,2)(3,4)", ((1, 1), (3, 2))),  # (4,2,3)
+    ],
+)
+def test_strong_equivalence_random_k_at_least_2(field_text, n, perm, comps):
+    """A random column permutation and nonzero rescaling of G is found, and
+    the witness passes the definition (checked independently of the single
+    determinant strong_equivalence uses): B = Gp*P*D is right invertible
+    and each matrix's rows are codewords of the other."""
+    G = _code(field_text, n, perm, comps).generator
+    assert G.nrows >= 2
+    q = G.field.q
+    rng = random.Random(f"{field_text} {n} {comps}")
+    for _ in range(3):
+        cols = list(range(n))
+        rng.shuffle(cols)
+        scales = [rng.randrange(1, q) for _ in range(n)]
+        Gp = _permuted_rescaled(G, cols, scales)
+        res = strong_equivalence(G, Gp)
+        assert res is not None
+        P, D = res
+        B = Gp * P * D
+        assert B.is_right_invertible()
+        assert all(membership(G, B.row(r)) is not None for r in range(G.nrows))
+        assert all(membership(B, G.row(r)) is not None for r in range(G.nrows))
+
+
+def test_strong_equivalence_k2_negative_and_determinants(monkeypatch):
+    """(5,2,4)/GF(4): an equivalent pair takes 7 determinants, 6 minors
+    until the gcd of Gp's minors is constant and 1 for the witness (G is
+    decided by its Smith form); a code of another free distance (the (5,2,2)
+    code, 8 against 12) is not equivalent."""
+    G = _code("GF(4):y^2+y+1", 5, "(1)(2,3)", ((2, 2),)).generator
+    other = _code("GF(4):y^2+y+1", 5, "(1)(2,3)", ((2, 1),)).generator
+    assert free_distance(G).distance == 12 and free_distance(other).distance == 8
+    assert strong_equivalence(G, other) is None
+    Gp = _permuted_rescaled(G, [3, 4, 2, 1, 0], [3, 1, 3, 1, 3])
+    calls = []
+    det = linalg.poly_det
+
+    def counting_det(field, rows):
+        calls.append(1)
+        return det(field, rows)
+
+    monkeypatch.setattr(linalg, "poly_det", counting_det)
+    assert strong_equivalence(G, Gp) is not None
+    assert len(calls) == 7
 
 
 def test_convcode_requires_right_invertible(F2):

@@ -22,6 +22,7 @@ from skewcyclic.errors import (
     StateCapExceeded,
 )
 from skewcyclic.fields import Poly
+from skewcyclic.skew import SkewPoly
 
 
 def test_weight_examples(F2, sig27, poly_g):
@@ -78,12 +79,19 @@ def test_free_distance_smallest_family(sig43, ctx43):
     assert rep.attains == "singleton"
 
 
-def test_free_distance_block_code(sig43, ctx43):
+def test_free_distance_block_code(sig43, ctx43, sig27, ctx27):
+    """delta = 0: every nonzero input block returns to the zero state at
+    once, so the general search scans the q^k - 1 messages itself."""
     code = build_minimal_code(MinimalCodeRecipe(sig43, 2, 0))
     rep = free_distance(code.generator)
     # <eps_2> is the cyclic code with generator (x+1)(x+a^2): an MDS (3,1) code
     assert rep.distance == 3
-    assert weight(rep.witness) == 3
+    assert [p.to_str("z") for p in rep.witness] == ["1", "a^2", "a"]
+    # <eps_2> over GF(2), n = 7: a [7,3,4] block code
+    G = generator_matrix(SkewPoly.constant(sig27, ctx27.idempotent(2)))
+    rep = free_distance(G)
+    assert (rep.distance, rep.attains) == (4, "griesmer")
+    assert [p.to_str("z") for p in rep.witness] == ["0", "0", "1", "1", "1", "0", "1"]
 
 
 def test_free_distance_requires_minimal(F2):
