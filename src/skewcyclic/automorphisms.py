@@ -135,9 +135,6 @@ class Automorphism:
                 return l in cyc
         return False
 
-    def is_identity(self) -> bool:
-        return self.sigma_x == self.context.x
-
     def __eq__(self, other):
         return (
             isinstance(other, Automorphism)

@@ -333,7 +333,7 @@ def cmd_verify_paper(args) -> int:
     fixtures = None
     if args.fixtures:
         fixtures = _load_json(args.fixtures, "fixtures")
-    results = verify.run_checks(fixtures, only=args.only, state_cap=args.state_cap)
+    results = verify.run_checks(fixtures, only=args.only)
     if args.format == "json":
         print(
             json.dumps(
@@ -412,7 +412,6 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--only", default=None, help="substring filter on check names")
     p.add_argument("--fixtures", default=None, help="override the golden fixture file")
-    p.add_argument("--state-cap", type=int, default=2 ** 16)
     p.set_defaults(func=cmd_verify_paper)
     return ap
 

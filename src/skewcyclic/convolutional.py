@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import (
     LengthMismatch,
+    MixedFields,
     NotMinimal,
     NotReduced,
     NotRightInvertible,
@@ -33,12 +34,15 @@ class PolyMatrix:
 
     def __init__(self, field: FieldSpec, entries):
         rows = tuple(tuple(e for e in row) for row in entries)
-        assert rows, "matrix needs at least one row"
+        if not rows:
+            raise LengthMismatch("matrix needs at least one row")
         width = len(rows[0])
         for row in rows:
-            assert len(row) == width, "ragged matrix"
+            if len(row) != width:
+                raise LengthMismatch("ragged matrix")
             for e in row:
-                assert isinstance(e, Poly) and e.field == field
+                if not (isinstance(e, Poly) and e.field == field):
+                    raise MixedFields("entries must be polynomials over the matrix field")
         self.field = field
         self.entries = rows
 
@@ -87,7 +91,8 @@ class PolyMatrix:
     def __mul__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        assert self.ncols == other.nrows, "shape mismatch"
+        if self.ncols != other.nrows:
+            raise LengthMismatch(f"cannot multiply {self.shape} by {other.shape}")
         zero = Poly.zero(self.field)
         out = []
         for i in range(self.nrows):
@@ -100,8 +105,12 @@ class PolyMatrix:
             out.append(row)
         return PolyMatrix(self.field, out)
 
+    def _same_shape(self, other):
+        if self.shape != other.shape:
+            raise LengthMismatch(f"shapes {self.shape} and {other.shape} differ")
+
     def __add__(self, other):
-        assert self.shape == other.shape
+        self._same_shape(other)
         return PolyMatrix(
             self.field,
             [
@@ -111,7 +120,7 @@ class PolyMatrix:
         )
 
     def __sub__(self, other):
-        assert self.shape == other.shape
+        self._same_shape(other)
         return PolyMatrix(
             self.field,
             [
@@ -146,7 +155,6 @@ class PolyMatrix:
 
     def det(self) -> Poly:
         """Fraction-free (Bareiss) determinant; exact over F[z]."""
-        assert self.nrows == self.ncols, "determinant of a non-square matrix"
         return linalg.poly_det(self.field, self.entries)
 
     def rank(self) -> int:

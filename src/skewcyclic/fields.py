@@ -81,15 +81,7 @@ class FieldSpec:
         p, deg = self.p, self.deg
         for d in range(1, deg // 2 + 1):
             for tail in itertools.product(range(p), repeat=d):
-                div = list(tail) + [1]
-                rem = list(self.modulus)
-                # long division of modulus by div over F_p
-                for i in range(len(rem) - 1, d - 1, -1):
-                    c = rem[i]
-                    if c:
-                        for j in range(d + 1):
-                            rem[i - d + j] = (rem[i - d + j] - c * div[j]) % p
-                if not any(rem[:d]):
+                if not any(_poly_mod(self.modulus, list(tail) + [1], p)):
                     return False
         return True
 
@@ -170,9 +162,6 @@ class FieldSpec:
     def mul_c(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
-    def neg_c(self, a: int) -> int:
-        return self._neg[a]
-
     def inv_c(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
@@ -202,9 +191,6 @@ class FieldSpec:
     @property
     def gen(self) -> "FieldElement":
         return FieldElement(self, self.generator_code)
-
-    def from_code(self, code: int) -> "FieldElement":
-        return FieldElement(self, code % self.q)
 
     def from_int(self, n: int) -> "FieldElement":
         """Embed an integer via the prime subfield (n maps to n*1)."""
@@ -367,10 +353,6 @@ class Poly:
         self.codes = tuple(codes)
 
     @classmethod
-    def from_elements(cls, field, elems):
-        return cls(field, [field.element(e).code for e in elems])
-
-    @classmethod
     def zero(cls, field):
         return cls(field, ())
 
@@ -449,12 +431,6 @@ class Poly:
     def scale(self, code: int) -> "Poly":
         mul = self.field._mul
         return Poly(self.field, [mul[c][code] for c in self.codes])
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by y^k."""
-        if not self.codes:
-            return self
-        return Poly(self.field, (0,) * k + self.codes)
 
     def __divmod__(self, other):
         other = self._checked(other)

@@ -3,6 +3,7 @@ fraction-free elimination (rank and determinant) for matrices of polynomials."""
 
 from __future__ import annotations
 
+from .errors import LengthMismatch
 from .fields import FieldSpec, Poly
 
 
@@ -48,7 +49,8 @@ def bareiss(field: FieldSpec, rows):
 
 def poly_det(field: FieldSpec, rows) -> Poly:
     """Determinant of a square list-of-lists of Poly over F[z]."""
-    assert all(len(r) == len(rows) for r in rows), "matrix must be square"
+    if any(len(r) != len(rows) for r in rows):
+        raise LengthMismatch("determinant of a non-square matrix")
     return bareiss(field, rows)[1]
 
 

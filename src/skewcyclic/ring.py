@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    BadParameters,
     IndexOutOfRange,
+    LengthMismatch,
     LengthNotCoprime,
     MixedContexts,
     NotAUnit,
@@ -42,15 +44,11 @@ class RingContext:
             else:
                 classes.append([k])
         self.degree_classes = tuple(tuple(c) for c in classes)
-        # CRT data: cofactor m_k = (x^n-1)/pi_k and Bezout inverse of m_k mod pi_k
-        self._cofactors = []
-        self._bezout = []
+        # eps_k = u*m_k with cofactor m_k = (x^n-1)/pi_k, u its inverse mod pi_k
         idems = []
         for pi in self.factors:
             m_k = self.modulus.exact_div(pi)
             _, u, _ = poly_ext_gcd(m_k, pi)  # u*m_k = 1 mod pi_k
-            self._cofactors.append(m_k)
-            self._bezout.append(u % pi)
             eps = (u * m_k) % self.modulus
             idems.append(self.from_poly(eps))
         self.idempotents = tuple(idems)
@@ -77,7 +75,8 @@ class RingContext:
 
     def from_codes(self, codes) -> "RingElement":
         codes = tuple(codes)
-        assert len(codes) == self.n
+        if len(codes) != self.n:
+            raise LengthMismatch(f"expected {self.n} coefficients, got {len(codes)}")
         return RingElement(self, codes)
 
     def from_poly(self, poly: Poly) -> "RingElement":
@@ -244,7 +243,8 @@ class RingElement:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        assert e >= 0
+        if e < 0:
+            raise BadParameters(f"negative exponent {e}")
         result = self.context.one
         base = self
         while e > 0:

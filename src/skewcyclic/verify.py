@@ -39,32 +39,121 @@ def load_default_fixtures() -> dict:
     return json.loads(text)
 
 
+# the context each minimal-code family is built over
+_FAMILY_CONTEXT = {"minC3": "F4n3", "minC5": "F4n5"}
+
+
 class _Env:
-    """Contexts and automorphisms shared by the checks, built lazily."""
+    """Contexts, automorphisms and golden codes shared by the checks, each
+    built on first use, so a filtered run builds only what its checks read."""
 
     def __init__(self, fixtures):
-        self.fx = fixtures
-        self._ctx = {}
-        self._sig = {}
+        self.fx = fixtures if fixtures is not None else load_default_fixtures()
+        self._made = {}
+
+    def _once(self, key, make):
+        if key not in self._made:
+            self._made[key] = make()
+        return self._made[key]
 
     def ctx(self, key) -> RingContext:
-        if key not in self._ctx:
-            spec = self.fx["contexts"][key]
-            field = parse_field(spec["field"])
-            self._ctx[key] = RingContext(field, spec["n"])
-        return self._ctx[key]
+        spec = self.fx["contexts"][key]
+        return self._once(("ctx", key), lambda: RingContext(parse_field(spec["field"]), spec["n"]))
 
     def sigma(self, key):
-        if key not in self._sig:
-            spec = self.fx["contexts"][key]
-            self._sig[key] = parse_sigma(self.ctx(key), spec["sigma"])
-        return self._sig[key]
+        spec = self.fx["contexts"][key]
+        return self._once(("sigma", key), lambda: parse_sigma(self.ctx(key), spec["sigma"]))
+
+    def skew(self, name) -> SkewPoly:
+        """The element skew_F2n7[name] of the running binary example."""
+        return parse_skew(self.sigma("F2n7"), self.fx["skew_F2n7"][name])
+
+    def code(self, key) -> ConvCode:
+        """The golden code named key: "F2n7" (generated by g), "minC3-d<d>",
+        "minC5-m<d>", "F8n7-g1", "F8n7-g2" or "F8n7-sum"."""
+        return self._once(("code", key), lambda: self._build(key))
+
+    def _build(self, key) -> ConvCode:
+        if key == "F2n7":
+            return ConvCode.from_reduced(self.skew("g"))
+        if key == "F8n7-sum":
+            return orthogonal_sum([self.code("F8n7-g1"), self.code("F8n7-g2")])
+        if key.startswith("F8n7-"):
+            sig = self.sigma("F8n7")
+            ctx = sig.context
+            terms = self.fx["F8n7"][f"{key[5:]}_terms"]
+            coeffs = [ctx.zero] * (max(t[0] for t in terms) + 1)
+            for j, l, s in terms:
+                coeffs[j] = coeffs[j] + ctx.idempotent(l) * parse_ring_element(ctx, s)
+            return ConvCode.from_reduced(SkewPoly(sig, coeffs))
+        family, d = key[:5], int(key[7:])
+        sig = self.sigma(_FAMILY_CONTEXT[family])
+        block = self.fx[family]
+        scalars = tuple(parse_ring_element(sig.context, s) for s in block["scalars"][:d])
+        return build_minimal_code(MinimalCodeRecipe(sig, block["l"], d, scalars))
 
 
-def _eq(name, got, want, label=""):
-    ok = got == want
-    detail = "ok" if ok else f"{label or 'value'} mismatch: got {got}, want {want}"
-    return CheckResult(name, ok, detail)
+def _code_checks(fx):
+    """The code checks in report order: (name, golden code, expected values,
+    PASS detail).
+
+    The expected values are read from the fixtures when the check runs, so a
+    key missing there fails only the checks that read it.  They are compared
+    in order (matrix, params, forney, distance, attains) and %-format the
+    PASS detail."""
+    rows = [
+        ("genmat-F2n7", "F2n7",
+         lambda: {"matrix": fx["generator_matrix_F2n7"]["entries"],
+                  "forney": (2, 2, 2)},
+         "3x7 matrix reproduced; right invertible, minimal, forney {2,2,2}"),
+        ("dist-F2n7", "F2n7",
+         lambda: {"params": fx["dist_F2n7"]["params"],
+                  "distance": fx["dist_F2n7"]["distance"]},
+         "ok"),
+    ]
+    for family, tag in (("minC3", "d"), ("minC5", "m")):
+        for i in range(len(fx[family]["distances"])):
+            name = f"{family}-{tag}{i + 1}"
+            rows.append((
+                name, name,
+                lambda f=family, i=i: {"matrix": fx[f]["matrices"][i],
+                                       "distance": fx[f]["distances"][i]},
+                "matrix and distance %(distance)s match"))
+    for name in ("F8n7-g1", "F8n7-g2"):
+        rows.append((
+            name, name,
+            lambda: {"params": fx["F8n7"]["params_each"],
+                     "distance": fx["F8n7"]["distance_each"],
+                     "attains": "singleton"},
+            "(7,1,2) code, distance %(distance)s, MDS"))
+    rows.append((
+        "F8n7-sum", "F8n7-sum",
+        lambda: {"matrix": fx["F8n7"]["sum_matrix"],
+                 "params": fx["F8n7"]["sum_params"],
+                 "forney": fx["F8n7"]["sum_forney"],
+                 "distance": fx["F8n7"]["sum_distance"]},
+        "(7,2,4) sum, matrix match, distance %(distance)s"))
+    return rows
+
+
+def _check_code(env, name, key, expected, detail):
+    code = env.code(key)
+    want = expected()
+    report = None
+    for label, value in want.items():
+        if label == "matrix":
+            got = code.generator.to_strings()
+            value = matrix_from_dict(
+                code.generator.field, {"rows": len(value), "cols": code.n, "entries": value}
+            ).to_strings()
+        elif label in ("distance", "attains"):
+            report = report or free_distance(code.generator)
+            got = getattr(report, label)
+        else:
+            got, value = list(getattr(code, label)), list(value)
+        if got != value:
+            return CheckResult(name, False, f"{label} mismatch: got {got}, want {value}")
+    return CheckResult(name, True, detail % want)
 
 
 def _check_factorization(env, key):
@@ -76,45 +165,45 @@ def _check_factorization(env, key):
     ]
     if got != want:
         return CheckResult(f"factor-{key}", False, f"factors {got} != {want}")
-    if key in env.fx["idempotents"]:
-        for k, s in enumerate(env.fx["idempotents"][key], start=1):
-            want_e = parse_ring_element(ctx, s)
-            if ctx.idempotent(k) != want_e:
-                return CheckResult(
-                    f"factor-{key}", False, f"idempotent {k} is {ctx.idempotent(k)}, want {want_e}"
-                )
+    for k, s in enumerate(env.fx["idempotents"].get(key, ()), start=1):
+        want_e = parse_ring_element(ctx, s)
+        if ctx.idempotent(k) != want_e:
+            return CheckResult(
+                f"factor-{key}", False, f"idempotent {k} is {ctx.idempotent(k)}, want {want_e}"
+            )
     return CheckResult(f"factor-{key}", True, "factors and idempotents match")
 
 
 def _check_automorphisms(env, key):
     ctx = env.ctx(key)
     spec = env.fx["automorphisms"][key]
-    count = len(enumerate_automorphisms(ctx))
-    if count != spec["count"]:
-        return CheckResult(f"aut-{key}", False, f"constructive count {count} != {spec['count']}")
-    if automorphism_count(ctx) != spec["count"]:
-        return CheckResult(f"aut-{key}", False, "closed-form count mismatch")
-    bf = len(enumerate_automorphisms_bruteforce(ctx))
-    if bf != spec["count"]:
-        return CheckResult(f"aut-{key}", False, f"brute-force count {bf} != {spec['count']}")
+    constructive = enumerate_automorphisms(ctx)
+    images = {s.sigma_x.codes for s in constructive}
+    counts = (len(constructive), len(images), automorphism_count(ctx))
+    if counts != (spec["count"],) * 3:
+        return CheckResult(
+            f"aut-{key}", False,
+            f"constructive, distinct and closed-form counts {counts}, want {spec['count']}",
+        )
+    if {s.sigma_x.codes for s in enumerate_automorphisms_bruteforce(ctx)} != images:
+        return CheckResult(f"aut-{key}", False, "brute force finds other automorphisms")
     sig = parse_sigma(ctx, spec["image"])
     if sig.cycle_str() != spec["cycles"]:
         return CheckResult(
             f"aut-{key}", False, f"cycles of {spec['image']} are {sig.cycle_str()}, want {spec['cycles']}"
         )
-    return CheckResult(f"aut-{key}", True, f"{count} automorphisms both ways; cycles match")
+    return CheckResult(f"aut-{key}", True, f"{spec['count']} automorphisms both ways; cycles match")
 
 
 def _check_skew_shifts(env):
     sig = env.sigma("F2n7")
-    fx = env.fx["skew_F2n7"]
-    g = parse_skew(sig, fx["g"])
+    g = env.skew("g")
     x = SkewPoly.constant(sig, sig.context.x)
     xg = x * g
-    if xg != parse_skew(sig, fx["xg"]):
+    if xg != env.skew("xg"):
         return CheckResult("skew-F2n7-shifts", False, f"xg = {xg}")
     x2g = x * xg
-    if x2g != parse_skew(sig, fx["x2g"]):
+    if x2g != env.skew("x2g"):
         return CheckResult("skew-F2n7-shifts", False, f"x^2 g = {x2g}")
     if x * x2g != g + x2g:
         return CheckResult("skew-F2n7-shifts", False, "x^3 g != g + x^2 g")
@@ -122,121 +211,14 @@ def _check_skew_shifts(env):
 
 
 def _check_unit_inverse(env):
-    sig = env.sigma("F2n7")
-    fx = env.fx["skew_F2n7"]
-    v = parse_skew(sig, fx["v"])
-    want = parse_skew(sig, fx["v_inv"])
-    one = SkewPoly.one(sig)
+    v, want = env.skew("v"), env.skew("v_inv")
+    one = SkewPoly.one(v.sigma)
     if v * want != one or want * v != one:
         return CheckResult("skew-F2n7-vinv", False, "golden inverse fails v*v^-1 = 1")
     got = v.unit_inverse()
     if got != want:
         return CheckResult("skew-F2n7-vinv", False, f"computed inverse {got}")
     return CheckResult("skew-F2n7-vinv", True, "v*v^-1 = 1 = v^-1*v with the golden inverse")
-
-
-def _check_generator_matrix(env):
-    sig = env.sigma("F2n7")
-    fx = env.fx
-    g = parse_skew(sig, fx["skew_F2n7"]["g"])
-    code = ConvCode.from_reduced(g)
-    want = matrix_from_dict(sig.context.field, fx["generator_matrix_F2n7"])
-    if code.generator != want:
-        return CheckResult("genmat-F2n7", False, "matrix entries differ")
-    if not code.generator.is_right_invertible():
-        return CheckResult("genmat-F2n7", False, "not right invertible")
-    if code.forney != (2, 2, 2):
-        return CheckResult("genmat-F2n7", False, f"forney {code.forney}")
-    return CheckResult("genmat-F2n7", True, "3x7 matrix reproduced; right invertible, minimal, forney {2,2,2}")
-
-
-def _check_dist_f2n7(env, state_cap):
-    sig = env.sigma("F2n7")
-    fx = env.fx
-    g = parse_skew(sig, fx["skew_F2n7"]["g"])
-    code = ConvCode.from_reduced(g)
-    want = fx["dist_F2n7"]
-    if list(code.params) != want["params"]:
-        return CheckResult("dist-F2n7", False, f"params {code.params}")
-    rep = free_distance(code.generator, state_cap)
-    return _eq("dist-F2n7", rep.distance, want["distance"], "distance")
-
-
-def _minimal_family_code(env, key, d):
-    sig = env.sigma(key)
-    fx = env.fx["minC3" if key == "F4n3" else "minC5"]
-    scalars = tuple(
-        parse_ring_element(sig.context, s) for s in fx["scalars"][:d]
-    )
-    return build_minimal_code(MinimalCodeRecipe(sig, fx["l"], d, scalars))
-
-
-def _check_family_entry(env, key, name, idx, state_cap):
-    fx = env.fx["minC3" if key == "F4n3" else "minC5"]
-    d = idx + 1
-    code = _minimal_family_code(env, key, d)
-    entries = fx["matrices"][idx]
-    want = matrix_from_dict(
-        env.ctx(key).field,
-        {"rows": len(entries), "cols": env.ctx(key).n, "entries": entries},
-    )
-    if code.generator != want:
-        return CheckResult(name, False, "generator matrix differs from the printed one")
-    rep = free_distance(code.generator, state_cap)
-    if rep.distance != fx["distances"][idx]:
-        return CheckResult(
-            name, False, f"distance {rep.distance}, want {fx['distances'][idx]}"
-        )
-    return CheckResult(name, True, f"matrix and distance {rep.distance} match")
-
-
-def _f8_codes(env):
-    sig = env.sigma("F8n7")
-    ctx = sig.context
-    fx = env.fx["F8n7"]
-
-    def build(terms):
-        depth = max(t[0] for t in terms) + 1
-        coeffs = [ctx.zero] * depth
-        for j, l, s in terms:
-            coeffs[j] = coeffs[j] + ctx.idempotent(l) * parse_ring_element(ctx, s)
-        return SkewPoly(sig, coeffs)
-
-    g1 = build(fx["g1_terms"])
-    g2 = build(fx["g2_terms"])
-    return ConvCode.from_reduced(g1), ConvCode.from_reduced(g2)
-
-
-def _check_f8_minimal(env, which, state_cap):
-    fx = env.fx["F8n7"]
-    code = _f8_codes(env)[0 if which == "g1" else 1]
-    name = f"F8n7-{which}"
-    if list(code.params) != fx["params_each"]:
-        return CheckResult(name, False, f"params {code.params}")
-    rep = free_distance(code.generator, state_cap)
-    if rep.distance != fx["distance_each"]:
-        return CheckResult(name, False, f"distance {rep.distance}")
-    if rep.attains != "singleton":
-        return CheckResult(name, False, "should attain the Singleton bound")
-    return CheckResult(name, True, f"(7,1,2) code, distance {rep.distance}, MDS")
-
-
-def _check_f8_sum(env, state_cap):
-    fx = env.fx["F8n7"]
-    c1, c2 = _f8_codes(env)
-    combined = orthogonal_sum([c1, c2])
-    want = matrix_from_dict(
-        env.ctx("F8n7").field,
-        {"rows": 2, "cols": 7, "entries": fx["sum_matrix"]},
-    )
-    if combined.generator != want:
-        return CheckResult("F8n7-sum", False, "combined matrix differs from the printed one")
-    if list(combined.params) != fx["sum_params"] or list(combined.forney) != fx["sum_forney"]:
-        return CheckResult("F8n7-sum", False, f"params {combined.params}, forney {combined.forney}")
-    rep = free_distance(combined.generator, state_cap)
-    if rep.distance != fx["sum_distance"]:
-        return CheckResult("F8n7-sum", False, f"distance {rep.distance}")
-    return CheckResult("F8n7-sum", True, f"(7,2,4) sum, matrix match, distance {rep.distance}")
 
 
 def _check_bounds(env):
@@ -253,70 +235,61 @@ def _check_bounds(env):
 
 
 def _check_complement(env):
-    sig = env.sigma("F2n7")
-    fx = env.fx["skew_F2n7"]
-    g = parse_skew(sig, fx["g"])
-    v = parse_skew(sig, fx["v"])
+    g, v = env.skew("g"), env.skew("v")
     gp = direct_complement(g, v)
-    want = parse_skew(sig, fx["g_complement"])
-    if gp != want:
+    if gp != env.skew("g_complement"):
         return CheckResult("complement-F2n7", False, f"g' = {gp}")
     if g + gp != v:
         return CheckResult("complement-F2n7", False, "g + g' != v")
-    if v.unit_inverse() != parse_skew(sig, fx["v_inv"]):
+    if v.unit_inverse() != env.skew("v_inv"):
         return CheckResult("complement-F2n7", False, "inverse of g + g' differs")
     return CheckResult("complement-F2n7", True, "g' reproduced; g + g' is a unit with the golden inverse")
 
 
-def run_checks(fixtures: dict | None = None, only: str | None = None, state_cap: int = 2 ** 16):
-    """Run all named golden checks (optionally filtered by substring).
-
-    Fixtures without the keys that name the checks raise ParseError; a key
-    missing inside a check fails that check."""
-    fx = fixtures if fixtures is not None else load_default_fixtures()
+def _checks(fx):
+    """(name, check) for every golden check, in report order; each check
+    takes the shared _Env.  Fixtures without the keys that name the checks
+    raise ParseError."""
     try:
         factor_keys, aut_keys = list(fx["factors"]), list(fx["automorphisms"])
-        n_c3, n_c5 = len(fx["minC3"]["distances"]), len(fx["minC5"]["distances"])
+        code_rows = _code_checks(fx)
     except (KeyError, TypeError) as exc:
         raise ParseError(
             f"fixtures need factors, automorphisms, minC3 and minC5 distances: {exc!r}"
         ) from exc
-    env = _Env(fx)
-    jobs = []
-    for key in factor_keys:
-        jobs.append((f"factor-{key}", lambda k=key: _check_factorization(env, k)))
-    for key in aut_keys:
-        jobs.append((f"aut-{key}", lambda k=key: _check_automorphisms(env, k)))
-    jobs.append(("skew-F2n7-shifts", lambda: _check_skew_shifts(env)))
-    jobs.append(("skew-F2n7-vinv", lambda: _check_unit_inverse(env)))
-    jobs.append(("genmat-F2n7", lambda: _check_generator_matrix(env)))
-    jobs.append(("dist-F2n7", lambda: _check_dist_f2n7(env, state_cap)))
-    for i in range(n_c3):
-        jobs.append(
-            (
-                f"minC3-d{i+1}",
-                lambda i=i: _check_family_entry(env, "F4n3", f"minC3-d{i+1}", i, state_cap),
-            )
-        )
-    for i in range(n_c5):
-        jobs.append(
-            (
-                f"minC5-m{i+1}",
-                lambda i=i: _check_family_entry(env, "F4n5", f"minC5-m{i+1}", i, state_cap),
-            )
-        )
-    jobs.append(("F8n7-g1", lambda: _check_f8_minimal(env, "g1", state_cap)))
-    jobs.append(("F8n7-g2", lambda: _check_f8_minimal(env, "g2", state_cap)))
-    jobs.append(("F8n7-sum", lambda: _check_f8_sum(env, state_cap)))
-    jobs.append(("bounds", lambda: _check_bounds(env)))
-    jobs.append(("complement-F2n7", lambda: _check_complement(env)))
+    jobs = [(f"factor-{k}", lambda env, k=k: _check_factorization(env, k)) for k in factor_keys]
+    jobs += [(f"aut-{k}", lambda env, k=k: _check_automorphisms(env, k)) for k in aut_keys]
+    jobs += [("skew-F2n7-shifts", _check_skew_shifts), ("skew-F2n7-vinv", _check_unit_inverse)]
+    jobs += [(row[0], lambda env, row=row: _check_code(env, *row)) for row in code_rows]
+    jobs += [("bounds", _check_bounds), ("complement-F2n7", _check_complement)]
+    return jobs
 
+
+def golden_codes(fixtures: dict | None = None):
+    """(check name, code, fixture distance) for each code check that compares
+    a free distance, in report order: the input of an independent distance
+    method."""
+    env = _Env(fixtures)
+    out = []
+    for name, key, expected, _ in _code_checks(env.fx):
+        want = expected()
+        if "distance" in want:
+            out.append((name, env.code(key), want["distance"]))
+    return out
+
+
+def run_checks(fixtures: dict | None = None, only: str | None = None):
+    """Run all named golden checks (optionally filtered by substring).
+
+    Fixtures without the keys that name the checks raise ParseError; a key
+    missing inside a check fails that check."""
+    env = _Env(fixtures)
     results = []
-    for name, job in jobs:
+    for name, job in _checks(env.fx):
         if only and only not in name:
             continue
         try:
-            results.append(job())
+            results.append(job(env))
         except Exception as exc:  # a crashed check is a failed check
             results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
     return results

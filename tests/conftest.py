@@ -1,5 +1,8 @@
 import pytest
 
+# the shared property checks keep their asserts under python -O too
+pytest.register_assert_rewrite("helpers")
+
 from skewcyclic import (
     Automorphism,
     RingContext,

@@ -316,17 +316,49 @@ def test_verify_paper_only_minc3(capsys):
     assert all("minC3" in l for l in lines)
 
 
+# one corrupted fixture value per comparison kind: (where, wrong value, a
+# filter taking in every check of that context, the checks that read it)
+_CORRUPTIONS = [
+    (("minC3", "distances", 2), 11, "minC3", {"minC3-d3"}),
+    (("generator_matrix_F2n7", "entries", 0, 0), "1+z", "F2n7", {"genmat-F2n7"}),
+    (("dist_F2n7", "params"), [7, 3, 5], "F2n7", {"dist-F2n7"}),
+    (("automorphisms", "F2n7", "count"), 17, "F2n7", {"aut-F2n7"}),
+    (("F8n7", "params_each"), [7, 1, 3], "F8n7", {"F8n7-g1", "F8n7-g2"}),
+    (("F8n7", "sum_forney"), [1, 3], "F8n7", {"F8n7-sum"}),
+    (("F8n7", "sum_matrix", 0, 0), "1+z", "F8n7", {"F8n7-sum"}),
+]
+
+
 def test_verify_paper_corrupted_fixture(tmp_path, capsys):
-    fixtures = load_default_fixtures()
-    fixtures["minC3"]["distances"][2] = 11  # is really 12
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(fixtures))
-    code, out, _ = run(
-        capsys, "verify-paper", "--only", "minC3", "--fixtures", str(path), "--format", "table"
+    """A wrong fixture value fails exactly the checks that read it, exit 1;
+    the other checks of its context still pass."""
+    for (*where, last), value, only, failing in _CORRUPTIONS:
+        fixtures = load_default_fixtures()
+        node = fixtures
+        for key in where:
+            node = node[key]
+        node[last] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(fixtures))
+        code, out, _ = run(capsys, "verify-paper", "--only", only, "--fixtures", str(path))
+        rows = json.loads(out)
+        assert code == 1, (where, last)
+        assert {r["name"] for r in rows if not r["ok"]} == failing, (where, last)
+        assert len(rows) > len(failing), (where, last)
+
+
+def test_verify_paper_aut_compares_the_automorphisms(monkeypatch, capsys):
+    """aut-* compares the sets of sigma(x) of both enumerations, not only
+    their sizes: a brute force that repeats one automorphism fails it."""
+    from skewcyclic import verify
+
+    brute = verify.enumerate_automorphisms_bruteforce
+    monkeypatch.setattr(
+        verify, "enumerate_automorphisms_bruteforce", lambda ctx: brute(ctx)[:1] * len(brute(ctx))
     )
+    code, out, _ = run(capsys, "verify-paper", "--only", "aut-F4n3")
     assert code == 1
-    assert "FAIL minC3-d3" in out
-    assert "PASS minC3-d2" in out
+    assert json.loads(out)[0]["ok"] is False
 
 
 def test_verify_paper_json_all(capsys):

@@ -19,7 +19,9 @@ from skewcyclic import (
 )
 from skewcyclic import linalg, make_field
 from skewcyclic.errors import (
+    BadParameters,
     LengthMismatch,
+    MixedFields,
     NotReduced,
     NotRightInvertible,
     RankDeficient,
@@ -428,6 +430,38 @@ def test_strong_equivalence_k2_negative_and_determinants(monkeypatch):
     monkeypatch.setattr(linalg, "poly_det", counting_det)
     assert strong_equivalence(G, Gp) is not None
     assert len(calls) == 7
+
+
+def _one_by(field, rows, cols):
+    return PolyMatrix(field, [[Poly.one(field)] * cols for _ in range(rows)])
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda F: PolyMatrix(F, []), LengthMismatch),
+        (lambda F: PolyMatrix(F, [[Poly.one(F)], [Poly.one(F)] * 2]), LengthMismatch),
+        (lambda F: PolyMatrix(F, [[1]]), MixedFields),
+        (lambda F: PolyMatrix(F, [[Poly.one(make_field(3, 1))]]), MixedFields),
+        (lambda F: _one_by(F, 2, 2) * _one_by(F, 3, 1), LengthMismatch),
+        (lambda F: _one_by(F, 2, 2) + _one_by(F, 2, 3), LengthMismatch),
+        (lambda F: _one_by(F, 2, 2) - _one_by(F, 1, 2), LengthMismatch),
+        (lambda F: _one_by(F, 2, 3).det(), LengthMismatch),
+        (lambda F: linalg.poly_det(F, [[Poly.one(F)] * 2]), LengthMismatch),
+        (lambda F: RingContext(F, 3).from_codes([1, 0]), LengthMismatch),
+        (lambda F: RingContext(F, 3).x ** -1, BadParameters),
+    ],
+    ids=[
+        "no-rows", "ragged", "not-a-poly", "other-field", "mul-shapes", "add-shapes",
+        "sub-shapes", "det-non-square", "poly-det-non-square", "from-codes-length",
+        "negative-power",
+    ],
+)
+def test_bad_input_raises_typed_error(F2, make, error):
+    """Checks a caller can reach are typed errors, not asserts, so python -O
+    keeps them."""
+    with pytest.raises(error):
+        make(F2)
 
 
 def test_convcode_requires_right_invertible(F2):
