@@ -174,7 +174,8 @@ def _roots_in_component(ctx: RingContext, l: int, m: int):
         if (_eval_poly_mod(pi_l, beta, pi_m)).is_zero():
             first = beta
             break
-    assert first is not None, "equal-degree factors must share roots"
+    if first is None:
+        raise AssertionError("equal-degree factors must share roots")
     orbit = [first]
     cur = first
     for _ in range(kappa - 1):
@@ -278,7 +279,8 @@ def find_automorphism_for_permutation(ctx: RingContext, target) -> Automorphism:
     exps = (0,) * ctx.r
     sigma_x = _sigma_x_for(ctx, target, exps, roots_cache)
     sig = Automorphism(ctx, sigma_x)
-    assert sig.perm == target
+    if sig.perm != target:
+        raise AssertionError("automorphism does not induce the target permutation")
     return sig
 
 

@@ -69,8 +69,10 @@ def build_minimal_code(recipe: MinimalCodeRecipe) -> ConvCode:
     g = u.component(recipe.l)
     code = ConvCode.from_reduced(g)
     kappa = ctx.kappas[recipe.l - 1]
-    assert code.params == (ctx.n, kappa, recipe.d * kappa)
-    assert code.forney == (recipe.d,) * kappa
+    if code.params != (ctx.n, kappa, recipe.d * kappa):
+        raise AssertionError("minimal code has the wrong parameters")
+    if code.forney != (recipe.d,) * kappa:
+        raise AssertionError("minimal code has the wrong Forney indices")
     return code
 
 
@@ -169,10 +171,12 @@ def build_unit_for_profile(sigma: Automorphism, targets) -> SkewPoly:
     for j in range(1, ctx.r + 1):
         if j not in covered:
             w = w + SkewPoly.constant(sigma, ctx.idempotent(j))
-    assert w.is_unit()
+    if not w.is_unit():
+        raise AssertionError("assembled unit is not a unit")
     for l, d in targets:
         comp = w.component(l)
-        assert comp and comp.degree == d
+        if not (comp and comp.degree == d):
+            raise AssertionError(f"component {l} of the unit does not have degree {d}")
     return w
 
 

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import verify
-from .automorphisms import enumerate_automorphisms
+from .automorphisms import automorphism_count, enumerate_automorphisms
 from .builder import MinimalCodeRecipe, build_minimal_code, orthogonal_sum
 from .convolutional import ConvCode, strong_equivalence
 from .distance import free_distance, griesmer_bound, singleton_bound
@@ -93,15 +93,16 @@ def cmd_factor(args) -> int:
 
 def cmd_automorphisms(args) -> int:
     ctx = _context(args)
-    auts = enumerate_automorphisms(ctx)
-    listed = auts
     if args.sigma:
-        wanted = parse_sigma(ctx, args.sigma)
-        listed = [s for s in auts if s == wanted]
+        listed = [parse_sigma(ctx, args.sigma)]
+        count = automorphism_count(ctx)
+    else:
+        listed = enumerate_automorphisms(ctx)
+        count = len(listed)
     payload = {
         "field": field_to_str(ctx.field),
         "n": ctx.n,
-        "count": len(auts),
+        "count": count,
         "automorphisms": [
             {
                 "image": str(s.sigma_x),

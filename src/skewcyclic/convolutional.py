@@ -9,6 +9,7 @@ module isomorphism between F[z]^n and the skew-polynomial ring.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import linalg
@@ -105,29 +106,21 @@ class PolyMatrix:
             out.append(row)
         return PolyMatrix(self.field, out)
 
-    def _same_shape(self, other):
+    def _entrywise(self, other, op):
+        if not isinstance(other, PolyMatrix):
+            return NotImplemented
         if self.shape != other.shape:
             raise LengthMismatch(f"shapes {self.shape} and {other.shape} differ")
+        return PolyMatrix(
+            self.field,
+            [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
+        )
 
     def __add__(self, other):
-        self._same_shape(other)
-        return PolyMatrix(
-            self.field,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return PolyMatrix(
-            self.field,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        return self._entrywise(other, operator.sub)
 
     def transpose(self):
         return PolyMatrix(self.field, list(zip(*self.entries)))

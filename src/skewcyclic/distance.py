@@ -199,7 +199,8 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
                     dist[ns] = cand
                     parent[ns] = (s, a)
                     heapq.heappush(heap, (cand, ns))
-    assert best is not None
+    if best is None:
+        raise AssertionError("the state graph has no path back to the zero state")
     # reconstruct the input block sequence of the optimal excursion
     blocks = []
     s, a = best_final
@@ -210,7 +211,8 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
         s = ps
     blocks.reverse()
     witness = _witness_from_inputs(G, blocks)
-    assert weight(witness) == best
+    if weight(witness) != best:
+        raise AssertionError("witness weight differs from the free distance")
     return _report(G, best, witness, q)
 
 
@@ -323,5 +325,6 @@ def free_distance_bruteforce(
             history[t] = zero_block
 
     dfs(0, 0)
-    assert best is not None
+    if best is None:
+        raise AssertionError("the enumeration found no nonzero codeword")
     return best

@@ -3,7 +3,9 @@
 Field elements are encoded as integers in [0, q): the code of an element
 with coefficient vector (c_0, ..., c_{deg-1}) over F_p is sum(c_i * p**i).
 All arithmetic goes through tables built once per field, so the fields
-handled here are deliberately small (q <= a few hundred).
+handled here are deliberately small: q <= MAX_FIELD_SIZE = 256.  The
+tables of GF(p) are integer arithmetic mod p; those of GF(p^deg) are sums
+and products of `Poly` residues over GF(p) reduced mod the modulus.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import itertools
 import random
 
 from .errors import (
+    BadParameters,
     BothZero,
     DivisionByZero,
     LengthNotCoprime,
@@ -21,6 +24,17 @@ from .errors import (
 )
 
 NEG_INF = float("-inf")
+# every field is a pair of q x q tables; GF(512) would take seconds to build
+MAX_FIELD_SIZE = 256
+
+
+def _check_size(p: int, deg: int):
+    """Refuse GF(p^deg) before any table is built or modulus searched."""
+    if deg < 1:
+        raise BadParameters(f"extension degree must be >= 1, got {deg}")
+    # p >= 2, so a deg past log2(MAX_FIELD_SIZE) is too big without computing p ** deg
+    if deg >= MAX_FIELD_SIZE.bit_length() or p ** deg > MAX_FIELD_SIZE:
+        raise BadParameters(f"field size {p}^{deg} exceeds MAX_FIELD_SIZE = {MAX_FIELD_SIZE}")
 
 
 def _is_prime(n: int) -> bool:
@@ -34,22 +48,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mod(cs, mod, p):
-    """Reduce a coefficient list (low-to-high, over F_p) modulo mod in place."""
-    cs = list(cs)
-    dm = len(mod) - 1
-    for i in range(len(cs) - 1, dm - 1, -1):
-        c = cs[i]
-        if c:
-            # mod is monic, so no scaling needed
-            for j in range(dm + 1):
-                cs[i - dm + j] = (cs[i - dm + j] - c * mod[j]) % p
-    del cs[dm:]
-    while len(cs) < dm:
-        cs.append(0)
-    return cs
-
-
 class FieldSpec:
     """The field GF(p^deg) with a fixed monic irreducible modulus over F_p.
 
@@ -58,6 +56,7 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, deg: int, modulus):
+        _check_size(p, deg)
         if not _is_prime(p):
             raise NonPrimeCharacteristic(f"{p} is not prime")
         modulus = tuple(int(c) % p for c in modulus)
@@ -69,21 +68,18 @@ class FieldSpec:
         self.deg = deg
         self.q = p ** deg
         self.modulus = modulus
-        if deg > 1 and not self._modulus_irreducible():
-            raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
-        self._build_tables()
+        if deg == 1:
+            self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
+            self._mul = [[a * b % p for b in range(p)] for a in range(p)]
+            self._neg = [-a % p for a in range(p)]
+        else:
+            mod = Poly(FieldSpec(p, 1, (0, 1)), modulus)
+            if not is_irreducible(mod):
+                raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
+            self._build_tables(mod)
         self._find_generator()
 
     # -- construction helpers ------------------------------------------
-
-    def _modulus_irreducible(self) -> bool:
-        # trial division against every monic polynomial of degree <= deg/2
-        p, deg = self.p, self.deg
-        for d in range(1, deg // 2 + 1):
-            for tail in itertools.product(range(p), repeat=d):
-                if not any(_poly_mod(self.modulus, list(tail) + [1], p)):
-                    return False
-        return True
 
     def _code_coeffs(self, code: int):
         cs = []
@@ -98,37 +94,20 @@ class FieldSpec:
             code = code * self.p + (c % self.p)
         return code
 
-    def _build_tables(self):
-        p, q, deg = self.p, self.q, self.deg
-        coeffs = [self._code_coeffs(c) for c in range(q)]
+    def _build_tables(self, mod: "Poly"):
+        """Sums and products of the residues mod `mod`, a Poly over F_p."""
+        q = self.q
+        elems = [Poly(mod.field, self._code_coeffs(c)) for c in range(q)]
         add = [[0] * q for _ in range(q)]
         mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            ca = coeffs[a]
+        for a, fa in enumerate(elems):
             for b in range(a, q):
-                cb = coeffs[b]
-                s = self._coeffs_code([(x + y) % p for x, y in zip(ca, cb)])
-                add[a][b] = s
-                add[b][a] = s
-                prod = [0] * (2 * deg - 1) if deg > 1 else [0]
-                for i, x in enumerate(ca):
-                    if x:
-                        for j, y in enumerate(cb):
-                            if y:
-                                prod[i + j] = (prod[i + j] + x * y) % p
-                m = self._coeffs_code(_poly_mod(prod, self.modulus, p))
-                mul[a][b] = m
-                mul[b][a] = m
+                fb = elems[b]
+                add[a][b] = add[b][a] = self._coeffs_code((fa + fb).codes)
+                mul[a][b] = mul[b][a] = self._coeffs_code((fa * fb % mod).codes)
         self._add = add
         self._mul = mul
-        self._neg = [self._coeffs_code([(-x) % p for x in coeffs[a]]) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv = inv
+        self._neg = [self._coeffs_code((-f).codes) for f in elems]
 
     def _find_generator(self):
         # first code (in natural code order) of multiplicative order q-1
@@ -150,6 +129,7 @@ class FieldSpec:
             x = self._mul[x][self.generator_code]
         self._exp = exp
         self._log = log
+        self._inv = [0] + [exp[-log[a] % (q - 1)] for a in range(1, q)]
 
     # -- code-level ops (hot paths use these directly) ------------------
 
@@ -196,18 +176,12 @@ class FieldSpec:
         """Embed an integer via the prime subfield (n maps to n*1)."""
         return FieldElement(self, n % self.p)
 
-    def from_coeffs(self, cs) -> "FieldElement":
-        cs = list(cs) + [0] * (self.deg - len(cs))
-        return FieldElement(self, self._coeffs_code(cs[: self.deg]))
-
     def element(self, v) -> "FieldElement":
         if isinstance(v, FieldElement):
             if v.field != self:
                 raise MixedFields("element from a different field")
             return v
-        if isinstance(v, int):
-            return self.from_int(v)
-        return self.from_coeffs(v)
+        return self.from_int(v)
 
     def elements(self):
         for c in range(self.q):
@@ -229,25 +203,17 @@ class FieldSpec:
 
 
 def make_field(p: int, deg: int, modulus=None) -> FieldSpec:
-    """Build GF(p^deg); modulus defaults to y for deg 1, else must be given."""
+    """Build GF(p^deg); the modulus defaults to y for deg 1, else to the
+    first irreducible of `monic_polys` over F_p (low-to-high lex order).
+    Raises BadParameters for deg < 1 or p^deg > MAX_FIELD_SIZE."""
+    _check_size(p, deg)
     if modulus is None:
         if deg == 1:
             modulus = (0, 1)
         else:
-            modulus = _first_irreducible(p, deg)
+            prime = make_field(p, 1)
+            modulus = next(f for f in monic_polys(prime, deg) if is_irreducible(f)).codes
     return FieldSpec(p, deg, modulus)
-
-
-def _first_irreducible(p: int, deg: int):
-    """First monic irreducible of given degree in low-to-high lex order."""
-    for tail in itertools.product(range(p), repeat=deg):
-        cand = tuple(tail) + (1,)
-        try:
-            FieldSpec(p, deg, cand)
-        except ReducibleModulus:
-            continue
-        return cand
-    raise ReducibleModulus(f"no irreducible of degree {deg} over F_{p}")
 
 
 class FieldElement:
@@ -258,10 +224,6 @@ class FieldElement:
     def __init__(self, field: FieldSpec, code: int):
         self.field = field
         self.code = code
-
-    @property
-    def coeffs(self):
-        return tuple(self.field._code_coeffs(self.code))
 
     def _check(self, other) -> "FieldElement":
         if not isinstance(other, FieldElement):
@@ -310,8 +272,10 @@ class FieldElement:
         return FieldElement(self.field, self.field.inv_c(self.code))
 
     def __eq__(self, other):
+        # an int n names the prime-subfield element n only for 0 <= n < p,
+        # so equal operands hash alike
         if isinstance(other, int):
-            return self.code == other % self.field.p
+            return 0 <= other < self.field.p and self.code == other
         return (
             isinstance(other, FieldElement)
             and self.field == other.field
@@ -319,6 +283,8 @@ class FieldElement:
         )
 
     def __hash__(self):
+        if self.code < self.field.p:
+            return hash(self.code)
         return hash((self.field.q, self.code))
 
     def __bool__(self):
@@ -660,5 +626,6 @@ def factor_xn_minus_1(field: FieldSpec, n: int):
     prod = Poly.one(field)
     for g in factors:
         prod = prod * g
-    assert prod == f, "factorization sanity check failed"
+    if prod != f:
+        raise AssertionError("factorization sanity check failed")
     return tuple(factors)

@@ -11,6 +11,7 @@ automorphisms, and matrices, as used by the CLI and fixture files.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .automorphisms import (
@@ -19,7 +20,7 @@ from .automorphisms import (
     permutation_from_cycles,
 )
 from .convolutional import PolyMatrix
-from .errors import ParseError, SkewCyclicError
+from .errors import ParseError, ReducibleModulus
 from .fields import FieldSpec, FieldElement, Poly, make_field
 from .ring import RingContext, RingElement
 from .skew import SkewPoly
@@ -32,16 +33,17 @@ _TERM_RE = re.compile(
 
 
 def _prime_power(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            deg = 0
-            while q % p == 0:
-                q //= p
-                deg += 1
-            if q != 1:
-                raise ParseError(f"field size must be a prime power")
-            return p, deg
-    raise ParseError("field size must be >= 2")
+    if q < 2:
+        raise ParseError("field size must be >= 2")
+    # the least divisor > 1 is prime; a prime q has none up to sqrt(q)
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    deg = 0
+    while q % p == 0:
+        q //= p
+        deg += 1
+    if q != 1:
+        raise ParseError("field size must be a prime power")
+    return p, deg
 
 
 def _text(text) -> str:
@@ -59,37 +61,15 @@ def parse_field(text: str) -> FieldSpec:
     p, deg = _prime_power(q)
     if m.group(2) is None:
         return make_field(p, deg)
-    mod_poly = _parse_prime_poly(m.group(2), p, "y")
-    if len(mod_poly) != deg + 1:
+    if "a" in m.group(2):
+        raise ParseError("modulus coefficients must be prime-field integers")
+    mod_poly = parse_poly(make_field(p, 1), m.group(2), "y")
+    if mod_poly.degree != deg:
         raise ParseError(f"modulus degree must be {deg} for GF({q})")
     try:
-        return make_field(p, deg, mod_poly)
-    except SkewCyclicError as exc:
+        return make_field(p, deg, mod_poly.codes)
+    except ReducibleModulus as exc:
         raise ParseError(str(exc)) from exc
-
-
-def _parse_prime_poly(text: str, p: int, var: str):
-    """Coefficient list over F_p from a string like y^2+y+1."""
-    coeffs = {}
-    for sign, term in _split_terms(text):
-        m = _TERM_RE.match(term)
-        if not m or (m.group("var") not in (None, var)):
-            raise ParseError(f"bad modulus term {term!r}")
-        c = m.group("coeff")
-        if c is None:
-            c = 1
-        elif c.startswith("a"):
-            raise ParseError("modulus coefficients must be prime-field integers")
-        else:
-            c = int(c)
-        e = 0
-        if m.group("var"):
-            e = int(m.group("exp") or 1)
-        coeffs[e] = (coeffs.get(e, 0) + sign * c) % p
-    out = [0] * (max(coeffs) + 1 if coeffs else 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return out
 
 
 def _split_terms(text: str):
@@ -164,10 +144,10 @@ def parse_ring_element(ctx: RingContext, text: str) -> RingElement:
 
 
 def parse_skew(sigma: Automorphism, text: str) -> SkewPoly:
-    """Skew-polynomial literal: z^j terms carry parenthesized ring elements."""
+    """Skew-polynomial literal: z^j terms carry parenthesized ring elements;
+    every other term is a ring element, in at most one pair of parentheses."""
     ctx = sigma.context
     parts = {}
-    const_terms = []
     for sign, term in _split_terms(_text(text)):
         if term.startswith("z"):
             m = re.match(r"^z(?:\^(\d+))?\s*\*?\s*(?:\((?P<inner>.*)\))?$", term)
@@ -176,19 +156,14 @@ def parse_skew(sigma: Automorphism, text: str) -> SkewPoly:
             j = int(m.group(1) or 1)
             inner = m.group("inner")
             coeff = ctx.one if inner is None else parse_ring_element(ctx, inner)
-            if sign < 0:
-                coeff = -coeff
-            parts[j] = parts.get(j, ctx.zero) + coeff
         else:
-            const_terms.append((sign, term))
-    if const_terms:
-        expr = "".join(
-            ("+" if s > 0 else "-") + t for s, t in const_terms
-        ).lstrip("+")
-        stripped = expr
-        if stripped.startswith("(") and stripped.endswith(")"):
-            stripped = stripped[1:-1]
-        parts[0] = parts.get(0, ctx.zero) + parse_ring_element(ctx, stripped)
+            j = 0
+            if term.startswith("(") and term.endswith(")"):
+                term = term[1:-1]
+            coeff = parse_ring_element(ctx, term)
+        if sign < 0:
+            coeff = -coeff
+        parts[j] = parts.get(j, ctx.zero) + coeff
     depth = max(parts) + 1 if parts else 0
     coeffs = [parts.get(j, ctx.zero) for j in range(depth)]
     return SkewPoly(sigma, coeffs)

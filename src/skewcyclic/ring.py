@@ -61,8 +61,10 @@ class RingContext:
             for j, e_j in enumerate(self.idempotents):
                 prod = e_i * e_j
                 want = e_i if i == j else self.zero
-                assert prod == want, "idempotent orthogonality failed"
-        assert total == self.one, "idempotents do not sum to 1"
+                if prod != want:
+                    raise AssertionError("idempotent orthogonality failed")
+        if total != self.one:
+            raise AssertionError("idempotents do not sum to 1")
 
     # -- element constructors --------------------------------------------
 

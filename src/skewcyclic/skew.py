@@ -478,7 +478,8 @@ def decompose_into_elementary(u: SkewPoly, max_steps: int = 1000):
             )
         d, a, l = move
         e = elementary_unit(sigma, d, a, l)
-        assert is_elementary_unit(sigma, d, a, l)
+        if not is_elementary_unit(sigma, d, a, l):
+            raise AssertionError(f"u_a({d}) on component {l} is not an elementary unit")
         applied.append((d, a, l))
         cur = e * cur
     else:

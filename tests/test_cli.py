@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -37,6 +38,39 @@ def test_factor_noncoprime_exit_2(capsys):
 def test_parse_error_exit_3(capsys):
     code, _, err = run(capsys, "factor", "--field", "GF(7):nope", "--n", "3")
     assert code == 3
+
+
+@pytest.mark.parametrize("field", ["GF(512)", "GF(65537)", "GF(1024):y^10+y^3+1"])
+def test_field_size_cap_exit_2(capsys, field):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "factor", "--field", field, "--n", "3")
+    assert code == 2
+    assert "MAX_FIELD_SIZE" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_automorphisms_sigma_does_not_enumerate(monkeypatch, capsys):
+    def refuse(ctx):
+        raise AssertionError("the group was enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_automorphisms", refuse)
+    code, out, _ = run(capsys, "automorphisms", "--field", "GF(2)", "--n", "7", "--sigma", "x^5")
+    assert code == 0
+    assert json.loads(out) == {
+        "field": "GF(2)",
+        "n": 7,
+        "count": 18,
+        "automorphisms": [
+            {"image": "x^5", "cycles": "(1)(2,3)", "orders": {"1": 1, "2": 2, "3": 2}}
+        ],
+    }
+    code, out, _ = run(
+        capsys, "automorphisms", "--field", "GF(8)", "--n", "7", "--sigma", "x^3"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["count"] == 5040  # seven linear factors: 7!
+    assert [a["image"] for a in data["automorphisms"]] == ["x^3"]
 
 
 def test_automorphisms_count(capsys):

@@ -464,6 +464,14 @@ def test_bad_input_raises_typed_error(F2, make, error):
         make(F2)
 
 
+@pytest.mark.parametrize("op", [
+    lambda M: M + 5, lambda M: M - 5, lambda M: 5 + M, lambda M: 5 - M, lambda M: M * 5,
+], ids=["add", "sub", "radd", "rsub", "mul"])
+def test_non_matrix_operand_type_error(F2, op):
+    with pytest.raises(TypeError):
+        op(_one_by(F2, 1, 1))
+
+
 def test_convcode_requires_right_invertible(F2):
     z, zero = Poly.x(F2), Poly.zero(F2)
     with pytest.raises(NotRightInvertible):

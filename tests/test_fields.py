@@ -1,9 +1,11 @@
 import itertools
+import time
 
 import pytest
 
 from skewcyclic import make_field, poly_gcd, factor_xn_minus_1
 from skewcyclic.errors import (
+    BadParameters,
     BothZero,
     DivisionByZero,
     LengthNotCoprime,
@@ -12,6 +14,8 @@ from skewcyclic.errors import (
     ReducibleModulus,
 )
 from skewcyclic.fields import (
+    MAX_FIELD_SIZE,
+    FieldSpec,
     Poly,
     factor_squarefree_trial,
     is_irreducible,
@@ -181,3 +185,120 @@ def test_element_display(F4, F8):
     assert str(F4.one) == "1"
     assert str(F4.gen) == "a"
     assert str(F8.gen ** 5) == "a^5"
+
+
+# (p, deg) -> (default modulus, generator code), as built before the field
+# tables were made from Poly arithmetic
+DEFAULT_FIELDS = {
+    (2, 1): ((0, 1), 1),
+    (2, 2): ((1, 1, 1), 2),
+    (2, 3): ((1, 0, 1, 1), 2),
+    (2, 4): ((1, 0, 0, 1, 1), 2),
+    (2, 5): ((1, 0, 0, 1, 0, 1), 2),
+    (2, 6): ((1, 0, 0, 0, 0, 1, 1), 2),
+    (3, 1): ((0, 1), 2),
+    (3, 2): ((1, 0, 1), 4),
+    (3, 3): ((1, 0, 2, 1), 3),
+    (3, 4): ((1, 0, 1, 1, 1), 10),
+    (5, 1): ((0, 1), 2),
+    (5, 2): ((1, 1, 1), 7),
+    (7, 1): ((0, 1), 3),
+    (7, 2): ((1, 0, 1), 9),
+}
+
+
+@pytest.mark.parametrize("p,deg", sorted(DEFAULT_FIELDS))
+def test_default_modulus_and_generator(p, deg):
+    field = make_field(p, deg)
+    assert (field.modulus, field.generator_code) == DEFAULT_FIELDS[(p, deg)]
+
+
+# every monic irreducible of degree 2-4 over GF(2), 2-3 over GF(3) and 2
+# over GF(5), with the generator code of its field
+IRREDUCIBLE_MODULI = {
+    (2, (1, 1, 1)): 2,
+    (2, (1, 0, 1, 1)): 2,
+    (2, (1, 1, 0, 1)): 2,
+    (2, (1, 0, 0, 1, 1)): 2,
+    (2, (1, 1, 0, 0, 1)): 2,
+    (2, (1, 1, 1, 1, 1)): 3,
+    (3, (1, 0, 1)): 4,
+    (3, (2, 1, 1)): 3,
+    (3, (2, 2, 1)): 3,
+    (3, (1, 0, 2, 1)): 3,
+    (3, (1, 1, 2, 1)): 3,
+    (3, (1, 2, 0, 1)): 3,
+    (3, (1, 2, 1, 1)): 3,
+    (3, (2, 0, 1, 1)): 5,
+    (3, (2, 1, 1, 1)): 4,
+    (3, (2, 2, 0, 1)): 6,
+    (3, (2, 2, 2, 1)): 4,
+    (5, (1, 1, 1)): 7,
+    (5, (1, 4, 1)): 6,
+    (5, (2, 0, 1)): 6,
+    (5, (2, 1, 1)): 5,
+    (5, (2, 4, 1)): 5,
+    (5, (3, 0, 1)): 7,
+    (5, (3, 2, 1)): 5,
+    (5, (3, 3, 1)): 5,
+    (5, (4, 2, 1)): 8,
+    (5, (4, 3, 1)): 6,
+}
+
+
+def test_every_small_monic_modulus_accepted_or_rejected():
+    """All 89 monic moduli: the irreducible ones build their field, every
+    other one raises ReducibleModulus."""
+    seen = 0
+    for p, degs in ((2, (2, 3, 4)), (3, (2, 3)), (5, (2,))):
+        for deg in degs:
+            for tail in itertools.product(range(p), repeat=deg):
+                modulus = tail + (1,)
+                seen += 1
+                if (p, modulus) in IRREDUCIBLE_MODULI:
+                    field = make_field(p, deg, modulus)
+                    assert field.generator_code == IRREDUCIBLE_MODULI[(p, modulus)]
+                else:
+                    with pytest.raises(ReducibleModulus):
+                        make_field(p, deg, modulus)
+    assert seen == 89
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_field(2, 9),
+    lambda: make_field(3, 6),
+    lambda: make_field(257, 1),
+    lambda: make_field(65537, 1),
+    lambda: make_field(2, 10 ** 9),
+    lambda: make_field(2, 0),
+    lambda: make_field(3, -1),
+    lambda: make_field(2, 10, (1, 0, 0, 1) + (0,) * 6 + (1,)),
+    lambda: FieldSpec(2, 9, (1, 1) + (0,) * 7 + (1,)),
+    lambda: FieldSpec(2, 0, (1,)),
+], ids=["2^9", "3^6", "257", "65537", "2^huge", "deg-0", "deg-negative",
+        "modulus-2^10", "spec-2^9", "spec-deg-0"])
+def test_field_size_cap(build):
+    """q > MAX_FIELD_SIZE and deg < 1 fail before any table is built."""
+    start = time.perf_counter()
+    with pytest.raises(BadParameters):
+        build()
+    assert time.perf_counter() - start < 0.5
+
+
+def test_field_size_cap_admits_the_largest_prime():
+    assert MAX_FIELD_SIZE == 256
+    assert make_field(251, 1).q == 251
+
+
+@pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_element_eq_hash_contract(spec):
+    """x == y implies hash(x) == hash(y), elements against elements and ints."""
+    field = make_field(*spec)
+    items = list(field.elements()) + list(range(-field.p, 2 * field.p + 1))
+    for x in items:
+        for y in items:
+            if x == y:
+                assert hash(x) == hash(y)
+    assert 1 in {field.one} and field.one in {1}
+    assert field.zero == 0 and field.one == 1
+    assert field.one != field.p + 1 and field.zero != field.p and field.one != 1 - field.p

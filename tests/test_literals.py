@@ -1,6 +1,8 @@
 import pytest
 
-from skewcyclic.errors import ParseError
+from skewcyclic.errors import BadParameters, ParseError
+from skewcyclic.skew import SkewPoly
+from skewcyclic.verify import load_default_fixtures
 from skewcyclic.literals import (
     field_to_str,
     matrix_from_dict,
@@ -32,6 +34,30 @@ def test_parse_field_errors():
         parse_field("GF(4):y^2+1")  # reducible
     with pytest.raises(ParseError):
         parse_field("gf(4)")
+
+
+def test_parse_field_modulus_terms():
+    # a lone '*' is not a term (it was once read as the constant 1)
+    for text in ("GF(3):y-*", "GF(5):*+y", "GF(8):*+y+y^3"):
+        with pytest.raises(ParseError):
+            parse_field(text)
+    # a coefficient that is 0 mod p does not raise the degree
+    assert parse_field("GF(9):3*y^3+y^2+1").modulus == (1, 0, 1)
+    assert parse_field("GF(5):y+y^4-y^4").modulus == (0, 1)
+    with pytest.raises(ParseError):
+        parse_field("GF(4):2*y^2+y+1")  # degree 1 over F_2
+    with pytest.raises(ParseError):
+        parse_field("GF(4):y^2+a*y+1")  # a^k is not a prime-field integer
+    with pytest.raises(ParseError):
+        parse_field("GF(9):2*y^2+1")  # not monic
+
+
+@pytest.mark.parametrize("text", [
+    "GF(512)", "GF(65537)", "GF(1024):y^10+y^3+1", "GF(65537):y+1", "GF(1000000007)",
+])
+def test_parse_field_size_cap(text):
+    with pytest.raises(BadParameters):
+        parse_field(text)
 
 
 def test_field_to_str_roundtrip(F4, F8):
@@ -73,6 +99,29 @@ def test_parse_skew_roundtrip(sig27, poly_g, poly_v):
     assert bare_z.degree == 1
     with pytest.raises(ParseError):
         parse_skew(sig27, "z^(2")
+
+
+def test_parse_skew_parenthesized_constant_terms(sig27):
+    ctx = sig27.context
+    x2 = parse_ring_element(ctx, "1+x+x^2")
+    want = SkewPoly(sig27, [x2, parse_ring_element(ctx, "x")])
+    assert parse_skew(sig27, "(1+x)+(x^2) + z*(x)") == want
+    assert parse_skew(sig27, "(1+x)+x^2 + z") == SkewPoly(sig27, [x2, ctx.one])
+    assert parse_skew(sig27, "z*(x) - (1+x+x^2)") == want
+
+
+def test_parse_skew_golden_literals(sig27):
+    """Each golden literal reads as its z-coefficients parsed one by one."""
+    ctx = sig27.context
+    for text in load_default_fixtures()["skew_F2n7"].values():
+        const, *rest = text.split(" + z")
+        coeffs = [parse_ring_element(ctx, const)]
+        for j, term in enumerate(rest, start=1):
+            head = "*(" if j == 1 else f"^{j}*("
+            assert term.startswith(head) and term.endswith(")")
+            coeffs.append(parse_ring_element(ctx, term[len(head):-1]))
+        assert parse_skew(sig27, text) == SkewPoly(sig27, coeffs)
+        assert parse_skew(sig27, f"({const})" + text[len(const):]) == SkewPoly(sig27, coeffs)
 
 
 def test_parse_sigma_forms(ctx27):
