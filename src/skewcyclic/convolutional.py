@@ -122,9 +122,6 @@ class PolyMatrix:
     def __sub__(self, other):
         return self._entrywise(other, operator.sub)
 
-    def transpose(self):
-        return PolyMatrix(self.field, list(zip(*self.entries)))
-
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)
 
@@ -132,10 +129,6 @@ class PolyMatrix:
         return PolyMatrix(
             self.field, [[self.entries[i][j] for j in cols] for i in rows]
         )
-
-    def max_degree(self):
-        degs = [e.degree for row in self.entries for e in row if not e.is_zero()]
-        return int(max(degs)) if degs else NEG_INF
 
     def row_degrees(self):
         out = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .convolutional import PolyMatrix
@@ -90,22 +91,78 @@ class DistanceReport:
         }
 
 
-def _coefficient_tables(G: PolyMatrix):
-    """Per-row z-coefficient vectors of the generator matrix, as code tuples."""
-    k, n = G.shape
-    degs = [max(int(d), 0) for d in G.row_degrees()]
+def _word_ops(field, n: int):
+    """Arithmetic on words of n symbols of `field`, each word packed in one int.
+
+    A symbol is the e base-p digits of its field code (see `fields`), each
+    digit in b bits: b = 1 for p = 2, else the smallest b with
+    p <= 2^(b-1), so that a digit sum, even plus 2^(b-1) - p, stays inside
+    its b bits.  Symbol j takes bits [j*W, (j+1)*W) with W = e*b.  Returns
+    `pack` (a sequence of n codes to a word), `add` (the symbol-wise field
+    sum of two words) and `weight` (the number of nonzero symbols).
+    """
+    p, e = field.p, field.deg
+    b = 1 if p == 2 else (p - 1).bit_length() + 1
+    W = e * b
+    spread = [
+        sum((c // p ** i % p) << (i * b) for i in range(e)) for c in range(field.q)
+    ]
+
+    def pack(codes) -> int:
+        return sum(spread[c] << (j * W) for j, c in enumerate(codes))
+
+    if p == 2:
+        add = operator.xor
+    else:
+        top = b - 1
+        # per digit: 2^(b-1) - p, and the top bit, which t + C sets iff t >= p
+        C = sum(((1 << top) - p) << (i * b) for i in range(e * n))
+        H = sum(1 << (i * b + top) for i in range(e * n))
+
+        def add(x: int, y: int) -> int:
+            t = x + y
+            return t - (((t + C) & H) >> top) * p
+
+    # OR each symbol's W bits into its bit 0; the shifts add up to exactly
+    # W - 1, so no symbol reads a bit of the next one
+    shifts = []
+    covered = 1
+    while covered < W:
+        shifts.append(min(covered, W - covered))
+        covered += shifts[-1]
+    low = sum(1 << (j * W) for j in range(n))
+
+    def weight(x: int) -> int:
+        for s in shifts:
+            x |= x >> s
+        return (x & low).bit_count()
+
+    return pack, add, weight
+
+
+def _coefficient_tables(G: PolyMatrix, pack):
+    """Row degrees of G, and rows[i][j][c]: the z^j coefficient vector of
+    row i scaled by the field element with code c, as a packed word."""
+    mul = G.field._mul
+    degs = [max(d, 0) for d in G.row_degrees()]  # a zero row has degree -inf
     rows = []
-    for i in range(k):
-        row = []
-        for j in range(degs[i] + 1):
-            row.append(tuple(G.entries[i][c].codes[j] if j < len(G.entries[i][c].codes) else 0 for c in range(n)))
-        rows.append(row)
+    for entries, deg in zip(G.entries, degs):
+        coeffs = [
+            [e.codes[j] if j < len(e.codes) else 0 for e in entries]
+            for j in range(deg + 1)
+        ]
+        rows.append([[pack([scale[x] for x in v]) for scale in mul] for v in coeffs])
     return rows, degs
 
 
 def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
     """Exact free distance via shortest nontrivial zero-to-zero path in the
-    controller-form state graph of the minimal encoder."""
+    controller-form state graph of the minimal encoder.
+
+    A state is the base-q number whose digits are the input registers, row
+    0's newest first, then row 1's, and so on; input blocks are numbered in
+    `itertools.product` order, so the zero state and the zero block are 0.
+    """
     field = G.field
     if not G.is_right_invertible():
         raise NotRightInvertible("free distance needs a right-invertible matrix")
@@ -113,102 +170,71 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
         raise NotMinimal("state realization needs a minimal generator matrix")
     k, n = G.shape
     q = field.q
-    coeff_rows, degs = _coefficient_tables(G)
+    # a right-invertible G has no zero row, so every row degree is an int
+    nstates = q ** sum(G.row_degrees())
+    if nstates > state_cap:
+        raise StateCapExceeded(f"q^delta = {nstates} exceeds the cap {state_cap}")
+    pack, add, word_weight = _word_ops(field, n)
+    rows, degs = _coefficient_tables(G, pack)
     delta = sum(degs)
-    nu_max = max(degs) if degs else 0
-    if q ** delta > state_cap:
-        raise StateCapExceeded(f"q^delta = {q**delta} exceeds the cap {state_cap}")
-    add = field._add
-    mul = field._mul
-
-    def vec_add(a, b):
-        return tuple(add[x][y] for x, y in zip(a, b))
-
-    def vec_scale(c, v):
-        row = mul[c]
-        return tuple(row[x] for x in v)
-
-    zero_vec = (0,) * n
     inputs = list(itertools.product(range(q), repeat=k))
-    inp_out = {}
+    # place value of each register digit; the newest one of row i is first[i]
+    radix = [q ** (delta - 1 - f) for f in range(delta)]
+    first = [sum(degs[:i]) for i in range(k)]
+    place = [
+        sum(c * radix[first[i]] for i, c in enumerate(a) if degs[i]) for a in inputs
+    ]
+    inp_out = []
     for a in inputs:
-        acc = zero_vec
+        y = 0
         for i, c in enumerate(a):
-            if c:
-                acc = vec_add(acc, vec_scale(c, coeff_rows[i][0]))
-        inp_out[a] = acc
-
-    # state: tuple of per-row registers, newest first: s[i] = (u_{i,t-1}, ..., u_{i,t-nu_i})
-    def state_output(s):
-        acc = zero_vec
-        for i in range(k):
-            for j, c in enumerate(s[i], start=1):
-                if c:
-                    acc = vec_add(acc, vec_scale(c, coeff_rows[i][j]))
-        return acc
-
-    def step(s, a):
-        return tuple(
-            ((a[i],) + s[i][:-1]) if degs[i] else ()
-            for i in range(k)
-        )
-
-    zero_state = tuple((0,) * d for d in degs)
+            y = add(y, rows[i][0][c])
+        inp_out.append(y)
+    # by linearity, one register digit at a time (most significant first):
+    # out[s] is the word the registers of s emit, shift[s] is s with every
+    # register moved one step older, so the next state is shift[s] + place[a]
+    out, shift = [0], [0]
+    for i in range(k):
+        for j in range(1, degs[i] + 1):
+            moved = radix[first[i] + j] if j < degs[i] else 0
+            out = [add(y, t) for y in out for t in rows[i][j]]
+            shift = [s + c * moved for s in shift for c in range(q)]
+    edges = list(zip(inp_out, place, range(len(inputs))))
 
     # Dijkstra over states; a path must leave the zero state with a nonzero
-    # input block and ends on its first return to the zero state.
-    dist = {}
-    parent = {}
-    heap = []
+    # input block and ends on its first return to the zero state.  The heap
+    # key w * nstates + s pops in (w, s) order.
+    unreached = n * nstates + 1  # a shortest path has at most nstates edges
+    dist = [unreached] * nstates
+    parent = [None] * nstates
+    heap = [0]
     best = None
-    best_final = None  # (last_state, last_input) closing edge
-    for a in inputs:
-        if not any(a):
-            continue
-        y = inp_out[a]
-        w = sum(1 for c in y if c)
-        ns = step(zero_state, a)
-        if ns == zero_state:
-            if best is None or w < best:
-                best, best_final = w, (None, a)
-            continue
-        if ns not in dist or w < dist[ns]:
-            dist[ns] = w
-            parent[ns] = (None, a)
-            heapq.heappush(heap, (w, ns))
-    done = set()
+    best_final = None  # (last state, last input) of the closing edge
     while heap:
-        w, s = heapq.heappop(heap)
-        if s in done or w > dist[s]:
+        w, s = divmod(heapq.heappop(heap), nstates)
+        if w > dist[s]:
             continue
-        done.add(s)
         if best is not None and w >= best:
             break
-        base = state_output(s)
-        for a in inputs:
-            y = vec_add(base, inp_out[a])
-            wt = sum(1 for c in y if c)
-            ns = step(s, a)
-            if ns == zero_state:
-                cand = w + wt
+        base, sh = out[s], shift[s]
+        for y, pl, ai in edges if s else edges[1:]:
+            cand = w + word_weight(add(base, y))
+            ns = sh + pl
+            if ns == 0:
                 if best is None or cand < best:
-                    best, best_final = cand, (s, a)
-            else:
-                cand = w + wt
-                if ns not in dist or cand < dist[ns]:
-                    dist[ns] = cand
-                    parent[ns] = (s, a)
-                    heapq.heappush(heap, (cand, ns))
+                    best, best_final = cand, (s, ai)
+            elif cand < dist[ns]:
+                dist[ns] = cand
+                parent[ns] = (s, ai)
+                heapq.heappush(heap, cand * nstates + ns)
     if best is None:
         raise AssertionError("the state graph has no path back to the zero state")
     # reconstruct the input block sequence of the optimal excursion
-    blocks = []
-    s, a = best_final
-    blocks.append(a)
-    while s is not None:
-        ps, pa = parent[s]
-        blocks.append(pa)
-        s = ps
+    s, ai = best_final
+    blocks = [inputs[ai]]
+    while s:
+        s, ai = parent[s]
+        blocks.append(inputs[ai])
     blocks.reverse()
     witness = _witness_from_inputs(G, blocks)
     if weight(witness) != best:
@@ -256,73 +282,61 @@ def free_distance_bruteforce(
         raise EnumerationCapExceeded(
             f"q^(k(D+1)) = {q**(k*(D+1))} exceeds the cap {cap}"
         )
-    coeff_rows, degs = _coefficient_tables(G)
+    pack, add, word_weight = _word_ops(field, n)
+    rows, degs = _coefficient_tables(G, pack)
     m = max(degs) if degs else 0
-    add = field._add
-    mul = field._mul
-    zero_vec = (0,) * n
     inputs = list(itertools.product(range(q), repeat=k))
 
-    # contribution of input block a placed j steps in the past
-    contrib = [dict() for _ in range(m + 1)]
+    # contrib[j][a]: the output word of input block a placed j steps in the past
+    contrib = []
     for j in range(m + 1):
+        table = []
         for a in inputs:
-            acc = zero_vec
+            acc = 0
             for i, c in enumerate(a):
                 if c and j <= degs[i]:
-                    row = mul[c]
-                    acc = tuple(
-                        add[x][row[y]] for x, y in zip(acc, coeff_rows[i][j])
-                    )
-            contrib[j][a] = acc
-
-    zero_block = (0,) * k
+                    acc = add(acc, rows[i][j][c])
+            table.append(acc)
+        contrib.append(table)
+    now = contrib[0]
+    blocks = range(len(inputs))
+    # input block per time step, 0 being the zero block; entries from t on
+    # are left over from earlier branches and are overwritten before any read
+    history = [0] * (D + 1)
     best = None
 
-    def emitted(history, t, a):
-        """Output block at time t when block a is issued (history holds 0..t-1)."""
-        acc = contrib[0][a]
-        for j in range(1, m + 1):
-            if t - j >= 0:
-                past = history[t - j]
-                if past != zero_block:
-                    acc = tuple(add[x][y] for x, y in zip(acc, contrib[j][past]))
-        return acc
-
-    def tail_weight(history, partial):
-        total = partial
+    def tail_weight(total):
+        """Add the weight of the blocks emitted after time D."""
         for t in range(D + 1, D + m + 1):
-            acc = zero_vec
-            for j in range(1, m + 1):
-                if 0 <= t - j <= D:
-                    past = history[t - j]
-                    if past != zero_block:
-                        acc = tuple(add[x][y] for x, y in zip(acc, contrib[j][past]))
-            total += sum(1 for c in acc if c)
+            acc = 0
+            for j in range(t - D, min(m, t) + 1):
+                past = history[t - j]
+                if past:
+                    acc = add(acc, contrib[j][past])
+            total += word_weight(acc)
             if best is not None and total >= best:
                 return total
         return total
 
-    history = [zero_block] * (D + 1)
-
     def dfs(t, partial):
         nonlocal best
         if t > D:
-            total = tail_weight(history, partial)
+            total = tail_weight(partial)
             if best is None or total < best:
                 best = total
             return
-        first = t == 0
-        for a in inputs:
-            if first and not any(a):
-                continue
-            y = emitted(history, t, a)
-            w = partial + sum(1 for c in y if c)
+        # what the blocks before time t add to the block emitted at time t
+        past = 0
+        for j in range(1, min(m, t) + 1):
+            h = history[t - j]
+            if h:
+                past = add(past, contrib[j][h])
+        for a in blocks[1:] if t == 0 else blocks:
+            w = partial + word_weight(add(past, now[a]))
             if best is not None and w >= best:
                 continue
             history[t] = a
             dfs(t + 1, w)
-            history[t] = zero_block
 
     dfs(0, 0)
     if best is None:

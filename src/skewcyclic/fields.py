@@ -539,27 +539,6 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def factor_squarefree_trial(f: Poly):
-    """Trial-division factorization of a squarefree monic polynomial (test oracle)."""
-    factors = []
-    g = f.monic()
-    d = 1
-    while g.degree >= 1:
-        if 2 * d > g.degree:
-            factors.append(g)
-            break
-        found = False
-        for cand in monic_polys(f.field, d):
-            if (g % cand).is_zero():
-                factors.append(cand)
-                g = g.exact_div(cand)
-                found = True
-                break
-        if not found:
-            d += 1
-    return sorted(factors, key=Poly.lex_key)
-
-
 def _distinct_degree(f: Poly):
     """Split a squarefree monic f into (d, product-of-degree-d-factors) parts."""
     field = f.field

@@ -28,7 +28,7 @@ from .skew import SkewPoly
 _FIELD_RE = re.compile(r"^GF\((\d+)\)(?::(.+))?$")
 _ELEM_RE = re.compile(r"^(\d+|a(?:\^(\d+))?)$")
 _TERM_RE = re.compile(
-    r"^(?P<coeff>\d+|a(?:\^\d+)?)?\s*\*?\s*(?:(?P<var>[a-z])(?:\^(?P<exp>\d+))?)?$"
+    r"^(?P<coeff>\d+|a(?:\^\d+)?)?\s*(?P<star>\*)?\s*(?:(?P<var>[a-z])(?:\^(?P<exp>\d+))?)?$"
 )
 
 
@@ -123,6 +123,8 @@ def parse_poly(field: FieldSpec, text: str, var: str = "x") -> Poly:
         m = _TERM_RE.match(term)
         if not m or (m.group("coeff") is None and m.group("var") is None):
             raise ParseError(f"bad term {term!r}")
+        if m.group("star") and None in (m.group("coeff"), m.group("var")):
+            raise ParseError(f"bad term {term!r}: '*' needs a factor on each side")
         if m.group("var") not in (None, var):
             raise ParseError(f"unexpected variable in {term!r}; wanted {var!r}")
         coeff = (
@@ -150,7 +152,7 @@ def parse_skew(sigma: Automorphism, text: str) -> SkewPoly:
     parts = {}
     for sign, term in _split_terms(_text(text)):
         if term.startswith("z"):
-            m = re.match(r"^z(?:\^(\d+))?\s*\*?\s*(?:\((?P<inner>.*)\))?$", term)
+            m = re.match(r"^z(?:\^(\d+))?(?:\s*\*?\s*\((?P<inner>.*)\))?$", term)
             if not m:
                 raise ParseError(f"bad skew term {term!r}")
             j = int(m.group(1) or 1)

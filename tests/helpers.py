@@ -2,7 +2,7 @@
 
 import itertools
 
-from skewcyclic.fields import Poly
+from skewcyclic.fields import Poly, monic_polys
 
 
 def all_element_codes(ctx):
@@ -160,3 +160,24 @@ def unit_inverse_by_solving(f):
     return SkewPoly(
         f.sigma, [ctx.from_codes(sol[l * n : (l + 1) * n]) for l in range(D + 1)]
     )
+
+
+def factor_squarefree_trial(f: Poly):
+    """Trial-division factorization of a squarefree monic polynomial (test oracle)."""
+    factors = []
+    g = f.monic()
+    d = 1
+    while g.degree >= 1:
+        if 2 * d > g.degree:
+            factors.append(g)
+            break
+        found = False
+        for cand in monic_polys(f.field, d):
+            if (g % cand).is_zero():
+                factors.append(cand)
+                g = g.exact_div(cand)
+                found = True
+                break
+        if not found:
+            d += 1
+    return sorted(factors, key=Poly.lex_key)

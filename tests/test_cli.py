@@ -38,6 +38,9 @@ def test_factor_noncoprime_exit_2(capsys):
 def test_parse_error_exit_3(capsys):
     code, _, err = run(capsys, "factor", "--field", "GF(7):nope", "--n", "3")
     assert code == 3
+    # a '*' with nothing on one side is a parse error, not x or the constant 1
+    code, _, err = run(capsys, "factor", "--field", "GF(4):*y^2+y+1", "--n", "3")
+    assert code == 3 and "'*' needs a factor on each side" in err
 
 
 @pytest.mark.parametrize("field", ["GF(512)", "GF(65537)", "GF(1024):y^10+y^3+1"])

@@ -38,6 +38,10 @@ GOLDEN_G = [
 ]
 
 
+def _transpose(M):
+    return PolyMatrix(M.field, [list(col) for col in zip(*M.entries)])
+
+
 def test_vector_map_golden(sig43):
     ctx = sig43.context
     f = SkewPoly(sig43, (ctx.idempotent(2), ctx.idempotent(3)))
@@ -117,7 +121,7 @@ def test_generator_matrix_block_code(sig27):
     g = SkewPoly.constant(sig27, ctx.idempotent(2))
     G = generator_matrix(g)
     assert G.shape == (3, 7)
-    assert G.max_degree() == 0
+    assert max(G.row_degrees()) == 0
     assert G.complexity() == 0
     code = ConvCode.from_reduced(g)
     assert code.params == (7, 3, 0)
@@ -210,7 +214,7 @@ def test_parity_check_examples(F2, sig27, poly_g):
     assert (Gg * Hg).is_zero()
     assert Hg.rank() == 4
     # unimodular-completion quality: the parity matrix has constant minor gcd
-    assert Hg.transpose().is_right_invertible()
+    assert _transpose(Hg).is_right_invertible()
 
 
 def test_smith_form_random(F4):
@@ -264,7 +268,7 @@ def test_rank_and_det_agree_random(F4):
             ],
         )
         r = M.rank()
-        assert r == M.transpose().rank() <= min(m, n)
+        assert r == _transpose(M).rank() <= min(m, n)
         if m == n:
             assert (r == n) == (not M.det().is_zero())
 

@@ -5,11 +5,13 @@ import pytest
 from skewcyclic import (
     MinimalCodeRecipe,
     PolyMatrix,
+    RingContext,
     build_minimal_code,
     free_distance,
     free_distance_bruteforce,
     generator_matrix,
     griesmer_bound,
+    make_field,
     membership,
     singleton_bound,
     weight,
@@ -21,8 +23,11 @@ from skewcyclic.errors import (
     NotRightInvertible,
     StateCapExceeded,
 )
-from skewcyclic.fields import Poly
+from skewcyclic.distance import _word_ops
+from skewcyclic.fields import MAX_FIELD_SIZE, Poly
+from skewcyclic.literals import parse_field, parse_sigma
 from skewcyclic.skew import SkewPoly
+from skewcyclic.verify import golden_codes, load_default_fixtures
 
 
 def test_weight_examples(F2, sig27, poly_g):
@@ -116,6 +121,13 @@ def test_enumeration_cap(sig43, ctx43):
         free_distance_bruteforce(code.generator, 20)
 
 
+def test_bruteforce_zero_row(F2):
+    """A zero row sends a nonzero message to the zero word: weight 0."""
+    one, z, zero = Poly.one(F2), Poly.x(F2), Poly.zero(F2)
+    G = PolyMatrix(F2, [[one, one + z], [zero, zero]])
+    assert free_distance_bruteforce(G, 2) == 0
+
+
 def test_bruteforce_monotone_and_agrees(sig43, ctx43):
     code = build_minimal_code(MinimalCodeRecipe(sig43, 2, 2))
     exact = free_distance(code.generator).distance
@@ -164,3 +176,298 @@ def test_report_json_shape(sig43, ctx43):
     d = free_distance(code.generator).as_dict()
     assert set(d) == {"distance", "singleton", "griesmer", "attains", "witness"}
     assert all(isinstance(w, str) for w in d["witness"])
+
+
+# minimal codes beyond characteristic 2: (field, n, sigma as a permutation of
+# the components, component l, Forney index d); the unit scalars are drawn
+# with random.Random(index in this table)
+SEEDED_CODES = (
+    ("GF(3)", 4, "(1,2)(3)", 1, 5),
+    ("GF(3)", 8, "(1,2)(3,4,5)", 2, 4),
+    ("GF(3)", 8, "(1,2)(3,4,5)", 3, 2),
+    ("GF(5)", 4, "(1,2)(3,4)", 3, 3),
+    ("GF(9):y^2+1", 4, "(1,2)(3,4)", 1, 2),
+    ("GF(9):y^2+1", 4, "(1,2)(3,4)", 4, 2),
+)
+
+
+def _seeded_code(index):
+    field_text, n, perm, l, d = SEEDED_CODES[index]
+    ctx = RingContext(parse_field(field_text), n)
+    sig = parse_sigma(ctx, "perm:" + perm)
+    rng = random.Random(index)
+    scalars = []
+    while len(scalars) < d:
+        a = ctx.from_codes([rng.randrange(ctx.field.q) for _ in range(n)])
+        if ctx.is_unit(a):
+            scalars.append(a)
+    return build_minimal_code(MinimalCodeRecipe(sig, l, d, tuple(scalars)))
+
+
+# free_distance(G).as_dict(), witnesses included, recorded with an earlier
+# engine that added symbol tuples through the field tables: a packing error
+# or a change in the order ties are broken shows up here
+GOLDEN_REPORTS = {
+    "F8n7-g1": {
+        "distance": 21, "singleton": 21, "griesmer": 21, "attains": "singleton",
+        "witness": [
+            "1+z+a*z^2",
+            "1+a^6*z+a*z^2",
+            "1+a^5*z+a*z^2",
+            "1+a^4*z+a*z^2",
+            "1+a^3*z+a*z^2",
+            "1+a^2*z+a*z^2",
+            "1+a*z+a*z^2",
+        ],
+    },
+    "F8n7-g2": {
+        "distance": 21, "singleton": 21, "griesmer": 21, "attains": "singleton",
+        "witness": [
+            "1+a*z+a^2*z^2",
+            "a^5+a^5*z+a^5*z^2",
+            "a^3+a^2*z+a*z^2",
+            "a+a^6*z+a^4*z^2",
+            "a^6+a^3*z+z^2",
+            "a^4+z+a^3*z^2",
+            "a^2+a^4*z+a^6*z^2",
+        ],
+    },
+    "F8n7-sum": {
+        "distance": 18, "singleton": 20, "griesmer": 18, "attains": "griesmer",
+        "witness": [
+            "a^3*z+a^4*z^2",
+            "a^4+a*z+a^6*z^2",
+            "a+a^3*z",
+            "a^3+a^3*z+a^2*z^2",
+            "a^2+a^3*z^2",
+            "a^5+a^6*z+z^2",
+            "a^6+a^2*z+a^5*z^2",
+        ],
+    },
+    "dist-F2n7": {
+        "distance": 12, "singleton": 19, "griesmer": 12, "attains": "griesmer",
+        "witness": [
+            "z^2",
+            "z+z^2",
+            "1+z^2",
+            "0",
+            "1+z",
+            "1+z+z^2",
+            "1+z",
+        ],
+    },
+    "minC3-d1": {
+        "distance": 6, "singleton": 6, "griesmer": 6, "attains": "singleton",
+        "witness": [
+            "1+z",
+            "a^2+a*z",
+            "a+a^2*z",
+        ],
+    },
+    "minC3-d2": {
+        "distance": 9, "singleton": 9, "griesmer": 9, "attains": "singleton",
+        "witness": [
+            "1+z+a*z^2",
+            "a^2+a*z+z^2",
+            "a+a^2*z+a^2*z^2",
+        ],
+    },
+    "minC3-d3": {
+        "distance": 12, "singleton": 12, "griesmer": 12, "attains": "singleton",
+        "witness": [
+            "1+a*z+a*z^2+z^3",
+            "a^2+a^2*z+z^2+a*z^3",
+            "a+z+a^2*z^2+a^2*z^3",
+        ],
+    },
+    "minC3-d4": {
+        "distance": 14, "singleton": 15, "griesmer": 14, "attains": "griesmer",
+        "witness": [
+            "1+a^2*z+a^2*z^2+a^2*z^4+a*z^5",
+            "a^2+z^3+a^2*z^4+z^5",
+            "a+a^2*z+a^2*z^2+z^3+a^2*z^5",
+        ],
+    },
+    "minC3-d5": {
+        "distance": 16, "singleton": 18, "griesmer": 16, "attains": "griesmer",
+        "witness": [
+            "1+a^2*z^3+a^2*z^5+z^6",
+            "a^2+z+z^2+a*z^4+a^2*z^5+a*z^6",
+            "a+z+z^2+a^2*z^3+a*z^4+a^2*z^6",
+        ],
+    },
+    "minC3-d6": {
+        "distance": 18, "singleton": 21, "griesmer": 19, "attains": "below",
+        "witness": [
+            "a^2+a^2*z+a^2*z^2+z^5+z^7+a*z^8",
+            "a+z+a*z^2+a*z^5+a*z^7+z^8",
+            "1+a*z+z^2+a^2*z^5+a^2*z^7+a^2*z^8",
+        ],
+    },
+    "minC5-m1": {
+        "distance": 8, "singleton": 9, "griesmer": 8, "attains": "griesmer",
+        "witness": [
+            "a+a*z",
+            "a^2*z",
+            "a",
+            "a^2+a^2*z",
+            "a^2+a*z",
+        ],
+    },
+    "minC5-m2": {
+        "distance": 12, "singleton": 14, "griesmer": 12, "attains": "griesmer",
+        "witness": [
+            "a+a*z+a^2*z^2",
+            "a^2*z+z^2",
+            "a+z^2",
+            "a^2+a^2*z+a^2*z^2",
+            "a^2+a*z",
+        ],
+    },
+    "minC5-m3": {
+        "distance": 16, "singleton": 19, "griesmer": 16, "attains": "griesmer",
+        "witness": [
+            "a+a^2*z+a^2*z^2+a*z^3",
+            "z+z^2+a*z^3",
+            "a+z^2+a^2*z^3",
+            "a^2+z+a^2*z^2",
+            "a^2+a^2*z+a^2*z^3",
+        ],
+    },
+}
+
+# the same for SEEDED_CODES, in order
+SEEDED_REPORTS = [
+    {
+        "distance": 16, "singleton": 24, "griesmer": 21, "attains": "below",
+        "witness": [
+            "1+a*z^3+z^4+a*z^5",
+            "a+a*z^3+a*z^4+a*z^5",
+            "1+a*z^3+z^4+a*z^5",
+            "a+a*z^3+a*z^4+a*z^5",
+        ],
+    },
+    {
+        "distance": 32, "singleton": 40, "griesmer": 36, "attains": "below",
+        "witness": [
+            "a+z+a*z^3+a*z^4+z^5",
+            "a+a*z^2+z^5",
+            "a+z+a*z^3+a*z^4+z^5",
+            "a+a*z^2+z^5",
+            "a+z+a*z^3+a*z^4+z^5",
+            "a+a*z^2+z^5",
+            "a+z+a*z^3+a*z^4+z^5",
+            "a+a*z^2+z^5",
+        ],
+    },
+    {
+        "distance": 16, "singleton": 23, "griesmer": 18, "attains": "below",
+        "witness": [
+            "a*z+a*z^2",
+            "1+z+a*z^2",
+            "0",
+            "a+z+a*z^2",
+            "z+z^2",
+            "1+a*z+z^2",
+            "0",
+            "a+a*z+z^2",
+        ],
+    },
+    {
+        "distance": 16, "singleton": 16, "griesmer": 16, "attains": "singleton",
+        "witness": [
+            "a^2+a^2*z+a*z^2+a^2*z^3",
+            "a^2+a*z+a*z^2+a*z^3",
+            "a^2+z+a*z^2+z^3",
+            "a^2+a^3*z+a*z^2+a^3*z^3",
+        ],
+    },
+    {
+        "distance": 12, "singleton": 12, "griesmer": 12, "attains": "singleton",
+        "witness": [
+            "1+a^2*z+a^6*z^2",
+            "a^4+a^4*z+a^2*z^2",
+            "1+a^6*z+a^6*z^2",
+            "a^4+z+a^2*z^2",
+        ],
+    },
+    {
+        "distance": 12, "singleton": 12, "griesmer": 12, "attains": "singleton",
+        "witness": [
+            "1+a^5*z+a^4*z^2",
+            "a^6+a^5*z+a^2*z^2",
+            "a^4+a^5*z+z^2",
+            "a^2+a^5*z+a^6*z^2",
+        ],
+    },
+]
+
+
+def test_golden_reports_pinned():
+    reports = {
+        name: free_distance(code.generator).as_dict()
+        for name, code, _ in golden_codes(load_default_fixtures())
+    }
+    assert reports == GOLDEN_REPORTS
+    seeded = [free_distance(_seeded_code(i).generator).as_dict() for i in range(len(SEEDED_CODES))]
+    assert seeded == SEEDED_REPORTS
+
+
+@pytest.mark.parametrize("index", range(len(SEEDED_CODES)))
+def test_odd_characteristic_state_graph_matches_oracle(index):
+    code = _seeded_code(index)
+    rep = free_distance(code.generator)
+    assert free_distance_bruteforce(
+        code.generator, code.delta + code.n, cap=2 ** 80
+    ) == rep.distance
+    assert rep.distance <= rep.griesmer <= rep.singleton
+
+
+def _default_fields():
+    primes = [p for p in range(2, MAX_FIELD_SIZE + 1) if all(p % d for d in range(2, p))]
+    return [
+        make_field(p, e)
+        for p in primes
+        for e in range(1, MAX_FIELD_SIZE.bit_length())
+        if p ** e <= MAX_FIELD_SIZE
+    ]
+
+
+def _nonzero(word):
+    return sum(1 for c in word if c)
+
+
+def test_packed_word_arithmetic():
+    """The packed add and weight against the field tables and a plain count:
+    every symbol pair at each position of a length-3 word whose other
+    symbols are seeded, and for q <= 16 every pair of length-2 words."""
+    fields = _default_fields()
+    assert len(fields) == 70
+    for field in fields:
+        q, table = field.q, field._add
+        rng = random.Random(q)
+        pack, add, weight = _word_ops(field, 3)
+        u = [rng.randrange(q) for _ in range(3)]
+        v = [rng.randrange(q) for _ in range(3)]
+        uv = [table[x][y] for x, y in zip(u, v)]
+        for j in range(3):
+            us, vs, sums = (
+                [w[:j] + [c] + w[j + 1:] for c in range(q)] for w in (u, v, uv)
+            )
+            packed_sums = [pack(w) for w in sums]
+            assert len(set(packed_sums)) == q
+            for words in (us, vs, sums):
+                assert [weight(pack(w)) for w in words] == [_nonzero(w) for w in words]
+            packed_vs = [pack(w) for w in vs]
+            for a in range(q):
+                x = pack(us[a])
+                assert [add(x, y) for y in packed_vs] == [packed_sums[c] for c in table[a]]
+        if q > 16:
+            continue
+        pack, add, weight = _word_ops(field, 2)
+        packed = {pack([a, b]): [a, b] for a in range(q) for b in range(q)}
+        assert len(packed) == q * q
+        for x, w in packed.items():
+            assert weight(x) == _nonzero(w)
+            for y, w2 in packed.items():
+                assert packed[add(x, y)] == [table[a][b] for a, b in zip(w, w2)]

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from helpers import factor_squarefree_trial
 from skewcyclic import make_field, poly_gcd, factor_xn_minus_1
 from skewcyclic.errors import (
     BadParameters,
@@ -17,7 +18,6 @@ from skewcyclic.fields import (
     MAX_FIELD_SIZE,
     FieldSpec,
     Poly,
-    factor_squarefree_trial,
     is_irreducible,
     monic_polys,
 )

@@ -83,6 +83,19 @@ def test_parse_poly_term_orders(F4):
     assert parse_poly(F4, "0").is_zero()
 
 
+def test_star_needs_a_factor_on_each_side(F4, sig27):
+    for text in ("*x", "a*", "x*", "1+*x^2", "a^2 *"):
+        with pytest.raises(ParseError):
+            parse_poly(F4, text)
+    with pytest.raises(ParseError):
+        parse_field("GF(4):*y^2+y+1")
+    for text in ("z*", "1+z^2*", "*z"):
+        with pytest.raises(ParseError):
+            parse_skew(sig27, text)
+    assert parse_poly(F4, "a * x^2") == parse_poly(F4, "a*x^2") == parse_poly(F4, "a x^2")
+    assert parse_skew(sig27, "z * (x)") == parse_skew(sig27, "z(x)")
+
+
 def test_parse_ring_element_reduces(ctx27):
     a = parse_ring_element(ctx27, "x^7")
     assert a == ctx27.one
