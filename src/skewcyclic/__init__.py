@@ -33,16 +33,16 @@ from .skew import (
     elementary_unit_inverse,
     is_elementary_unit,
     simple_unit,
+    skew_from_vector,
     unit_product,
+    vector_from_skew,
 )
 from .convolutional import (
     ConvCode,
     PolyMatrix,
     generator_matrix,
     membership,
-    skew_from_vector,
     strong_equivalence,
-    vector_from_skew,
 )
 from .builder import (
     MinimalCodeRecipe,

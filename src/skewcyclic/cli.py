@@ -154,9 +154,6 @@ def _build_from_descriptor(desc: dict):
         g = parse_skew(sigma, desc["generator"])
         return sigma, ConvCode.from_reduced(g)
     recipe = desc.get("recipe")
-    if recipe is None and "l" in desc and "d" in desc:
-        # flat recipe form: l, d, scalars directly in the descriptor
-        recipe = {"l": desc["l"], "d": desc["d"], "scalars": desc.get("scalars", [])}
     if recipe is None:
         raise ParseError("descriptor needs either a generator or a recipe")
     _json_typed(recipe, dict, "recipe")
@@ -214,12 +211,9 @@ def _check_expected(desc, code, report) -> list:
 def _apply_overrides(desc: dict, args) -> dict:
     """--field/--n/--sigma given on the command line win over the file."""
     out = dict(_json_typed(desc, dict, "descriptor"))
-    if getattr(args, "field", None):
-        out["field"] = args.field
-    if getattr(args, "n", None):
-        out["n"] = args.n
-    if getattr(args, "sigma", None):
-        out["sigma"] = args.sigma
+    for key in ("field", "n", "sigma"):
+        if getattr(args, key, None) is not None:
+            out[key] = getattr(args, key)
     return out
 
 

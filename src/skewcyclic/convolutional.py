@@ -1,9 +1,9 @@
-"""Polynomial matrices over F[z] and the bridge to skew polynomials.
+"""Polynomial matrices over F[z] and the codes skew polynomials generate.
 
 Covers generator matrices of convolutional codes: complexity (max degree
 of the k-minors), right invertibility via the minor gcd, minimality and
 row degrees, Smith-form based right inverses and parity checks, and the
-module isomorphism between F[z]^n and the skew-polynomial ring.
+generator matrix read off a reduced skew polynomial through vec.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .fields import NEG_INF, FieldSpec, Poly, poly_gcd
-from .ring import RingElement
-from .skew import SkewPoly
+from .skew import SkewPoly, vector_from_skew
 
 
 class PolyMatrix:
@@ -330,48 +329,11 @@ class PolyMatrix:
         return f"PolyMatrix {self.nrows}x{self.ncols} over GF({self.field.q})"
 
 
-def membership(G: PolyMatrix, w, right_inv: PolyMatrix | None = None):
+def membership(G: PolyMatrix, w):
     """Message u with u*G = w, or None; w is a sequence of n polynomials."""
-    if right_inv is None:
-        right_inv = G.right_inverse()
     wm = PolyMatrix(G.field, [list(w)])
-    u = wm * right_inv
+    u = wm * G.right_inverse()
     return tuple(u.entries[0]) if (u * G) == wm else None
-
-
-# -- bridge between F[z]^n and the skew ring ----------------------------------
-
-
-def skew_from_vector(sigma, polys) -> SkewPoly:
-    """Coefficient-wise lift of a length-n polynomial vector into the skew ring."""
-    ctx = sigma.context
-    polys = list(polys)
-    if len(polys) != ctx.n:
-        raise LengthMismatch(f"expected {ctx.n} entries, got {len(polys)}")
-    depth = 0
-    for p in polys:
-        if not p.is_zero():
-            depth = max(depth, int(p.degree) + 1)
-    coeffs = []
-    for j in range(depth):
-        coeffs.append(
-            RingElement(
-                ctx,
-                tuple(
-                    (p.codes[j] if j < len(p.codes) else 0) for p in polys
-                ),
-            )
-        )
-    return SkewPoly(sigma, coeffs)
-
-
-def vector_from_skew(f: SkewPoly):
-    """Inverse of skew_from_vector: n polynomials in z."""
-    ctx = f.context
-    cols = []
-    for i in range(ctx.n):
-        cols.append(Poly(ctx.field, [c.codes[i] for c in f.coeffs]))
-    return tuple(cols)
 
 
 def generator_matrix(g: SkewPoly) -> PolyMatrix:

@@ -11,9 +11,13 @@ def bareiss(field: FieldSpec, rows):
     """Fraction-free (Bareiss) elimination of a list-of-lists of Poly over F[z].
 
     Works on any shape; a column without a pivot below the current row is
-    skipped.  Returns (rank, det): the rank over F(z), and for square input
-    the determinant (zero when singular), else None.  After each step every
-    remaining entry is a minor of the input, so the divisions are exact.
+    skipped.  Returns (rank, det, rows): the rank over F(z); for square
+    input the determinant (zero when singular), else None; and the
+    eliminated rows, row swaps applied.  After each step every remaining
+    entry is a minor of the input, so the divisions are exact.  In the
+    returned rows only the entries on and to the right of each row's pivot
+    are valid: left of it, the pivot columns of the rows above keep stale
+    entries instead of zeros.
     """
     a = [list(r) for r in rows]
     m = len(a)
@@ -41,10 +45,10 @@ def bareiss(field: FieldSpec, rows):
         prev = piv
         r += 1
     if m != n:
-        return r, None
+        return r, None, a
     if r < n:
-        return r, Poly.zero(field)
-    return r, (-prev if sign < 0 else prev)
+        return r, Poly.zero(field), a
+    return r, (-prev if sign < 0 else prev), a
 
 
 def poly_det(field: FieldSpec, rows) -> Poly:

@@ -183,8 +183,15 @@ def parse_sigma(ctx: RingContext, text: str) -> Automorphism:
         if not re.fullmatch(r"(\([\d,\s]*\))+", body):
             raise ParseError(f"bad permutation literal {body!r}")
         cycles = []
+        seen = set()
         for grp in _PERM_RE.findall(body):
             items = [int(t) for t in grp.replace(",", " ").split()]
+            for k in items:
+                if not 1 <= k <= ctx.r:
+                    raise ParseError(f"permutation index {k} not in 1..{ctx.r}")
+                if k in seen:
+                    raise ParseError(f"permutation index {k} appears twice in {body!r}")
+                seen.add(k)
             if items:
                 cycles.append(tuple(items))
         perm = permutation_from_cycles(ctx.r, cycles)

@@ -19,13 +19,14 @@ from .errors import (
     DecompositionNotFound,
     FixedIdempotent,
     IndexOutOfRange,
+    LengthMismatch,
     MixedAlgebras,
     NonUnitScalar,
     NotAUnit,
     ZeroPolynomial,
 )
 from .automorphisms import Automorphism
-from .fields import NEG_INF
+from .fields import NEG_INF, Poly
 from .ring import RingElement
 
 
@@ -255,83 +256,92 @@ class SkewPoly:
 
     # -- units ---------------------------------------------------------------
 
-    def inverse_degree_bound(self) -> int:
-        """Proven bound on deg_z of an inverse: (n-1) * deg_z f.
-
-        Right multiplication by f is an F[z]-linear map on F[z]^n whose
-        matrix has entry degrees <= deg_z f; f is a unit iff that matrix is
-        unimodular, and then the inverse's coordinates are entries of the
-        adjugate divided by the constant determinant.
-        """
-        d = len(self.coeffs) - 1
-        return max((self.context.n - 1) * d, 0)
-
     def module_matrix(self):
         """Right multiplication by f as an n x n matrix over F[z]: row i is
-        the coefficient vector of x^i * f."""
-        from .fields import Poly
-
-        ctx = self.context
+        vec(x^i f)."""
+        xs = SkewPoly.constant(self.sigma, self.context.x)
         rows = []
         cur = self
-        xs = SkewPoly.constant(self.sigma, ctx.x)
-        for _ in range(ctx.n):
-            rows.append(
-                [
-                    Poly(ctx.field, [c.codes[col] for c in cur.coeffs])
-                    for col in range(ctx.n)
-                ]
-            )
+        for _ in range(self.context.n):
+            rows.append(vector_from_skew(cur))
             cur = xs * cur
         return rows
 
     def is_unit(self) -> bool:
-        """Exact unit test, the only one: the module matrix must have
-        constant nonzero determinant.  Setting z = 0 is a ring map onto A,
-        so a unit's constant term is a unit of A; that is checked first."""
+        """Exact unit test: the module matrix must have constant nonzero
+        determinant.  Setting z = 0 is a ring map onto A, so a unit's
+        constant term is a unit of A; that is checked first.  unit_inverse
+        decides the same way inside its own elimination."""
         if not self.coeffs or not self.context.is_unit(self.coeffs[0]):
             return False
         d = linalg.poly_det(self.context.field, self.module_matrix())
         return d.degree == 0
 
     def unit_inverse(self) -> "SkewPoly":
-        """Two-sided inverse of a unit; NotAUnit when is_unit() says no.
+        """Two-sided inverse of a unit; NotAUnit for anything else.
 
         Row i of the module matrix M is vec(x^i f), so vec(g f) = vec(g) M
-        and g f = 1 is the F-linear system vec(g) M = vec(1) in the
-        z-coefficients of vec(g).  deg_z g is raised from 0; for a unit the
-        loop ends within inverse_degree_bound().
+        and g f = 1 is the system M^T vec(g) = vec(1) over F[z].  One
+        fraction-free elimination of [M^T | vec(1)] decides and solves it.
+        A unit constant term makes M(0) invertible, so the n pivots sit on
+        the diagonal and the last one is d = +-det M; f is a unit iff d is
+        constant.  Back-substitution then gives d vec(g), whose entries are
+        minors of [M^T | vec(1)] (Cramer), by exact divisions.
         """
-        if not self.is_unit():
-            raise NotAUnit(f"{self} is not a unit")
         ctx = self.context
+        if not self.coeffs or not ctx.is_unit(self.coeffs[0]):
+            raise NotAUnit(f"{self} is not a unit")
         n = ctx.n
         M = self.module_matrix()
-        depth = len(self.coeffs)
-        for D in range(self.inverse_degree_bound() + 1):
-            # unknown j*n + i: z^j coefficient of vec(g)_i;
-            # equation t*n + c: z^t coefficient of column c of vec(g) M
-            rows = [[0] * (n * (D + 1)) for _ in range(n * (D + depth))]
-            for i, row in enumerate(M):
-                for c, entry in enumerate(row):
-                    for s, code in enumerate(entry.codes):
-                        if code:
-                            for j in range(D + 1):
-                                rows[(j + s) * n + c][j * n + i] = code
-            rhs = list(ctx.one.codes) + [0] * (n * (D + depth - 1))
-            sol = linalg.solve(ctx.field, rows, rhs)
-            if sol is not None:
-                break
-        else:
-            raise AssertionError("unit without an inverse inside the degree bound")
-        g = SkewPoly(
-            self.sigma,
-            [ctx.from_codes(sol[j * n : (j + 1) * n]) for j in range(D + 1)],
+        rhs = vector_from_skew(SkewPoly.one(self.sigma))
+        _, _, a = linalg.bareiss(
+            ctx.field, [[row[c] for row in M] + [rhs[c]] for c in range(n)]
         )
+        if any(a[i][i].is_zero() for i in range(n)):
+            raise AssertionError("module matrix singular under a unit constant term")
+        d = a[n - 1][n - 1]
+        if d.degree != 0:
+            raise NotAUnit(f"{self} is not a unit")
+        # only entries on and right of the diagonal are valid after bareiss
+        y = [None] * n
+        for i in range(n - 1, -1, -1):
+            acc = d * a[i][n]
+            for j in range(i + 1, n):
+                acc = acc - a[i][j] * y[j]
+            y[i] = acc.exact_div(a[i][i])
+        g = skew_from_vector(self.sigma, [p.exact_div(d) for p in y])
         one = SkewPoly.one(self.sigma)
         if g * self != one or self * g != one:
             raise AssertionError("inverse failed to be two-sided")
         return g
+
+
+# -- bridge between F[z]^n and the skew ring ----------------------------------
+
+
+def vector_from_skew(f: SkewPoly):
+    """vec(f): n polynomials in z; entry i has the x^i coefficient of f_j
+    as its z^j coefficient."""
+    ctx = f.context
+    return tuple(
+        Poly(ctx.field, [c.codes[i] for c in f.coeffs]) for i in range(ctx.n)
+    )
+
+
+def skew_from_vector(sigma, polys) -> SkewPoly:
+    """Inverse of vector_from_skew: lift n polynomials in z into the skew ring."""
+    ctx = sigma.context
+    polys = list(polys)
+    if len(polys) != ctx.n:
+        raise LengthMismatch(f"expected {ctx.n} entries, got {len(polys)}")
+    depth = max((len(p.codes) for p in polys), default=0)
+    return SkewPoly(
+        sigma,
+        [
+            RingElement(ctx, tuple(p.codes[j] if j < len(p.codes) else 0 for p in polys))
+            for j in range(depth)
+        ],
+    )
 
 
 # -- elementary and simple units ---------------------------------------------
@@ -392,6 +402,10 @@ def unit_product(sigma: Automorphism, l: int, scalars) -> SkewPoly:
 
 # -- decomposition into elementary units --------------------------------------
 
+# guard on decompose_into_elementary's greedy loop, each step of which lowers
+# the total of the component degrees
+MAX_DECOMPOSITION_STEPS = 1000
+
 
 def _local_inverse(ctx, c: RingElement, i: int) -> RingElement:
     """Inverse of a nonzero element of K^(i), inside that component."""
@@ -426,7 +440,7 @@ def _is_single_component_shift(u: SkewPoly):
     return d, c, supp[0]
 
 
-def decompose_into_elementary(u: SkewPoly, max_steps: int = 1000):
+def decompose_into_elementary(u: SkewPoly):
     """Best-effort factorization of a unit into elementary units.
 
     Returns factors e_1, ..., e_t (each elementary) with e_1 * ... * e_t = u.
@@ -449,7 +463,7 @@ def decompose_into_elementary(u: SkewPoly, max_steps: int = 1000):
             return [u]
     applied = []
     cur = u
-    for _ in range(max_steps):
+    for _ in range(MAX_DECOMPOSITION_STEPS):
         comps = {k: cur.component(k) for k in range(1, ctx.r + 1)}
         degs = {k: (len(f.coeffs) - 1 if f.coeffs else -1) for k, f in comps.items()}
         if all(d <= 0 for d in degs.values()):
@@ -483,7 +497,9 @@ def decompose_into_elementary(u: SkewPoly, max_steps: int = 1000):
         applied.append((d, a, l))
         cur = e * cur
     else:
-        raise DecompositionNotFound(f"no constant reached in {max_steps} steps")
+        raise DecompositionNotFound(
+            f"no constant reached in {MAX_DECOMPOSITION_STEPS} steps"
+        )
     factors = [elementary_unit(sigma, d, -a, l) for d, a, l in applied]
     factors.extend(_constant_factors(sigma, cur.constant_term))
     check = SkewPoly.one(sigma)

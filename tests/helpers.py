@@ -130,6 +130,17 @@ def identity_units_constant(ctx, degree_cap, restrict_to_unit_constant=False):
         assert units > 0
 
 
+def inverse_degree_bound(f) -> int:
+    """Proven bound on deg_z of an inverse: (n-1) * deg_z f.
+
+    Right multiplication by f is an F[z]-linear map on F[z]^n whose matrix
+    has entry degrees <= deg_z f; f is a unit iff that matrix is unimodular,
+    and then the inverse's coordinates are entries of the adjugate divided
+    by the constant determinant.
+    """
+    return max((f.context.n - 1) * (len(f.coeffs) - 1), 0)
+
+
 def unit_inverse_by_solving(f):
     """Test-only oracle for units of A[z;sigma], independent of the module
     determinant: one F-linear solve of f*g = 1, built from the twisted
@@ -142,7 +153,7 @@ def unit_inverse_by_solving(f):
     if not f:
         return None
     ctx = f.context
-    n, D, depth = ctx.n, f.inverse_degree_bound(), len(f.coeffs)
+    n, D, depth = ctx.n, inverse_degree_bound(f), len(f.coeffs)
     # (f g)_t = sum_{j+l=t} sigma^l(f_j) g_l: column l*n + i holds
     # sigma^l(f_j) x^i in the rows of z^(j+l)
     rows = [[0] * (n * (D + 1)) for _ in range(n * (depth + D))]

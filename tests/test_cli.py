@@ -41,6 +41,12 @@ def test_parse_error_exit_3(capsys):
     # a '*' with nothing on one side is a parse error, not x or the constant 1
     code, _, err = run(capsys, "factor", "--field", "GF(4):*y^2+y+1", "--n", "3")
     assert code == 3 and "'*' needs a factor on each side" in err
+    # permutation indices must lie in 1..r and appear at most once
+    for perm in ("perm:(1,9)", "perm:(0,1)", "perm:(2,3)(2,3)"):
+        code, _, err = run(
+            capsys, "automorphisms", "--field", "GF(2)", "--n", "7", "--sigma", perm
+        )
+        assert code == 3 and "permutation index" in err
 
 
 @pytest.mark.parametrize("field", ["GF(512)", "GF(65537)", "GF(1024):y^10+y^3+1"])
@@ -168,12 +174,13 @@ _GOOD_DESC = {
         {**_GOOD_DESC, "generator": 5},
         {**_GOOD_DESC, "sigma": 7},
         {**_GOOD_DESC, "field": 4},
+        {"field": "GF(4):y^2+y+1", "n": 3, "sigma": "x^2", "l": 2, "d": 1, "scalars": ["1"]},
     ],
     ids=[
         "top-level-number", "top-level-string", "recipe-not-object",
         "components-not-list", "components-empty", "scalars-not-list",
         "scalar-not-string", "expected-not-object", "generator-not-string",
-        "sigma-not-string", "field-not-string",
+        "sigma-not-string", "field-not-string", "flat-recipe",
     ],
 )
 def test_build_malformed_descriptor_exit_3(tmp_path, capsys, desc):
@@ -182,6 +189,17 @@ def test_build_malformed_descriptor_exit_3(tmp_path, capsys, desc):
     code, _, err = run(capsys, "build", "--recipe", str(path))
     assert code == 3
     assert err.startswith("parse error:")
+
+
+def test_build_override_zero_length_exit_2(tmp_path, capsys):
+    """--n 0 overrides the descriptor's n (it is not read as "no override")
+    and reaches RingContext, which rejects it."""
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(_GOOD_DESC))
+    code, _, err = run(capsys, "build", "--recipe", str(path), "--n", "0")
+    assert code == 2
+    code, out, _ = run(capsys, "build", "--recipe", str(path), "--n", "3")
+    assert code == 0 and json.loads(out)["n"] == 3
 
 
 def test_build_multi_component(tmp_path, capsys):

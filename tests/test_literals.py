@@ -147,6 +147,17 @@ def test_parse_sigma_forms(ctx27):
         parse_sigma(ctx27, "perm:(1)(2 3")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["perm:(1,9)", "perm:(0,1)", "perm:(4)", "perm:(2,3)(2,3)", "perm:(2,2)", "perm:(1)(1)"],
+)
+def test_parse_sigma_rejects_bad_permutation_indices(ctx27, text):
+    """GF(2) n=7 has r = 3 components: an index outside 1..3 or repeated
+    across the cycles is a ParseError, not an IndexError or a silent merge."""
+    with pytest.raises(ParseError):
+        parse_sigma(ctx27, text)
+
+
 def test_matrix_roundtrip(F4):
     entries = [["1+z^2", "a*z"], ["0", "a^2"]]
     M = matrix_from_dict(F4, {"rows": 2, "cols": 2, "entries": entries})

@@ -258,16 +258,17 @@ def test_non_unit_constant_term_rejected(sig27):
     assert unit_inverse_by_solving(f) is None
 
 
-def _sigma_by_cycles(p, n, cycles):
-    ctx = RingContext(make_field(p, 1), n)
+def _sigma_by_cycles(field, n, cycles):
+    ctx = RingContext(field, n)
     return find_automorphism_for_permutation(
         ctx, permutation_from_cycles(ctx.r, cycles)
     )
 
 
-def test_unit_decision_agrees_with_linear_system_oracle(sig27, sig43):
+def test_unit_decision_agrees_with_linear_system_oracle(sig27, sig43, sig87):
     """is_unit and unit_inverse against one solve of f*g = 1 at the proven
-    degree bound, in characteristic 2 and in odd characteristic.  Samples:
+    degree bound, over prime and extension fields of characteristic 2 and
+    of odd characteristic.  Samples:
     units u = c * unit_product(...), non-units with a unit constant term
     u * (1 + z c e_C) with e_C the idempotent of a whole sigma-cycle (its
     e_C block has a unit leading coefficient, so degrees add there), and
@@ -276,8 +277,10 @@ def test_unit_decision_agrees_with_linear_system_oracle(sig27, sig43):
     cases = (
         (sig27, 2, 2),
         (sig43, 3, 3),
-        (_sigma_by_cycles(3, 4, [(1, 2)]), 3, 3),
-        (_sigma_by_cycles(5, 4, [(1, 2), (3, 4)]), 3, 3),
+        (sig87, 3, 3),
+        (_sigma_by_cycles(make_field(3, 1), 4, [(1, 2)]), 3, 3),
+        (_sigma_by_cycles(make_field(5, 1), 4, [(1, 2), (3, 4)]), 3, 3),
+        (_sigma_by_cycles(make_field(3, 2), 4, [(2, 3, 4)]), 3, 3),
     )
     for sig, unit_deg, rand_deg in cases:
         ctx = sig.context
