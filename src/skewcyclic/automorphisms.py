@@ -10,11 +10,21 @@ its cycles, and the per-component orders are precomputed.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 from . import linalg
 from .errors import ClassViolation, IndexOutOfRange, NotAnAutomorphism
 from .fields import Poly
 from .ring import CrtVector, RingContext, RingElement
+
+
+class UnitBlock(NamedTuple):
+    """A union C of sigma-cycles: eps_C A is F[x]/(g_C), g_C = prod_{k in C} pi_k."""
+
+    modulus: Poly  # g_C
+    dim: int  # deg g_C
+    idempotent: RingElement  # eps_C = sum_{k in C} eps_k
+    x_images: tuple  # sigma^j(x) mod g_C, 0 <= j < order of sigma; () if fixed
 
 
 class Automorphism:
@@ -54,6 +64,7 @@ class Automorphism:
             for l in cyc:
                 self._order_of[l] = len(cyc)
         self._map_order = None
+        self._unit_blocks = None
 
     def _cycle_decomposition(self):
         seen = set()
@@ -98,6 +109,33 @@ class Automorphism:
                 m += 1
             self._map_order = m
         return self._map_order
+
+    @property
+    def unit_blocks(self):
+        """(moved, fixed), computed on first use and cached: one UnitBlock
+        per cycle of length > 1, and one UnitBlock (with no x_images) for
+        the union of the fixed cycles, or None when there are none.  The
+        idempotent of a whole cycle is sigma-fixed, hence central in
+        A[z;sigma], so units are decided one block at a time."""
+        if self._unit_blocks is None:
+            ctx = self.context
+            field = ctx.field
+            images, codes = [], ctx.x.codes
+            for _ in range(self.order):
+                images.append(Poly(field, codes))
+                codes = self._apply_once(codes)
+
+            def block(ks, xs):
+                g = Poly.one(field)
+                for k in ks:
+                    g = g * ctx.factors[k - 1]
+                eps = sum((ctx.idempotent(k) for k in ks), ctx.zero)
+                return UnitBlock(g, int(g.degree), eps, tuple(s % g for s in xs))
+
+            moved = tuple(block(c, images) for c in self.cycles if len(c) > 1)
+            fixed = [c[0] for c in self.cycles if len(c) == 1]
+            self._unit_blocks = (moved, block(fixed, ()) if fixed else None)
+        return self._unit_blocks
 
     def apply(self, a: RingElement, power: int = 1) -> RingElement:
         """sigma^power(a); negative powers go through the map order."""

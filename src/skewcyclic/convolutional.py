@@ -30,7 +30,7 @@ from .skew import SkewPoly, vector_from_skew
 class PolyMatrix:
     """Rectangular matrix of polynomials in z over a fixed field."""
 
-    __slots__ = ("field", "entries")
+    __slots__ = ("field", "entries", "_right_invertible")
 
     def __init__(self, field: FieldSpec, entries):
         rows = tuple(tuple(e for e in row) for row in entries)
@@ -45,6 +45,7 @@ class PolyMatrix:
                     raise MixedFields("entries must be polynomials over the matrix field")
         self.field = field
         self.entries = rows
+        self._right_invertible = None
 
     # -- constructors -------------------------------------------------------
 
@@ -181,15 +182,18 @@ class PolyMatrix:
     def is_right_invertible(self) -> bool:
         """Constant nonzero gcd of the maximal minors (all zero means the
         rows are dependent); stops at the first minor that makes the gcd
-        constant."""
-        g = None
-        for m in self.k_minors():
-            if m.is_zero():
-                continue
-            g = m if g is None else poly_gcd(g, m)
-            if g.degree == 0:
-                return True
-        return False
+        constant.  The matrix is immutable, so the answer is kept."""
+        if self._right_invertible is None:
+            found, g = False, None
+            for m in self.k_minors():
+                if m.is_zero():
+                    continue
+                g = m if g is None else poly_gcd(g, m)
+                if g.degree == 0:
+                    found = True
+                    break
+            self._right_invertible = found
+        return self._right_invertible
 
     # -- Smith form and consequences -------------------------------------------
 

@@ -590,11 +590,13 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random):
 def factor_xn_minus_1(field: FieldSpec, n: int):
     """Ordered irreducible factorization of x^n - 1 over the field.
 
-    Requires gcd(n, q) = 1 so the polynomial is squarefree.  Factors come
+    Requires n >= 1 and gcd(n, q) = 1 so the polynomial is squarefree.  Factors come
     back sorted by degree, ties broken by coefficient lex order with
     0 < 1 < a < a^2 < ...; this order fixes the component indices 1..r.
     """
-    if n < 1 or n % field.p == 0:
+    if n < 1:
+        raise BadParameters(f"length must be positive, got {n}")
+    if n % field.p == 0:
         raise LengthNotCoprime(f"length {n} is not coprime to the field size {field.q}")
     f = Poly.x_pow_n_minus_1(field, n)
     rng = random.Random(0xC0DE)

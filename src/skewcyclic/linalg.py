@@ -37,11 +37,18 @@ def bareiss(field: FieldSpec, rows):
             a[r], a[i] = a[i], a[r]
             sign = -sign
         piv, prow = a[r][c], a[r]
+        # dividing by a constant is scaling by its inverse (by nothing for 1)
+        scale = field.inv_c(prev.codes[0]) if prev.degree == 0 else None
         for i in range(r + 1, m):
             row = a[i]
             f = row[c]
             for j in range(c + 1, n):
-                row[j] = (row[j] * piv - f * prow[j]).exact_div(prev)
+                t = row[j] * piv - f * prow[j]
+                if scale is None:
+                    t = t.exact_div(prev)
+                elif scale != 1:
+                    t = t.scale(scale)
+                row[j] = t
         prev = piv
         r += 1
     if m != n:

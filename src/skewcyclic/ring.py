@@ -26,7 +26,9 @@ class RingContext:
     """F[x]/(x^n - 1) with its CRT decomposition precomputed."""
 
     def __init__(self, field: FieldSpec, n: int):
-        if n < 1 or n % field.p == 0:
+        if n < 1:
+            raise BadParameters(f"length must be positive, got {n}")
+        if n % field.p == 0:
             raise LengthNotCoprime(
                 f"length {n} is not coprime to the field size {field.q}"
             )

@@ -26,7 +26,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .automorphisms import Automorphism
-from .fields import NEG_INF, Poly
+from .fields import NEG_INF, Poly, poly_ext_gcd
 from .ring import RingElement
 
 
@@ -258,7 +258,8 @@ class SkewPoly:
 
     def module_matrix(self):
         """Right multiplication by f as an n x n matrix over F[z]: row i is
-        vec(x^i f)."""
+        vec(x^i f).  No unit decision uses it: it is the whole-module oracle
+        of the tests, and perfbench spans it by name."""
         xs = SkewPoly.constant(self.sigma, self.context.x)
         rows = []
         cur = self
@@ -267,51 +268,107 @@ class SkewPoly:
             cur = xs * cur
         return rows
 
-    def is_unit(self) -> bool:
-        """Exact unit test: the module matrix must have constant nonzero
-        determinant.  Setting z = 0 is a ring map onto A, so a unit's
-        constant term is a unit of A; that is checked first.  unit_inverse
-        decides the same way inside its own elimination."""
+    def _passes_unit_shortcuts(self) -> bool:
+        """The two necessary conditions read off without elimination.
+        Setting z = 0 is a ring map onto A, so a unit's constant term is a
+        unit of A.  On a fixed cycle {k}, eps_k A[z;sigma] is K_k[z;theta],
+        a domain, whose units are constants; so every f_j, j >= 1, vanishes
+        on the fixed block (is 0 mod its modulus)."""
         if not self.coeffs or not self.context.is_unit(self.coeffs[0]):
             return False
-        d = linalg.poly_det(self.context.field, self.module_matrix())
-        return d.degree == 0
+        fixed = self.sigma.unit_blocks[1]
+        return fixed is None or not any(
+            c.as_poly() % fixed.modulus for c in self.coeffs[1:]
+        )
+
+    def _block_matrix(self, block) -> list:
+        """Right multiplication by f on eps_C A[z;sigma] as a dim_C x dim_C
+        matrix over F[z], in the basis x^i of eps_C A = F[x]/(g_C): row i
+        holds the z-coefficients of x^i f mod g_C, whose z^j coefficient is
+        sigma^j(x)^i f_j mod g_C."""
+        field = self.context.field
+        g, dim, images = block.modulus, block.dim, block.x_images
+        cur = [c.as_poly() % g for c in self.coeffs]
+        steps = [images[j % len(images)] for j in range(len(cur))]
+        rows = []
+        for i in range(dim):
+            padded = [p.codes + (0,) * (dim - len(p.codes)) for p in cur]
+            rows.append([Poly(field, col) for col in zip(*padded)])
+            if i + 1 < dim:
+                cur = [(p * s) % g for p, s in zip(cur, steps)]
+        return rows
+
+    def is_unit(self) -> bool:
+        """Exact unit test, one sigma-cycle at a time: a unit constant term,
+        vanishing of the z^j coefficients (j >= 1) on the fixed cycles, and
+        for each moved cycle C a nonzero constant determinant of the block
+        matrix (_block_matrix).  The eps_C are central and sum to 1 with
+        eps_fix, so f is a unit iff every block is one."""
+        if not self._passes_unit_shortcuts():
+            return False
+        field = self.context.field
+        return all(
+            linalg.poly_det(field, self._block_matrix(b)).degree == 0
+            for b in self.sigma.unit_blocks[0]
+        )
 
     def unit_inverse(self) -> "SkewPoly":
         """Two-sided inverse of a unit; NotAUnit for anything else.
 
-        Row i of the module matrix M is vec(x^i f), so vec(g f) = vec(g) M
-        and g f = 1 is the system M^T vec(g) = vec(1) over F[z].  One
-        fraction-free elimination of [M^T | vec(1)] decides and solves it.
-        A unit constant term makes M(0) invertible, so the n pivots sit on
-        the diagonal and the last one is d = +-det M; f is a unit iff d is
-        constant.  Back-substitution then gives d vec(g), whose entries are
-        minors of [M^T | vec(1)] (Cramer), by exact divisions.
+        After the checks of _passes_unit_shortcuts the part of f on the
+        fixed block is the constant eps_fix f_0, inverted modulo the block's
+        modulus and lifted back as eps_fix (f_0^-1 mod g_fix).  On a moved
+        cycle C with block matrix M, g f = eps_C is the system
+        M^T vec_C(g) = e_1 over F[z] (eps_C = 1 mod g_C).  One
+        fraction-free elimination of [M^T | e_1] decides and solves it: a
+        unit constant term makes M(0) invertible, so the pivots sit on the
+        diagonal and the last one is d = +-det M; the block is a unit iff d
+        is constant.  Back-substitution gives d vec_C(g), whose entries are
+        minors of [M^T | e_1] (Cramer), by exact divisions, and each
+        coordinate p lifts back to A as eps_C p.
         """
         ctx = self.context
-        if not self.coeffs or not ctx.is_unit(self.coeffs[0]):
+        if not self._passes_unit_shortcuts():
             raise NotAUnit(f"{self} is not a unit")
-        n = ctx.n
-        M = self.module_matrix()
-        rhs = vector_from_skew(SkewPoly.one(self.sigma))
-        _, _, a = linalg.bareiss(
-            ctx.field, [[row[c] for row in M] + [rhs[c]] for c in range(n)]
-        )
-        if any(a[i][i].is_zero() for i in range(n)):
-            raise AssertionError("module matrix singular under a unit constant term")
-        d = a[n - 1][n - 1]
-        if d.degree != 0:
-            raise NotAUnit(f"{self} is not a unit")
-        # only entries on and right of the diagonal are valid after bareiss
-        y = [None] * n
-        for i in range(n - 1, -1, -1):
-            acc = d * a[i][n]
-            for j in range(i + 1, n):
-                acc = acc - a[i][j] * y[j]
-            y[i] = acc.exact_div(a[i][i])
-        g = skew_from_vector(self.sigma, [p.exact_div(d) for p in y])
-        one = SkewPoly.one(self.sigma)
-        if g * self != one or self * g != one:
+        field = ctx.field
+        one, zero = Poly.one(field), Poly.zero(field)
+        blocks, fixed = self.sigma.unit_blocks
+        coeffs = [ctx.zero]
+        if fixed is not None:
+            _, u, _ = poly_ext_gcd(self.coeffs[0].as_poly(), fixed.modulus)
+            coeffs[0] = fixed.idempotent * ctx.from_poly(u)
+        for block in blocks:
+            dim = block.dim
+            M = self._block_matrix(block)
+            _, _, a = linalg.bareiss(
+                field,
+                [[row[c] for row in M] + [one if c == 0 else zero] for c in range(dim)],
+            )
+            if any(a[i][i].is_zero() for i in range(dim)):
+                raise AssertionError("block matrix singular under a unit constant term")
+            d = a[dim - 1][dim - 1]
+            if d.degree != 0:
+                raise NotAUnit(f"{self} is not a unit")
+            # only entries on and right of the diagonal are valid after bareiss
+            y = [None] * dim
+            for i in range(dim - 1, -1, -1):
+                acc = d * a[i][dim]
+                for j in range(i + 1, dim):
+                    acc = acc - a[i][j] * y[j]
+                y[i] = acc.exact_div(a[i][i])
+            p = [c.exact_div(d).codes for c in y]
+            depth = max(len(c) for c in p)
+            padded = [c + (0,) * (depth - len(c)) for c in p]
+            # the z^j coefficient of the inverse on C is sum_i p_i[j] x^i
+            for j, col in enumerate(zip(*padded)):
+                part = block.idempotent * RingElement(ctx, col + (0,) * (ctx.n - dim))
+                if j < len(coeffs):
+                    coeffs[j] = coeffs[j] + part
+                else:
+                    coeffs.append(part)
+        g = SkewPoly(self.sigma, coeffs)
+        identity = SkewPoly.one(self.sigma)
+        if g * self != identity or self * g != identity:
             raise AssertionError("inverse failed to be two-sided")
         return g
 

@@ -35,6 +35,13 @@ def test_factor_noncoprime_exit_2(capsys):
     assert "coprime" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_factor_nonpositive_length_exit_2(capsys, n):
+    code, _, err = run(capsys, "factor", "--field", "GF(2)", "--n", n)
+    assert code == 2
+    assert "length must be positive" in err and "coprime" not in err
+
+
 def test_parse_error_exit_3(capsys):
     code, _, err = run(capsys, "factor", "--field", "GF(7):nope", "--n", "3")
     assert code == 3
@@ -200,6 +207,40 @@ def test_build_override_zero_length_exit_2(tmp_path, capsys):
     assert code == 2
     code, out, _ = run(capsys, "build", "--recipe", str(path), "--n", "3")
     assert code == 0 and json.loads(out)["n"] == 3
+
+
+def test_build_with_distance_decides_right_invertibility_once(tmp_path, capsys, monkeypatch):
+    """build --with-distance takes exactly the determinants of
+    ConvCode.from_reduced on the same generator: the free-distance search
+    reads the build's right-invertibility answer instead of taking the
+    minors again."""
+    from skewcyclic import linalg
+    from skewcyclic.convolutional import ConvCode
+    from skewcyclic.literals import parse_sigma
+    from skewcyclic.ring import RingContext
+    from skewcyclic.skew import unit_product
+
+    calls = []
+    det = linalg.poly_det
+
+    def counting_det(field, rows):
+        calls.append(1)
+        return det(field, rows)
+
+    monkeypatch.setattr(linalg, "poly_det", counting_det)
+    desc = {"field": "GF(2)", "n": 7, "sigma": "x^5", "recipe": {"l": 2, "d": 2}}
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(desc))
+    code, out, err = run(capsys, "build", "--recipe", str(path), "--with-distance")
+    assert code == 0, err
+    assert json.loads(out)["distance"]["distance"] == 12
+    built = len(calls)
+    sigma = parse_sigma(RingContext(parse_field("GF(2)"), 7), "x^5")
+    ctx = sigma.context
+    g = unit_product(sigma, 2, [ctx.one, ctx.one]).component(2)
+    del calls[:]
+    ConvCode.from_reduced(g)
+    assert built == len(calls) > 0
 
 
 def test_build_multi_component(tmp_path, capsys):

@@ -100,9 +100,10 @@ def test_generator_matrix_golden(sig27, poly_g):
 
 
 def test_minors_computed_once(poly_g, monkeypatch):
-    """Build plus distance on the (7,3,6) golden: right invertibility (checked
-    by the build and again by the distance search) stops at the first
-    constant minor gcd, and minimality and delta take no minors at all."""
+    """Build plus distance on the (7,3,6) golden: right invertibility is
+    decided once (the build asks, the distance search reads the kept
+    answer) and stops at the first constant minor gcd, and minimality and
+    delta take no minors at all."""
     calls = []
     det = linalg.poly_det
 
@@ -113,7 +114,7 @@ def test_minors_computed_once(poly_g, monkeypatch):
     monkeypatch.setattr(linalg, "poly_det", counting_det)
     code = ConvCode.from_reduced(poly_g)
     assert free_distance(code.generator).distance == 12
-    assert len(calls) == 8  # 4 minors per right-invertibility check
+    assert len(calls) == 4  # the minors of the one right-invertibility check
 
 
 def test_generator_matrix_block_code(sig27):

@@ -5,18 +5,27 @@ import pytest
 
 from skewcyclic import RingContext
 from skewcyclic.errors import (
+    BadParameters,
     IndexOutOfRange,
     LengthNotCoprime,
     MixedContexts,
     NotAUnit,
     ZeroInput,
 )
-from skewcyclic.fields import Poly
+from skewcyclic.fields import Poly, factor_xn_minus_1
 
 
 def test_context_rejects_noncoprime(F2):
     with pytest.raises(LengthNotCoprime):
         RingContext(F2, 14)
+
+
+@pytest.mark.parametrize("n", [0, -1, -7])
+def test_context_rejects_nonpositive_length(F2, n):
+    with pytest.raises(BadParameters, match="length must be positive"):
+        RingContext(F2, n)
+    with pytest.raises(BadParameters, match="length must be positive"):
+        factor_xn_minus_1(F2, n)
 
 
 def test_idempotents_f2n7(ctx27):

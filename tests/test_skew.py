@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from helpers import unit_inverse_by_solving
+from helpers import module_determinant, module_unit_inverse, unit_inverse_by_solving
 from skewcyclic import (
+    Automorphism,
     RingContext,
     decompose_into_elementary,
     elementary_unit,
@@ -309,6 +310,69 @@ def test_unit_decision_agrees_with_linear_system_oracle(sig27, sig43, sig87):
                 assert f.unit_inverse() == want
 
 
+def _perturb(rng, f):
+    """f with one field coefficient (of one x^i in one f_j) changed."""
+    ctx = f.context
+    field = ctx.field
+    coeffs = list(f.coeffs)
+    j, i = rng.randrange(len(coeffs)), rng.randrange(ctx.n)
+    codes = list(coeffs[j].codes)
+    codes[i] = field.add_c(codes[i], rng.randrange(1, field.q))
+    coeffs[j] = ctx.from_codes(codes)
+    return SkewPoly(f.sigma, coeffs)
+
+
+def test_unit_decision_sweep_matches_whole_module_oracle(sig45, sig87):
+    """Production is_unit and unit_inverse, which work one sigma-cycle at a
+    time, against the whole n x n module matrix (its determinant, and one
+    fraction-free solve for the inverse).  Contexts: GF(2) n=7 with
+    sigma = x^3 and with the identity, GF(4) n=5, GF(8) n=7 with
+    (1,2)(3,4,5), GF(3) n=8 with (1,2)(3,4) and GF(9) n=4 with (2,3,4).
+    Samples: units c * unit_product(...) with c a unit constant, a
+    one-coefficient perturbation of each, and for every sigma-cycle C the
+    non-unit u * (1 + z a e_C), which fails on C alone (a fixed or a moved
+    cycle; on C its leading coefficient is a unit, so degrees add)."""
+    ctx27 = RingContext(make_field(2, 1), 7)
+    cases = (
+        Automorphism(ctx27, ctx27.element([0, 0, 0, 1])),
+        identity_automorphism(ctx27),
+        sig45,
+        sig87,
+        _sigma_by_cycles(make_field(3, 1), 8, [(1, 2), (3, 4)]),
+        _sigma_by_cycles(make_field(3, 2), 4, [(2, 3, 4)]),
+    )
+    rng = random.Random(67)
+    for sig in cases:
+        ctx = sig.context
+        one = SkewPoly.one(sig)
+        moved = [min(c) for c in sig.cycles if len(c) > 1]
+        samples = []
+        for _ in range(8):
+            u = SkewPoly.constant(sig, _some_units(ctx, rng, 1)[0])
+            if moved:
+                scalars = _some_units(ctx, rng, rng.randrange(4))
+                u = u * unit_product(sig, rng.choice(moved), scalars)
+            samples.append((u, True))
+            samples.append((_perturb(rng, u), None))
+            for cyc in sig.cycles:
+                e_c = sum((ctx.idempotent(k) for k in cyc), ctx.zero)
+                a = _some_units(ctx, rng, 1)[0] * e_c
+                samples.append((u * (one + SkewPoly.z_power(sig, 1, a)), False))
+        units = 0
+        for f, built_as_unit in samples:
+            unit = module_determinant(f).degree == 0
+            if built_as_unit is not None:
+                assert unit == built_as_unit, f
+            assert f.is_unit() == unit, (sig, f)
+            if unit:
+                units += 1
+                assert f.unit_inverse() == module_unit_inverse(f), (sig, f)
+            else:
+                with pytest.raises(NotAUnit):
+                    f.unit_inverse()
+        assert 0 < units < len(samples)
+
+
 def test_simple_unit_examples(sig43, sig27):
     ctx = sig43.context
     u = simple_unit(sig43, ctx.one, 1, 2)
@@ -415,7 +479,7 @@ def test_identity_units_are_constant_f2n7_degree_one(ctx27):
     """Exhaustive over degree <= 1 with unit constant term (a unit's constant
     term is always a unit of A, so the rest are non-units a priori), plus a
     spot check of the excluded region."""
-    from helpers import identity_units_constant
+    from helpers import identity_units_constant, is_unit_by_components
 
     identity_units_constant(ctx27, degree_cap=1, restrict_to_unit_constant=True)
     ide = identity_automorphism(ctx27)
@@ -425,7 +489,7 @@ def test_identity_units_are_constant_f2n7_degree_one(ctx27):
         if ctx27.is_unit(f0):
             continue
         f = SkewPoly(ide, (f0, ctx27.from_codes([rng.randrange(2) for _ in range(7)])))
-        assert not f.is_unit()
+        assert not is_unit_by_components(f)
 
 
 def test_decompose_examples(sig43):
