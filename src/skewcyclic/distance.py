@@ -6,6 +6,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
 
 from .convolutional import PolyMatrix
@@ -91,19 +92,35 @@ class DistanceReport:
         }
 
 
-def _word_ops(field, n: int):
-    """Arithmetic on words of n symbols of `field`, each word packed in one int.
+def _repunit(count: int, width: int) -> int:
+    """The int with bit 0 of each of `count` fields of `width` bits set."""
+    return ((1 << count * width) - 1) // ((1 << width) - 1)
+
+
+def _word_ops(field, n: int, blocks: int = 1):
+    """Arithmetic on words of `field` symbols, each word packed in one int.
 
     A symbol is the e base-p digits of its field code (see `fields`), each
     digit in b bits: b = 1 for p = 2, else the smallest b with
     p <= 2^(b-1), so that a digit sum, even plus 2^(b-1) - p, stays inside
-    its b bits.  Symbol j takes bits [j*W, (j+1)*W) with W = e*b.  Returns
-    `pack` (a sequence of n codes to a word), `add` (the symbol-wise field
-    sum of two words) and `weight` (the number of nonzero symbols).
+    its b bits.  Symbol j takes bits [j*W, (j+1)*W): W is a power-of-two
+    number of bytes, with room for the e*b digit bits and for a count up
+    to n.  A block is n symbols, or S = n*W bits.
+
+    Returns `pack` (a sequence of codes to a word), `add` (the symbol-wise
+    field sum of two words of up to `blocks` blocks), `weight` (the number
+    of nonzero symbols of such a word), S, and `block_weights`: given a
+    table `words` of one-block words it returns `weights(base)`, which
+    yields weight(base + words[a]) for every a, in table order, at once.
     """
     p, e = field.p, field.deg
     b = 1 if p == 2 else (p - 1).bit_length() + 1
-    W = e * b
+    used = e * b
+    nbytes = 1
+    while 8 * nbytes < max(used, n.bit_length()):
+        nbytes *= 2
+    W = 8 * nbytes
+    S = n * W
     spread = [
         sum((c // p ** i % p) << (i * b) for i in range(e)) for c in range(field.q)
     ]
@@ -111,33 +128,66 @@ def _word_ops(field, n: int):
     def pack(codes) -> int:
         return sum(spread[c] << (j * W) for j, c in enumerate(codes))
 
-    if p == 2:
-        add = operator.xor
-    else:
+    def adder(symbols: int):
+        if p == 2:
+            return operator.xor
         top = b - 1
+        digits = _repunit(e, b) * _repunit(symbols, W)
         # per digit: 2^(b-1) - p, and the top bit, which t + C sets iff t >= p
-        C = sum(((1 << top) - p) << (i * b) for i in range(e * n))
-        H = sum(1 << (i * b + top) for i in range(e * n))
+        C = ((1 << top) - p) * digits
+        H = (1 << top) * digits
 
         def add(x: int, y: int) -> int:
             t = x + y
             return t - (((t + C) & H) >> top) * p
 
-    # OR each symbol's W bits into its bit 0; the shifts add up to exactly
-    # W - 1, so no symbol reads a bit of the next one
+        return add
+
+    # OR each symbol's e*b digit bits into its bit 0; the shifts add up to
+    # e*b - 1 < W, so no symbol reads a bit of the next one
     shifts = []
     covered = 1
-    while covered < W:
-        shifts.append(min(covered, W - covered))
+    while covered < used:
+        shifts.append(min(covered, used - covered))
         covered += shifts[-1]
-    low = sum(1 << (j * W) for j in range(n))
+    low = _repunit(n, W)
+    lows = _repunit(n * blocks, W)
 
     def weight(x: int) -> int:
         for s in shifts:
             x |= x >> s
-        return (x & low).bit_count()
+        return (x & lows).bit_count()
 
-    return pack, add, weight
+    # a count is read as one native unsigned int of nbytes bytes
+    fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}[nbytes]
+
+    def block_weights(words):
+        # slot a (S bits) of one wide int holds base + words[a]; after the
+        # fold, x & bits keeps bit 0 of each nonzero symbol, and times low,
+        # symbol n-1 of slot a sums exactly the n bits of slot a (a W-bit
+        # field holds a count up to n, so nothing carries out of it); the
+        # partial sums of the top slot spill into one more slot
+        slots = len(words)
+        rep = _repunit(slots, S)
+        table = sum(y << (a * S) for a, y in enumerate(words))
+        add_all = adder(n * slots)
+        bits = low * rep
+        size = (slots + 1) * S // 8
+        if sys.byteorder == "little":
+            counts = slice(n - 1, n * slots, n)
+        else:  # to_bytes then lists the fields from the top one down
+            counts = slice(n * slots, 0, -n)
+
+        def weights(base: int):
+            x = add_all(base * rep, table)
+            for s in shifts:
+                x |= x >> s
+            tally = ((x & bits) * low).to_bytes(size, sys.byteorder)
+            return memoryview(tally).cast(fmt)[counts]
+
+        return weights
+
+    return pack, adder(n * blocks), weight, S, block_weights
 
 
 def _coefficient_tables(G: PolyMatrix, pack):
@@ -171,12 +221,11 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
     k, n = G.shape
     q = field.q
     # a right-invertible G has no zero row, so every row degree is an int
-    nstates = q ** sum(G.row_degrees())
-    if nstates > state_cap:
-        raise StateCapExceeded(f"q^delta = {nstates} exceeds the cap {state_cap}")
-    pack, add, word_weight = _word_ops(field, n)
+    _check_cap(q, sum(G.row_degrees()), state_cap, StateCapExceeded, "q^delta")
+    pack, add, _, _, block_weights = _word_ops(field, n)
     rows, degs = _coefficient_tables(G, pack)
     delta = sum(degs)
+    nstates = q ** delta
     inputs = list(itertools.product(range(q), repeat=k))
     # place value of each register digit; the newest one of row i is first[i]
     radix = [q ** (delta - 1 - f) for f in range(delta)]
@@ -199,7 +248,8 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
             moved = radix[first[i] + j] if j < degs[i] else 0
             out = [add(y, t) for y in out for t in rows[i][j]]
             shift = [s + c * moved for s in shift for c in range(q)]
-    edges = list(zip(inp_out, place, range(len(inputs))))
+    weights = block_weights(inp_out)
+    indices = range(len(inputs))
 
     # Dijkstra over states; a path must leave the zero state with a nonzero
     # input block and ends on its first return to the zero state.  The heap
@@ -216,9 +266,12 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
             continue
         if best is not None and w >= best:
             break
-        base, sh = out[s], shift[s]
-        for y, pl, ai in edges if s else edges[1:]:
-            cand = w + word_weight(add(base, y))
+        sh = shift[s]
+        edges = zip(weights(out[s]), place, indices)
+        if not s:
+            next(edges)  # the zero block does not leave the zero state
+        for y, pl, ai in edges:
+            cand = w + y
             ns = sh + pl
             if ns == 0:
                 if best is None or cand < best:
@@ -263,6 +316,13 @@ def _report(G, d, witness, q):
     )
 
 
+def _check_cap(q: int, x: int, cap: int, error, name: str):
+    """Raise `error` when q^x exceeds `cap`.  As q >= 2, x > log2(cap)
+    settles it before q^x is built."""
+    if x > cap.bit_length() or q ** x > cap:
+        raise error(f"{name} = {q}^{x} exceeds the cap {cap}")
+
+
 def free_distance_bruteforce(
     G: PolyMatrix, max_message_degree: int, cap: int = 2 ** 24
 ) -> int:
@@ -273,72 +333,48 @@ def free_distance_bruteforce(
     input blocks in time order with sound weight pruning: emitted blocks
     only ever add weight, and shifting a message down in time preserves
     weight, so only messages with a nonzero block at time 0 are scanned.
+    A nonzero scalar c keeps the weight and degree of cu, so the block at
+    time 0 is scanned only with its last nonzero symbol 1.
     """
     field = G.field
     k, n = G.shape
     q = field.q
     D = max_message_degree
-    if q ** (k * (D + 1)) > cap:
-        raise EnumerationCapExceeded(
-            f"q^(k(D+1)) = {q**(k*(D+1))} exceeds the cap {cap}"
-        )
-    pack, add, word_weight = _word_ops(field, n)
+    if D < 0:
+        raise BadParameters("the message degree bound D must be >= 0")
+    _check_cap(q, k * (D + 1), cap, EnumerationCapExceeded, "q^(k(D+1))")
+    m = max(max(d, 0) for d in G.row_degrees())  # a zero row has degree -inf
+    pack, add, weight, S, block_weights = _word_ops(field, n, m + 1)
     rows, degs = _coefficient_tables(G, pack)
-    m = max(degs) if degs else 0
     inputs = list(itertools.product(range(q), repeat=k))
 
-    # contrib[j][a]: the output word of input block a placed j steps in the past
-    contrib = []
-    for j in range(m + 1):
-        table = []
-        for a in inputs:
-            acc = 0
-            for i, c in enumerate(a):
-                if c and j <= degs[i]:
-                    acc = add(acc, rows[i][j][c])
-            table.append(acc)
-        contrib.append(table)
-    now = contrib[0]
+    # span[a]: the output of input block a, its block j emitted j steps later
+    span = []
+    for a in inputs:
+        acc = 0
+        for i, c in enumerate(a):
+            for j in range(degs[i] + 1):
+                acc = add(acc, rows[i][j][c] << (j * S))
+        span.append(acc)
+    first = (1 << S) - 1  # the block emitted now
+    weights = block_weights([y & first for y in span])
+    # the blocks whose last nonzero symbol is 1 start a message
+    starts = [a for a, blk in enumerate(inputs) if [c for c in blk if c][-1:] == [1]]
     blocks = range(len(inputs))
-    # input block per time step, 0 being the zero block; entries from t on
-    # are left over from earlier branches and are overwritten before any read
-    history = [0] * (D + 1)
-    best = None
+    best = n * (D + m + 1) + 1  # above the weight of every codeword scanned
 
-    def tail_weight(total):
-        """Add the weight of the blocks emitted after time D."""
-        for t in range(D + 1, D + m + 1):
-            acc = 0
-            for j in range(t - D, min(m, t) + 1):
-                past = history[t - j]
-                if past:
-                    acc = add(acc, contrib[j][past])
-            total += word_weight(acc)
-            if best is not None and total >= best:
-                return total
-        return total
-
-    def dfs(t, partial):
+    def dfs(t, pending, partial):
+        """Scan time t on; `pending` is what the blocks before t still emit,
+        from time t on, and `partial` the weight they emitted before t."""
         nonlocal best
         if t > D:
-            total = tail_weight(partial)
-            if best is None or total < best:
-                best = total
+            best = min(best, partial + weight(pending))
             return
-        # what the blocks before time t add to the block emitted at time t
-        past = 0
-        for j in range(1, min(m, t) + 1):
-            h = history[t - j]
-            if h:
-                past = add(past, contrib[j][h])
-        for a in blocks[1:] if t == 0 else blocks:
-            w = partial + word_weight(add(past, now[a]))
-            if best is not None and w >= best:
-                continue
-            history[t] = a
-            dfs(t + 1, w)
+        ws = weights(pending & first)
+        for a in starts if t == 0 else blocks:
+            w = partial + ws[a]
+            if w < best:
+                dfs(t + 1, add(pending, span[a]) >> S, w)
 
-    dfs(0, 0)
-    if best is None:
-        raise AssertionError("the enumeration found no nonzero codeword")
+    dfs(0, 0, 0)
     return best

@@ -2,6 +2,8 @@
 
 import itertools
 
+from skewcyclic.convolutional import PolyMatrix
+from skewcyclic.distance import weight
 from skewcyclic.fields import Poly, monic_polys
 
 
@@ -263,3 +265,20 @@ def factor_squarefree_trial(f: Poly):
         if not found:
             d += 1
     return sorted(factors, key=Poly.lex_key)
+
+
+def min_weight_by_enumeration(G, D: int) -> int:
+    """Min weight of uG over every nonzero message u with deg u <= D (test
+    oracle): each u is built as a 1 x k PolyMatrix and multiplied out, with
+    no pruning, packing or normalization."""
+    field = G.field
+    k = G.nrows
+    best = None
+    for coeffs in itertools.product(range(field.q), repeat=k * (D + 1)):
+        if not any(coeffs):
+            continue
+        u = [Poly(field, list(coeffs[i * (D + 1) : (i + 1) * (D + 1)])) for i in range(k)]
+        w = weight((PolyMatrix(field, [u]) * G).entries[0])
+        if best is None or w < best:
+            best = w
+    return best

@@ -1,6 +1,10 @@
+import functools
 import random
+import time
 
 import pytest
+
+from helpers import min_weight_by_enumeration
 
 from skewcyclic import (
     MinimalCodeRecipe,
@@ -121,6 +125,31 @@ def test_enumeration_cap(sig43, ctx43):
         free_distance_bruteforce(code.generator, 20)
 
 
+def test_caps_are_checked_before_the_power_is_built(F2):
+    """A state or message count far past its cap is refused at once, with
+    the count printed as q^x: the power itself has more decimal digits than
+    int-to-str conversion allows."""
+    one = Poly.one(F2)
+    G = PolyMatrix(F2, [[one, Poly(F2, [1] + [0] * 14999 + [1])]])
+    start = time.perf_counter()
+    with pytest.raises(StateCapExceeded, match=r"2\^15000"):
+        free_distance(G)
+    assert time.perf_counter() - start < 1
+    F3 = make_field(3, 1)
+    G = PolyMatrix(F3, [[Poly.one(F3), Poly(F3, [1, 1])]])
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapExceeded, match=r"3\^10000001"):
+        free_distance_bruteforce(G, 10 ** 7)
+    assert time.perf_counter() - start < 1
+
+
+def test_bruteforce_negative_degree(F2):
+    """No message has degree < 0, so there is no codeword to weigh."""
+    one = Poly.one(F2)
+    with pytest.raises(BadParameters):
+        free_distance_bruteforce(PolyMatrix(F2, [[one, one, one]]), -1)
+
+
 def test_bruteforce_zero_row(F2):
     """A zero row sends a nonzero message to the zero word: weight 0."""
     one, z, zero = Poly.one(F2), Poly.x(F2), Poly.zero(F2)
@@ -160,6 +189,25 @@ def test_bruteforce_matches_state_graph_random(sig43, sig45):
             assert free_distance_bruteforce(
                 code.generator, code.delta + ctx.n, cap=2 ** 60
             ) == exact
+
+
+def test_bruteforce_matches_plain_enumeration():
+    """The oracle against a plain walk over every nonzero message of degree
+    <= D, for D = 0..2, over GF(3) (k = 1 and k = 2), GF(4) (k = 2),
+    GF(5), GF(8) and GF(9); and on a k = 2 GF(3) matrix whose lightest
+    words come from its second row alone, which a scan that fixes the
+    wrong symbol of the first block misses."""
+    golden = {name: code for name, code, _ in golden_codes(load_default_fixtures())}
+    codes = [_seeded_code(i) for i in (0, 2, 3, 4)]
+    matrices = [c.generator for c in codes + [golden["minC5-m1"], golden["F8n7-g1"]]]
+    F3 = make_field(3, 1)
+    zero, one, one_z, two_z = (Poly(F3, c) for c in ([], [1], [1, 1], [0, 2]))
+    matrices.append(
+        PolyMatrix(F3, [[one_z, one_z, one_z, one_z], [zero, one, two_z, zero]])
+    )
+    for G in matrices:
+        for D in range(3):
+            assert free_distance_bruteforce(G, D) == min_weight_by_enumeration(G, D)
 
 
 def test_bound_chain(sig43, ctx43, sig45):
@@ -423,14 +471,15 @@ def test_odd_characteristic_state_graph_matches_oracle(index):
     assert rep.distance <= rep.griesmer <= rep.singleton
 
 
+@functools.cache  # two tests share the fields; building them takes ~2 s
 def _default_fields():
     primes = [p for p in range(2, MAX_FIELD_SIZE + 1) if all(p % d for d in range(2, p))]
-    return [
+    return tuple(
         make_field(p, e)
         for p in primes
         for e in range(1, MAX_FIELD_SIZE.bit_length())
         if p ** e <= MAX_FIELD_SIZE
-    ]
+    )
 
 
 def _nonzero(word):
@@ -446,7 +495,7 @@ def test_packed_word_arithmetic():
     for field in fields:
         q, table = field.q, field._add
         rng = random.Random(q)
-        pack, add, weight = _word_ops(field, 3)
+        pack, add, weight, _, _ = _word_ops(field, 3)
         u = [rng.randrange(q) for _ in range(3)]
         v = [rng.randrange(q) for _ in range(3)]
         uv = [table[x][y] for x, y in zip(u, v)]
@@ -462,12 +511,48 @@ def test_packed_word_arithmetic():
             for a in range(q):
                 x = pack(us[a])
                 assert [add(x, y) for y in packed_vs] == [packed_sums[c] for c in table[a]]
+        # words of up to three blocks
+        pack, add, weight, _, _ = _word_ops(field, 3, 3)
+        u = [rng.randrange(q) for _ in range(9)]
+        v = [rng.randrange(q) for _ in range(9)]
+        assert add(pack(u), pack(v)) == pack([table[x][y] for x, y in zip(u, v)])
+        assert weight(pack(u)) == _nonzero(u)
         if q > 16:
             continue
-        pack, add, weight = _word_ops(field, 2)
+        pack, add, weight, _, _ = _word_ops(field, 2)
         packed = {pack([a, b]): [a, b] for a in range(q) for b in range(q)}
         assert len(packed) == q * q
         for x, w in packed.items():
             assert weight(x) == _nonzero(w)
             for y, w2 in packed.items():
                 assert packed[add(x, y)] == [table[a][b] for a, b in zip(w, w2)]
+
+
+def test_block_weights():
+    """weights(base) against a plain count of every base + words[a]: for
+    every default field, tables of 1, q and 64 seeded words of 3 symbols,
+    one word the negation of base; and 300-symbol words, whose counts pass
+    255, in characteristic 2 and in odd characteristic."""
+    for field in _default_fields():
+        q, table, neg = field.q, field._add, field._neg
+        rng = random.Random(q)
+        pack, _, _, _, block_weights = _word_ops(field, 3)
+        for size in (1, q, 64):
+            base = [rng.randrange(q) for _ in range(3)]
+            words = [[neg[c] for c in base]]
+            words += [[rng.randrange(q) for _ in range(3)] for _ in range(size - 1)]
+            weights = block_weights([pack(w) for w in words])
+            expected = [_nonzero(table[x][y] for x, y in zip(base, w)) for w in words]
+            assert list(weights(pack(base))) == expected
+    by_size = {field.q: field for field in _default_fields()}
+    for q in (2, 256, 3, 251):
+        field, table = by_size[q], by_size[q]._add
+        rng = random.Random(q)
+        pack, _, _, _, block_weights = _word_ops(field, 300)
+        base = [rng.randrange(1, q) for _ in range(300)]
+        words = [[0] * 300, [field._neg[c] for c in base]]
+        words += [[rng.randrange(q) for _ in range(300)] for _ in range(5)]
+        weights = block_weights([pack(w) for w in words])
+        expected = [_nonzero(table[x][y] for x, y in zip(base, w)) for w in words]
+        assert expected[0] == 300
+        assert list(weights(pack(base))) == expected
