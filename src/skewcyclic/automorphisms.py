@@ -2,20 +2,30 @@
 
 An automorphism is pinned down by the image of x, which must satisfy
 sigma(x)^n = 1 with 1, sigma(x), ..., sigma(x)^{n-1} linearly independent
-over F.
-Each automorphism permutes the primitive idempotents; that permutation,
-its cycles, and the per-component orders are precomputed.
+over F.  Each automorphism permutes the primitive idempotents; that
+permutation, its cycles, and the per-component orders are kept with it.
+
+Enumerated and permutation-built automorphisms are correct by construction
+(sigma(x) is lifted from a root of pi_k in component perm(k)), so nothing is
+re-checked; only a supplied image of x goes through `Automorphism(ctx, a)`.
+The brute-force enumeration, the `aut-*` goldens and a test that rebuilds
+every enumerated automorphism through that validating path cross-check it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from typing import NamedTuple
 
 from . import linalg
-from .errors import ClassViolation, IndexOutOfRange, NotAnAutomorphism
+from .errors import ClassViolation, IndexOutOfRange, NotAnAutomorphism, SearchSpaceTooLarge
 from .fields import Poly
-from .ring import CrtVector, RingContext, RingElement
+from .ring import CrtVector, RingContext, RingElement, accumulate_rows
+
+# enumerate_automorphisms refuses larger groups (GF(2), n = 31 has 11,250,000)
+MAX_LISTED_AUTOMORPHISMS = 10 ** 5
 
 
 class UnitBlock(NamedTuple):
@@ -27,115 +37,109 @@ class UnitBlock(NamedTuple):
     x_images: tuple  # sigma^j(x) mod g_C, 0 <= j < order of sigma; () if fixed
 
 
+def _power_rows(context: RingContext, sigma_x: RingElement, count: int) -> tuple:
+    """Coefficient codes of sigma(x)^i = sigma(x^i) for 0 <= i < count."""
+    rows = []
+    power = context.one
+    for _ in range(count):
+        rows.append(power.codes)
+        power = power * sigma_x
+    return tuple(rows)
+
+
 class Automorphism:
     """An element of Aut_F(A), stored via sigma(x) plus derived data."""
 
     def __init__(self, context: RingContext, sigma_x: RingElement):
+        """Validate sigma(x): sigma(x)^n = 1 with independent powers, and
+        read the permutation off the images of the idempotents."""
         context._check(sigma_x)
+        n = context.n
+        rows = _power_rows(context, sigma_x, n + 1)
+        if rows[n] != context.one.codes:
+            raise NotAnAutomorphism(f"({sigma_x})^{n} != 1")
+        rows = rows[:n]
+        if linalg.rank(context.field, rows) != n:
+            raise NotAnAutomorphism(f"powers of {sigma_x} are linearly dependent over F")
+        by_codes = {e.codes: k for k, e in enumerate(context.idempotents, start=1)}
+        perm = tuple(
+            by_codes.get(tuple(accumulate_rows(context.field, [0] * n, e.codes, rows)))
+            for e in context.idempotents
+        )
+        if None in perm:
+            raise NotAnAutomorphism("image of an idempotent is not an idempotent")
+        self._init(context, sigma_x, perm)
+        self._power_matrix = rows
+
+    @classmethod
+    def _trusted(cls, context: RingContext, sigma_x: RingElement, perm) -> "Automorphism":
+        """An automorphism built to induce `perm`: nothing is re-checked."""
+        self = cls.__new__(cls)
+        self._init(context, sigma_x, tuple(perm))
+        return self
+
+    def _init(self, context, sigma_x, perm):
         self.context = context
         self.sigma_x = sigma_x
-        n = context.n
-        # rows[i] = coefficient codes of sigma(x)^i = sigma(x^i)
-        rows = []
-        power = context.one
-        for _ in range(n):
-            rows.append(power.codes)
-            power = power * sigma_x
-        if power != context.one:  # sigma(x)^n must be 1
-            raise NotAnAutomorphism(f"({sigma_x})^{n} != 1")
-        if linalg.rank(context.field, rows) != n:
-            raise NotAnAutomorphism(
-                f"powers of {sigma_x} are linearly dependent over F"
-            )
-        self._matrix = tuple(rows)
-        # induced permutation on the idempotents
-        by_codes = {e.codes: k for k, e in enumerate(context.idempotents, start=1)}
-        perm = [0] * (context.r + 1)
-        for k in range(1, context.r + 1):
-            image = self.apply(context.idempotent(k))
-            l = by_codes.get(image.codes)
-            if l is None:
-                raise NotAnAutomorphism("image of an idempotent is not an idempotent")
-            perm[k] = l
-        self.perm = tuple(perm[1:])  # perm[k-1] = Pi_sigma(k)
+        self.perm = perm  # perm[k-1] = Pi_sigma(k)
         self.cycles = self._cycle_decomposition()
-        self._order_of = {}
-        for cyc in self.cycles:
-            for l in cyc:
-                self._order_of[l] = len(cyc)
-        self._map_order = None
-        self._unit_blocks = None
+        self._order_of = {l: len(cyc) for cyc in self.cycles for l in cyc}
+
+    @functools.cached_property
+    def _power_matrix(self) -> tuple:
+        """Row i holds the codes of sigma(x^i); built on first use."""
+        return _power_rows(self.context, self.sigma_x, self.context.n)
 
     def _cycle_decomposition(self):
-        seen = set()
-        cycles = []
-        for start in range(1, self.context.r + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            k = self.perm[start - 1]
-            while k != start:
-                cyc.append(k)
+        cycles, seen = [], set()
+        for k in range(1, self.context.r + 1):
+            cyc = []
+            while k not in seen:
                 seen.add(k)
+                cyc.append(k)
                 k = self.perm[k - 1]
-            cycles.append(tuple(cyc))
+            if cyc:
+                cycles.append(tuple(cyc))
         return tuple(cycles)
 
     # -- evaluation --------------------------------------------------------
 
     def _apply_once(self, codes):
-        field = self.context.field
-        mul, add = field._mul, field._add
         out = [0] * self.context.n
-        for i, c in enumerate(codes):
-            if c:
-                row = self._matrix[i]
-                mc = mul[c]
-                for j, m in enumerate(row):
-                    if m:
-                        out[j] = add[out[j]][mc[m]]
-        return tuple(out)
+        return tuple(accumulate_rows(self.context.field, out, codes, self._power_matrix))
 
-    @property
+    @functools.cached_property
     def order(self) -> int:
         """Order of sigma as a map (cached)."""
-        if self._map_order is None:
-            m = 1
-            codes = self.sigma_x.codes
-            ident = self.context.x.codes
-            while codes != ident:
-                codes = self._apply_once(codes)
-                m += 1
-            self._map_order = m
-        return self._map_order
+        m, codes, ident = 1, self.sigma_x.codes, self.context.x.codes
+        while codes != ident:
+            codes, m = self._apply_once(codes), m + 1
+        return m
 
-    @property
+    @functools.cached_property
     def unit_blocks(self):
         """(moved, fixed), computed on first use and cached: one UnitBlock
         per cycle of length > 1, and one UnitBlock (with no x_images) for
         the union of the fixed cycles, or None when there are none.  The
         idempotent of a whole cycle is sigma-fixed, hence central in
         A[z;sigma], so units are decided one block at a time."""
-        if self._unit_blocks is None:
-            ctx = self.context
-            field = ctx.field
-            images, codes = [], ctx.x.codes
-            for _ in range(self.order):
-                images.append(Poly(field, codes))
-                codes = self._apply_once(codes)
+        ctx = self.context
+        field = ctx.field
+        images, codes = [], ctx.x.codes
+        for _ in range(self.order):
+            images.append(Poly(field, codes))
+            codes = self._apply_once(codes)
 
-            def block(ks, xs):
-                g = Poly.one(field)
-                for k in ks:
-                    g = g * ctx.factors[k - 1]
-                eps = sum((ctx.idempotent(k) for k in ks), ctx.zero)
-                return UnitBlock(g, int(g.degree), eps, tuple(s % g for s in xs))
+        def block(ks, xs):
+            g = Poly.one(field)
+            for k in ks:
+                g = g * ctx.factors[k - 1]
+            eps = sum((ctx.idempotent(k) for k in ks), ctx.zero)
+            return UnitBlock(g, int(g.degree), eps, tuple(s % g for s in xs))
 
-            moved = tuple(block(c, images) for c in self.cycles if len(c) > 1)
-            fixed = [c[0] for c in self.cycles if len(c) == 1]
-            self._unit_blocks = (moved, block(fixed, ()) if fixed else None)
-        return self._unit_blocks
+        moved = tuple(block(c, images) for c in self.cycles if len(c) > 1)
+        fixed = [c[0] for c in self.cycles if len(c) == 1]
+        return moved, block(fixed, ()) if fixed else None
 
     def apply(self, a: RingElement, power: int = 1) -> RingElement:
         """sigma^power(a); negative powers go through the map order."""
@@ -151,8 +155,6 @@ class Automorphism:
         """Pi_sigma^power(k) on 1..r."""
         if not 1 <= k <= self.context.r:
             raise IndexOutOfRange(f"component index {k} not in 1..{self.context.r}")
-        if power < 0:
-            power %= self._order_of[k]
         for _ in range(power % self._order_of[k]):
             k = self.perm[k - 1]
         return k
@@ -168,10 +170,7 @@ class Automorphism:
         return self._order_of[l]
 
     def same_cycle(self, k: int, l: int) -> bool:
-        for cyc in self.cycles:
-            if k in cyc:
-                return l in cyc
-        return False
+        return any(k in cyc and l in cyc for cyc in self.cycles)
 
     def __eq__(self, other):
         return (
@@ -184,16 +183,14 @@ class Automorphism:
         return hash((self.context, self.sigma_x.codes))
 
     def cycle_str(self) -> str:
-        return "".join(
-            "(" + ",".join(str(i) for i in cyc) + ")" for cyc in self.cycles
-        )
+        return "".join("(" + ",".join(str(i) for i in cyc) + ")" for cyc in self.cycles)
 
     def __repr__(self):
         return f"sigma: x -> {self.sigma_x} [{self.cycle_str()}]"
 
 
 def identity_automorphism(ctx: RingContext) -> Automorphism:
-    return Automorphism(ctx, ctx.x)
+    return Automorphism._trusted(ctx, ctx.x, range(1, ctx.r + 1))
 
 
 def _roots_in_component(ctx: RingContext, l: int, m: int):
@@ -206,37 +203,24 @@ def _roots_in_component(ctx: RingContext, l: int, m: int):
     field = ctx.field
     pi_l, pi_m = ctx.factors[l - 1], ctx.factors[m - 1]
     kappa = int(pi_m.degree)
-    first = None
     for codes in itertools.product(range(field.q), repeat=kappa):
         beta = Poly(field, codes)
-        if (_eval_poly_mod(pi_l, beta, pi_m)).is_zero():
-            first = beta
+        value = Poly.zero(field)
+        for c in reversed(pi_l.codes):  # pi_l(beta) mod pi_m, by Horner
+            value = (value * beta + Poly(field, (c,))) % pi_m
+        if value.is_zero():
             break
-    if first is None:
+    else:
         raise AssertionError("equal-degree factors must share roots")
-    orbit = [first]
-    cur = first
+    orbit = [beta]
     for _ in range(kappa - 1):
-        cur = cur.pow_mod(field.q, pi_m)
-        orbit.append(cur)
+        orbit.append(orbit[-1].pow_mod(field.q, pi_m))
     return orbit
-
-
-def _eval_poly_mod(f: Poly, beta: Poly, mod: Poly) -> Poly:
-    """f(beta) mod `mod`, by Horner over the residue ring."""
-    field = f.field
-    acc = Poly.zero(field)
-    for c in reversed(f.codes):
-        acc = (acc * beta) % mod
-        acc = acc + Poly(field, (c,))
-    return acc
 
 
 def _class_preserving_perms(ctx: RingContext):
     """All permutations of 1..r mapping each degree class onto itself."""
-    per_class = [
-        list(itertools.permutations(cls)) for cls in ctx.degree_classes
-    ]
+    per_class = [list(itertools.permutations(cls)) for cls in ctx.degree_classes]
     for combo in itertools.product(*per_class):
         perm = [0] * ctx.r
         for cls, images in zip(ctx.degree_classes, combo):
@@ -246,8 +230,10 @@ def _class_preserving_perms(ctx: RingContext):
 
 
 def _sigma_x_for(ctx: RingContext, perm, exps, roots_cache) -> RingElement:
-    """sigma(x) for the isomorphism choice x|_{K_k} -> root^(q^exps[k])."""
-    field = ctx.field
+    """sigma(x) for the isomorphism choice x|_{K_k} -> root^(q^exps[k]).
+
+    Its part in K_m, m = perm[k-1], is a root of pi_k, so sigma(eps_k) =
+    eps_m; the CRT lift is linear, with no ring product."""
     parts = [None] * ctx.r
     for k in range(1, ctx.r + 1):
         m = perm[k - 1]
@@ -260,20 +246,26 @@ def _sigma_x_for(ctx: RingContext, perm, exps, roots_cache) -> RingElement:
 
 def enumerate_automorphisms(ctx: RingContext):
     """Every automorphism, built from class-preserving permutations of the
-    components plus one Frobenius twist per component."""
+    components plus one Frobenius twist per component.  Raises
+    SearchSpaceTooLarge, before any root search, when the group has more
+    than MAX_LISTED_AUTOMORPHISMS elements."""
+    count = automorphism_count(ctx)
+    if count > MAX_LISTED_AUTOMORPHISMS:
+        raise SearchSpaceTooLarge(
+            f"{count} automorphisms exceed MAX_LISTED_AUTOMORPHISMS = "
+            f"{MAX_LISTED_AUTOMORPHISMS}"
+        )
     roots_cache = {}
     out = []
     for perm in _class_preserving_perms(ctx):
         for exps in itertools.product(*(range(kap) for kap in ctx.kappas)):
             sigma_x = _sigma_x_for(ctx, perm, exps, roots_cache)
-            out.append(Automorphism(ctx, sigma_x))
+            out.append(Automorphism._trusted(ctx, sigma_x, perm))
     return out
 
 
 def automorphism_count(ctx: RingContext) -> int:
     """Closed form: prod over classes of (degree^size * size!)."""
-    import math
-
     total = 1
     for cls in ctx.degree_classes:
         kappa = ctx.kappas[cls[0] - 1]
@@ -286,8 +278,6 @@ def enumerate_automorphisms_bruteforce(ctx: RingContext, cap: int = 10 ** 6):
 
     Exhaustive oracle for small contexts; guarded by n * q^n <= cap.
     """
-    from .errors import SearchSpaceTooLarge
-
     if ctx.n * ctx.field.q ** ctx.n > cap:
         raise SearchSpaceTooLarge(
             f"brute force needs n*q^n <= {cap}, got {ctx.n * ctx.field.q ** ctx.n}"
@@ -310,16 +300,9 @@ def find_automorphism_for_permutation(ctx: RingContext, target) -> Automorphism:
     for cls in ctx.degree_classes:
         for k in cls:
             if target[k - 1] not in cls:
-                raise ClassViolation(
-                    f"permutation moves component {k} out of its degree class"
-                )
-    roots_cache = {}
-    exps = (0,) * ctx.r
-    sigma_x = _sigma_x_for(ctx, target, exps, roots_cache)
-    sig = Automorphism(ctx, sigma_x)
-    if sig.perm != target:
-        raise AssertionError("automorphism does not induce the target permutation")
-    return sig
+                raise ClassViolation(f"permutation moves component {k} out of its degree class")
+    sigma_x = _sigma_x_for(ctx, target, (0,) * ctx.r, {})
+    return Automorphism._trusted(ctx, sigma_x, target)
 
 
 def permutation_from_cycles(r: int, cycles) -> tuple:

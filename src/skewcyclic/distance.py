@@ -17,7 +17,7 @@ from .errors import (
     NotRightInvertible,
     StateCapExceeded,
 )
-from .fields import Poly
+from .fields import NEG_INF, Poly
 
 
 def weight(v) -> int:
@@ -214,14 +214,17 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
     `itertools.product` order, so the zero state and the zero block are 0.
     """
     field = G.field
+    k, n = G.shape
+    q = field.q
+    # the cap precedes the minors and gcds below; a zero row (degree -inf) first
+    row_degrees = G.row_degrees()
+    if NEG_INF in row_degrees:
+        raise NotRightInvertible("free distance needs a right-invertible matrix")
+    _check_cap(q, sum(row_degrees), state_cap, StateCapExceeded, "q^delta")
     if not G.is_right_invertible():
         raise NotRightInvertible("free distance needs a right-invertible matrix")
     if not G.is_minimal():
         raise NotMinimal("state realization needs a minimal generator matrix")
-    k, n = G.shape
-    q = field.q
-    # a right-invertible G has no zero row, so every row degree is an int
-    _check_cap(q, sum(G.row_degrees()), state_cap, StateCapExceeded, "q^delta")
     pack, add, _, _, block_weights = _word_ops(field, n)
     rows, degs = _coefficient_tables(G, pack)
     delta = sum(degs)

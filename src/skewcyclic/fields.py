@@ -355,7 +355,7 @@ class Poly:
     def _checked(self, other) -> "Poly":
         if not isinstance(other, Poly):
             raise TypeError(f"expected Poly, got {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise MixedFields("polynomials over different fields")
         return other
 

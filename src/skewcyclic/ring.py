@@ -22,6 +22,18 @@ from .errors import (
 from .fields import FieldSpec, FieldElement, Poly, factor_xn_minus_1, poly_ext_gcd
 
 
+def accumulate_rows(field: FieldSpec, out: list, coeffs, rows) -> list:
+    """Add sum_i coeffs[i] * rows[i] into the code list `out`, in place."""
+    mul, add = field._mul, field._add
+    for c, row in zip(coeffs, rows):
+        if c:
+            mc = mul[c]
+            for j, m in enumerate(row):
+                if m:
+                    out[j] = add[out[j]][mc[m]]
+    return out
+
+
 class RingContext:
     """F[x]/(x^n - 1) with its CRT decomposition precomputed."""
 
@@ -54,19 +66,11 @@ class RingContext:
             eps = (u * m_k) % self.modulus
             idems.append(self.from_poly(eps))
         self.idempotents = tuple(idems)
-        self._check_idempotents()
-
-    def _check_idempotents(self):
-        total = self.zero
-        for i, e_i in enumerate(self.idempotents):
-            total = total + e_i
-            for j, e_j in enumerate(self.idempotents):
-                prod = e_i * e_j
-                want = e_i if i == j else self.zero
-                if prod != want:
-                    raise AssertionError("idempotent orthogonality failed")
-        if total != self.one:
-            raise AssertionError("idempotents do not sum to 1")
+        # rows of the linear CRT lift: x^j * eps_k, j < kappa_k, is eps_k rotated
+        self._lift_rows = tuple(
+            tuple(e.codes[-j:] + e.codes[:-j] if j else e.codes for j in range(kappa))
+            for e, kappa in zip(self.idempotents, self.kappas)
+        )
 
     # -- element constructors --------------------------------------------
 
@@ -123,12 +127,15 @@ class RingContext:
         return CrtVector(self, tuple(poly % pi for pi in self.factors))
 
     def crt_backward(self, v: "CrtVector") -> "RingElement":
+        """sum_k eps_k * part_k, as a linear combination of the rows x^j * eps_k."""
         if v.context is not self and v.context != self:
             raise MixedContexts("CRT vector from a different ring")
-        acc = self.zero
-        for part, eps in zip(v.parts, self.idempotents):
-            acc = acc + self.from_poly(part) * eps
-        return acc
+        out = [0] * self.n
+        for part, pi, rows in zip(v.parts, self.factors, self._lift_rows):
+            if len(part.codes) > len(rows):
+                part = part % pi
+            accumulate_rows(self.field, out, part.codes, rows)
+        return RingElement(self, out)
 
     def component(self, a: "RingElement", k: int) -> "RingElement":
         return self.idempotent(k) * self._check(a)

@@ -1,10 +1,37 @@
 """Shared heavy property checks used by module tests and the acceptance gate."""
 
 import itertools
+import random
 
 from skewcyclic.convolutional import PolyMatrix
 from skewcyclic.distance import weight
 from skewcyclic.fields import Poly, monic_polys
+
+
+# (field literal, n): the contexts that the automorphism and CRT
+# cross-checks sweep, characteristics 2, 3 and 5
+SWEEP_CONTEXTS = (
+    ("GF(2)", 7),
+    ("GF(2)", 15),
+    ("GF(4):y^2+y+1", 3),
+    ("GF(4):y^2+y+1", 5),
+    ("GF(3)", 4),
+    ("GF(3)", 8),
+    ("GF(5)", 4),
+    ("GF(9):y^2+1", 4),
+    ("GF(8):y^3+y+1", 7),
+)
+
+
+def crt_round_trip(ctx, samples, seed):
+    """backward(forward(a)) == a on `samples` random elements and on 0, 1, x."""
+    rng = random.Random(seed)
+    q, n = ctx.field.q, ctx.n
+    elements = [ctx.zero, ctx.one, ctx.x] + [
+        ctx.from_codes([rng.randrange(q) for _ in range(n)]) for _ in range(samples)
+    ]
+    for a in elements:
+        assert ctx.crt_backward(ctx.crt_forward(a)) == a, f"round trip fails on {a}"
 
 
 def all_element_codes(ctx):

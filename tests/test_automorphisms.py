@@ -14,6 +14,9 @@ from skewcyclic import (
     permutation_from_cycles,
 )
 from skewcyclic.errors import ClassViolation, IndexOutOfRange, NotAnAutomorphism
+from skewcyclic.literals import parse_field
+
+from helpers import SWEEP_CONTEXTS
 
 
 def test_x5_induces_transposition(ctx27, sig27):
@@ -148,3 +151,27 @@ def test_find_rejects_class_violation(ctx27):
         find_automorphism_for_permutation(ctx27, (2, 1, 3))
     with pytest.raises(ClassViolation):
         find_automorphism_for_permutation(ctx27, (1, 1, 2))
+
+
+@pytest.mark.parametrize("field, n", SWEEP_CONTEXTS)
+def test_constructed_match_validated(field, n):
+    """Every enumerated automorphism, built without re-checking, equals the
+    one the validating constructor builds from its image of x."""
+    ctx = RingContext(parse_field(field), n)
+    auts = enumerate_automorphisms(ctx)
+    assert len(auts) == automorphism_count(ctx)
+    for s in auts:
+        v = Automorphism(ctx, s.sigma_x)
+        assert v.perm == s.perm and v.cycles == s.cycles
+        assert v.order == s.order
+        assert v._power_matrix == s._power_matrix
+
+
+def test_construction_does_not_validate(monkeypatch, ctx27):
+    def refuse(self, context, sigma_x):
+        raise AssertionError("validating constructor called")
+
+    monkeypatch.setattr(Automorphism, "__init__", refuse)
+    assert len(enumerate_automorphisms(ctx27)) == 18
+    assert find_automorphism_for_permutation(ctx27, (1, 3, 2)).perm == (1, 3, 2)
+    assert identity_automorphism(ctx27).perm == (1, 2, 3)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -99,6 +100,29 @@ def test_automorphisms_count(capsys):
     cycles = {a["image"]: a["cycles"] for a in data["automorphisms"]}
     assert cycles["x^5"] == "(1)(2,3)"
     assert cycles["x"] == "(1)(2)(3)"
+
+
+# SHA-256 of the stdout of `automorphisms --field "GF(8):y^3+y+1" --n 7`, all
+# 5,040 entries, recorded with a build that validated every enumerated
+# automorphism through Automorphism(ctx, image)
+AUTOMORPHISMS_F8N7_SHA256 = "46a418b58e53d07273101182fd0e7946270d611a86b4740aee576fa4a6ac7fbd"
+
+
+def test_automorphisms_listing_pinned(capsys):
+    code, out, _ = run(capsys, "automorphisms", "--field", "GF(8):y^3+y+1", "--n", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == AUTOMORPHISMS_F8N7_SHA256
+
+
+def test_automorphisms_cap_before_enumerating(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "automorphisms", "--field", "GF(2)", "--n", "31")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "11250000 automorphisms exceed MAX_LISTED_AUTOMORPHISMS" in err
+    # one named automorphism is still shown, with the full count
+    code, out, _ = run(capsys, "automorphisms", "--field", "GF(2)", "--n", "31", "--sigma", "x^2")
+    assert code == 0 and json.loads(out)["count"] == 11250000
 
 
 def test_automorphisms_table_prints_count_first(capsys):

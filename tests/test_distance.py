@@ -119,6 +119,24 @@ def test_state_cap(sig27, poly_g):
         free_distance(generator_matrix(poly_g), state_cap=1)
 
 
+def test_state_cap_before_validation(F2):
+    """The state cap is checked before the minors and gcds that decide right
+    invertibility and minimality; only a zero row is refused first."""
+    rng = random.Random(2000)
+    G = PolyMatrix(
+        F2,
+        [[Poly(F2, [rng.randrange(2) for _ in range(2000)] + [1]) for _ in range(3)]
+         for _ in range(2)],
+    )
+    start = time.perf_counter()
+    with pytest.raises(StateCapExceeded, match=r"2\^4000"):
+        free_distance(G)
+    assert time.perf_counter() - start < 0.5
+    zero = Poly.zero(F2)
+    with pytest.raises(NotRightInvertible):
+        free_distance(PolyMatrix(F2, [G.entries[0], [zero, zero, zero]]))
+
+
 def test_enumeration_cap(sig43, ctx43):
     code = build_minimal_code(MinimalCodeRecipe(sig43, 2, 1, (ctx43.one,)))
     with pytest.raises(EnumerationCapExceeded):

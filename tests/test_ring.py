@@ -13,6 +13,10 @@ from skewcyclic.errors import (
     ZeroInput,
 )
 from skewcyclic.fields import Poly, factor_xn_minus_1
+from skewcyclic.literals import parse_field
+from skewcyclic.ring import CrtVector
+
+from helpers import SWEEP_CONTEXTS, crt_round_trip
 
 
 def test_context_rejects_noncoprime(F2):
@@ -45,8 +49,9 @@ def test_idempotents_f4n5(ctx45):
     assert str(ctx45.idempotent(2)) == "a*x+a^2*x^2+a^2*x^3+a*x^4"
 
 
-def test_idempotent_identities(ctx27, ctx43, ctx45, ctx87):
-    for ctx in (ctx27, ctx43, ctx45, ctx87):
+def test_idempotent_identities(F2, ctx27, ctx43, ctx45, ctx87):
+    # the only check of these identities (RingContext trusts its CRT); r = 13 at n = 63
+    for ctx in (ctx27, ctx43, ctx45, ctx87, RingContext(F2, 63)):
         total = ctx.zero
         for i in range(1, ctx.r + 1):
             e_i = ctx.idempotent(i)
@@ -55,6 +60,16 @@ def test_idempotent_identities(ctx27, ctx43, ctx45, ctx87):
                 prod = e_i * ctx.idempotent(j)
                 assert prod == (e_i if i == j else ctx.zero)
         assert total == ctx.one
+
+
+@pytest.mark.parametrize("field, n", SWEEP_CONTEXTS)
+def test_crt_round_trip(field, n):
+    ctx = RingContext(parse_field(field), n)
+    crt_round_trip(ctx, 50, seed=n)
+    # a part left unreduced lifts as its residue
+    parts = list(ctx.crt_forward(ctx.x).parts)
+    parts[-1] = parts[-1] + ctx.factors[-1]
+    assert ctx.crt_backward(CrtVector(ctx, tuple(parts))) == ctx.x
 
 
 def test_ring_mul_examples(ctx27):
