@@ -26,6 +26,8 @@ from .ring import CrtVector, RingContext, RingElement, accumulate_rows
 
 # enumerate_automorphisms refuses larger groups (GF(2), n = 31 has 11,250,000)
 MAX_LISTED_AUTOMORPHISMS = 10 ** 5
+# enumerate_automorphisms_bruteforce refuses larger scans, counted as n * q^n
+MAX_BRUTEFORCE_CANDIDATES = 10 ** 6
 
 
 class UnitBlock(NamedTuple):
@@ -109,12 +111,19 @@ class Automorphism:
         return tuple(accumulate_rows(self.context.field, out, codes, self._power_matrix))
 
     @functools.cached_property
+    def x_images(self) -> tuple:
+        """sigma^j(x) as polynomials in x, 0 <= j < order (cached)."""
+        field, x = self.context.field, self.context.x.codes
+        images, codes = [Poly(field, x)], self._apply_once(x)
+        while codes != x:
+            images.append(Poly(field, codes))
+            codes = self._apply_once(codes)
+        return tuple(images)
+
+    @functools.cached_property
     def order(self) -> int:
-        """Order of sigma as a map (cached)."""
-        m, codes, ident = 1, self.sigma_x.codes, self.context.x.codes
-        while codes != ident:
-            codes, m = self._apply_once(codes), m + 1
-        return m
+        """Order of sigma as a map: the orbit length of x (cached)."""
+        return len(self.x_images)
 
     @functools.cached_property
     def unit_blocks(self):
@@ -125,10 +134,6 @@ class Automorphism:
         A[z;sigma], so units are decided one block at a time."""
         ctx = self.context
         field = ctx.field
-        images, codes = [], ctx.x.codes
-        for _ in range(self.order):
-            images.append(Poly(field, codes))
-            codes = self._apply_once(codes)
 
         def block(ks, xs):
             g = Poly.one(field)
@@ -137,7 +142,7 @@ class Automorphism:
             eps = sum((ctx.idempotent(k) for k in ks), ctx.zero)
             return UnitBlock(g, int(g.degree), eps, tuple(s % g for s in xs))
 
-        moved = tuple(block(c, images) for c in self.cycles if len(c) > 1)
+        moved = tuple(block(c, self.x_images) for c in self.cycles if len(c) > 1)
         fixed = [c[0] for c in self.cycles if len(c) == 1]
         return moved, block(fixed, ()) if fixed else None
 
@@ -273,14 +278,16 @@ def automorphism_count(ctx: RingContext) -> int:
     return total
 
 
-def enumerate_automorphisms_bruteforce(ctx: RingContext, cap: int = 10 ** 6):
+def enumerate_automorphisms_bruteforce(ctx: RingContext):
     """Scan all candidate images a with a^n = 1 and independent powers.
 
-    Exhaustive oracle for small contexts; guarded by n * q^n <= cap.
+    Exhaustive oracle for small contexts; guarded by
+    n * q^n <= MAX_BRUTEFORCE_CANDIDATES.
     """
-    if ctx.n * ctx.field.q ** ctx.n > cap:
+    if ctx.n * ctx.field.q ** ctx.n > MAX_BRUTEFORCE_CANDIDATES:
         raise SearchSpaceTooLarge(
-            f"brute force needs n*q^n <= {cap}, got {ctx.n * ctx.field.q ** ctx.n}"
+            f"brute force needs n*q^n <= {MAX_BRUTEFORCE_CANDIDATES}, "
+            f"got {ctx.n * ctx.field.q ** ctx.n}"
         )
     out = []
     for a in ctx.elements():

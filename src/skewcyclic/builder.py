@@ -78,9 +78,20 @@ def build_minimal_code(recipe: MinimalCodeRecipe) -> ConvCode:
 
 def _check_components(g: SkewPoly, u: SkewPoly) -> None:
     """u must agree with g on every component of g's support."""
-    for l in g.support():
-        if u.component(l) != g.component(l):
+    ucomps = u.components()
+    for l, gl in g.components().items():
+        if ucomps.get(l) != gl:
             raise ComponentMismatch(f"u and g differ in component {l}")
+
+
+def _check_disjoint_cycles(sigma: Automorphism, ls) -> None:
+    """The components ls must lie in pairwise disjoint cycles of sigma."""
+    for i, li in enumerate(ls):
+        for lj in ls[i + 1 :]:
+            if sigma.same_cycle(li, lj):
+                raise OverlappingCycles(
+                    f"components {li} and {lj} share a cycle of the permutation"
+                )
 
 
 def direct_complement(g: SkewPoly, u: SkewPoly) -> SkewPoly:
@@ -92,11 +103,11 @@ def direct_complement(g: SkewPoly, u: SkewPoly) -> SkewPoly:
     if not u.is_unit():
         raise NotAUnit("the completing polynomial must be a unit")
     _check_components(g, u)
-    support = g.support()
+    support = g.components()
     out = SkewPoly.zero(g.sigma)
-    for l in range(1, g.context.r + 1):
+    for l, ul in u.components().items():
         if l not in support:
-            out = out + u.component(l)
+            out = out + ul
     return out
 
 
@@ -126,13 +137,7 @@ def orthogonal_sum(codes) -> ConvCode:
         if len(c.support) != 1:
             raise BadParameters("summands must be minimal (singleton support)")
     sigma = codes[0].reduced_generator.sigma
-    supports = [c.support[0] for c in codes]
-    for i, li in enumerate(supports):
-        for lj in supports[i + 1 :]:
-            if sigma.same_cycle(li, lj):
-                raise OverlappingCycles(
-                    f"components {li} and {lj} share a cycle of the permutation"
-                )
+    _check_disjoint_cycles(sigma, [c.support[0] for c in codes])
     g = SkewPoly.zero(sigma)
     for c in codes:
         g = g + c.reduced_generator
@@ -151,18 +156,11 @@ def build_unit_for_profile(sigma: Automorphism, targets) -> SkewPoly:
     """
     ctx = sigma.context
     targets = [(int(l), int(d)) for l, d in targets]
-    for i, (li, _) in enumerate(targets):
-        for lj, _ in targets[i + 1 :]:
-            if sigma.same_cycle(li, lj):
-                raise OverlappingCycles(
-                    f"components {li} and {lj} share a cycle of the permutation"
-                )
-    for l, d in targets:
-        if d > 0 and sigma.l_order(l) == 1:
-            raise FixedIdempotent(f"sigma fixes eps_{l}")
+    _check_disjoint_cycles(sigma, [l for l, _ in targets])
     covered = set()
     w = SkewPoly.zero(sigma)
     for l, d in targets:
+        # raises FixedIdempotent when d > 0 and sigma fixes eps_l
         u = unit_product(sigma, l, default_scalars(ctx, d))
         for j in range(1, ctx.r + 1):
             if sigma.same_cycle(j, l):

@@ -24,7 +24,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .fields import NEG_INF, FieldSpec, Poly, poly_gcd
-from .skew import SkewPoly, vector_from_skew
+from .skew import SkewPoly, x_multiples
 
 
 class PolyMatrix:
@@ -41,7 +41,7 @@ class PolyMatrix:
             if len(row) != width:
                 raise LengthMismatch("ragged matrix")
             for e in row:
-                if not (isinstance(e, Poly) and e.field == field):
+                if not (isinstance(e, Poly) and (e.field is field or e.field == field)):
                     raise MixedFields("entries must be polynomials over the matrix field")
         self.field = field
         self.entries = rows
@@ -351,14 +351,9 @@ def generator_matrix(g: SkewPoly) -> PolyMatrix:
         raise ZeroPolynomial("zero polynomial generates the zero module")
     if not g.is_reduced():
         raise NotReduced("generator matrix formula needs a reduced polynomial")
-    xs = SkewPoly.constant(g.sigma, ctx.x)
     rows = []
-    for l in g.support():
-        comp = g.component(l)
-        cur = comp
-        for _ in range(ctx.kappas[l - 1]):
-            rows.append(vector_from_skew(cur))
-            cur = xs * cur
+    for l, comp in g.components().items():
+        rows += x_multiples(comp, ctx.kappas[l - 1], ctx.modulus, g.sigma.x_images)
     return PolyMatrix(ctx.field, rows)
 
 

@@ -51,26 +51,21 @@ def griesmer_bound(n: int, k: int, delta: int, m: int, q: int) -> int:
 
 
 def _griesmer_ok(n, k, delta, m, q, d) -> bool:
+    """Whether d passes every level; stops one level past q^top >= d."""
+    settled = False
     i = 0
     while True:
         top = k * (m + i) - delta - 1
         if top >= 0:
-            lhs = 0
-            power = 1
+            lhs, power = 0, 1
             for _ in range(top + 1):
                 lhs += -(-d // power)
                 power *= q
             if lhs > n * (m + i):
                 return False
-            if power // q >= d:
-                # stabilized: verify one extra level, then done
-                top2 = k * (m + i + 1) - delta - 1
-                lhs2 = 0
-                power = 1
-                for _ in range(top2 + 1):
-                    lhs2 += -(-d // power)
-                    power *= q
-                return lhs2 <= n * (m + i + 1)
+            if settled:
+                return True
+            settled = power // q >= d
         i += 1
 
 

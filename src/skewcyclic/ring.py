@@ -175,9 +175,9 @@ class RingContext:
         return a
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, RingContext)
-            and self.field == other.field
+            and (other.field is self.field or other.field == self.field)
             and self.n == other.n
         )
 

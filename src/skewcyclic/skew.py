@@ -8,10 +8,14 @@ multiply by the twisted convolution
 equivalently a z = z sigma(a).  When sigma is not the identity the ring
 has zero divisors among the coefficients and therefore units of positive
 z-degree; those units are what the code constructions are built from.
+Reducedness is index arithmetic on the sigma-cycles, and every matrix of
+x-multiples (generator, unit-block and module matrices) comes from
+`x_multiples`.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import linalg
@@ -45,7 +49,7 @@ class Monomial(NamedTuple):
 class SkewPoly:
     """Element of the twisted polynomial ring, right-coefficient form."""
 
-    __slots__ = ("sigma", "coeffs")
+    __slots__ = ("sigma", "coeffs", "_components")
 
     def __init__(self, sigma: Automorphism, coeffs):
         coeffs = list(coeffs)
@@ -53,6 +57,7 @@ class SkewPoly:
             coeffs.pop()
         self.sigma = sigma
         self.coeffs = tuple(coeffs)
+        self._components = None
 
     # -- constructors ------------------------------------------------------
 
@@ -186,21 +191,16 @@ class SkewPoly:
             idx = self.sigma.perm_power(idx)
         return SkewPoly(self.sigma, out)
 
-    def support(self):
-        return tuple(k for k in range(1, self.context.r + 1) if self.component(k))
+    def components(self) -> MappingProxyType:
+        """Read-only {k: eps_k f} over the support, k increasing.  The
+        polynomial is immutable, so the components are computed once and kept."""
+        if self._components is None:
+            comps = ((k, self.component(k)) for k in range(1, self.context.r + 1))
+            self._components = MappingProxyType({k: c for k, c in comps if c})
+        return self._components
 
-    def terms(self):
-        """Nonzero terms as (z_degree, idempotent index, coefficient in K^(j))."""
-        ctx = self.context
-        out = []
-        for nu, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            for j in range(1, ctx.r + 1):
-                part = ctx.idempotent(j) * c
-                if part:
-                    out.append((nu, j, part))
-        return out
+    def support(self):
+        return tuple(self.components())
 
     def leading_monomial(self):
         """Largest monomial with a nonzero coefficient, plus that coefficient."""
@@ -218,20 +218,22 @@ class SkewPoly:
     def is_reduced(self) -> bool:
         """No term of one component right-divisible by another's leading monomial.
 
-        A term z^nu c with 0 != c in K^(j) is right divisible by z^mu eps_i
-        exactly when nu >= mu and j = i (right multiples of z^mu eps_i are
-        the polynomials with all coefficients in K^(i) and order >= mu).
+        Right multiples of z^mu eps_i are the polynomials with all
+        coefficients in K^(i) and order >= mu.  Component l of degree mu
+        leads with z^mu eps_{Pi^mu(l)}, and the z^nu term of component k
+        lies in K^(Pi^nu(k)); so a term of component k != l clashes exactly
+        when nu >= mu and Pi^(nu - mu)(k) = l.
         """
-        comps = [(k, self.component(k)) for k in range(1, self.context.r + 1)]
-        comps = [(k, f) for k, f in comps if f]
-        for l, fl in comps:
-            lm, _ = fl.leading_monomial()
-            for k, fk in comps:
-                if k == l:
-                    continue
-                for nu, j, _ in fk.terms():
-                    if nu >= lm.z_degree and j == lm.idempotent_index:
-                        return False
+        comps = self.components()
+        for l, fl in comps.items():
+            mu = len(fl.coeffs) - 1
+            for k, fk in comps.items():
+                # t = nu - mu runs over the terms of fk at or above mu
+                if k != l and any(
+                    c and self.sigma.perm_power(k, t) == l
+                    for t, c in enumerate(fk.coeffs[mu:])
+                ):
+                    return False
         return True
 
     def to_str(self) -> str:
@@ -260,13 +262,8 @@ class SkewPoly:
         """Right multiplication by f as an n x n matrix over F[z]: row i is
         vec(x^i f).  No unit decision uses it: it is the whole-module oracle
         of the tests, and perfbench spans it by name."""
-        xs = SkewPoly.constant(self.sigma, self.context.x)
-        rows = []
-        cur = self
-        for _ in range(self.context.n):
-            rows.append(vector_from_skew(cur))
-            cur = xs * cur
-        return rows
+        ctx = self.context
+        return x_multiples(self, ctx.n, ctx.modulus, self.sigma.x_images)
 
     def _passes_unit_shortcuts(self) -> bool:
         """The two necessary conditions read off without elimination.
@@ -283,20 +280,8 @@ class SkewPoly:
 
     def _block_matrix(self, block) -> list:
         """Right multiplication by f on eps_C A[z;sigma] as a dim_C x dim_C
-        matrix over F[z], in the basis x^i of eps_C A = F[x]/(g_C): row i
-        holds the z-coefficients of x^i f mod g_C, whose z^j coefficient is
-        sigma^j(x)^i f_j mod g_C."""
-        field = self.context.field
-        g, dim, images = block.modulus, block.dim, block.x_images
-        cur = [c.as_poly() % g for c in self.coeffs]
-        steps = [images[j % len(images)] for j in range(len(cur))]
-        rows = []
-        for i in range(dim):
-            padded = [p.codes + (0,) * (dim - len(p.codes)) for p in cur]
-            rows.append([Poly(field, col) for col in zip(*padded)])
-            if i + 1 < dim:
-                cur = [(p * s) % g for p, s in zip(cur, steps)]
-        return rows
+        matrix over F[z], in the basis x^i of eps_C A = F[x]/(g_C)."""
+        return x_multiples(self, block.dim, block.modulus, block.x_images)
 
     def is_unit(self) -> bool:
         """Exact unit test, one sigma-cycle at a time: a unit constant term,
@@ -376,6 +361,22 @@ class SkewPoly:
 # -- bridge between F[z]^n and the skew ring ----------------------------------
 
 
+def x_multiples(f: SkewPoly, count: int, g: Poly, images) -> list:
+    """vec(x^i f mod g) for 0 <= i < count, each as deg g polynomials in z.
+    x z^j = z^j sigma^j(x), so the z^j coefficient of x^i f is
+    sigma^j(x)^i f_j, with images[j % len(images)] = sigma^j(x) mod g."""
+    field, dim = f.context.field, int(g.degree)
+    cur = [c.as_poly() % g for c in f.coeffs]
+    steps = [images[j % len(images)] for j in range(len(cur))]
+    rows = []
+    for i in range(count):
+        padded = [p.codes + (0,) * (dim - len(p.codes)) for p in cur]
+        rows.append([Poly(field, [c[t] for c in padded]) for t in range(dim)])
+        if i + 1 < count:
+            cur = [(p * s) % g for p, s in zip(cur, steps)]
+    return rows
+
+
 def vector_from_skew(f: SkewPoly):
     """vec(f): n polynomials in z; entry i has the x^i coefficient of f_j
     as its z^j coefficient."""
@@ -439,7 +440,8 @@ def simple_unit(sigma: Automorphism, a: RingElement, i: int, l: int) -> SkewPoly
     ctx = sigma.context
     if sigma.l_order(l) == 1:
         raise FixedIdempotent(f"sigma fixes eps_{l}; no degree-1 unit there")
-    coeff = ctx._check(a) * sigma.apply(ctx.idempotent(l), i)
+    # sigma^i(eps_l) = eps_{Pi^i(l)}
+    coeff = ctx._check(a) * ctx.idempotent(sigma.perm_power(l, i))
     return SkewPoly.one(sigma) + SkewPoly.z_power(sigma, 1, coeff)
 
 

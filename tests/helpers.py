@@ -230,6 +230,82 @@ def identity_units_constant(ctx, degree_cap, restrict_to_unit_constant=False):
         assert units > 0
 
 
+def x_multiples_by_products(f, count):
+    """Test-only oracle: vec(x^i f) for i < count, each x^i f formed by
+    skew multiplication with the constant x."""
+    from skewcyclic.skew import SkewPoly, vector_from_skew
+
+    xs = SkewPoly.constant(f.sigma, f.context.x)
+    rows = []
+    for _ in range(count):
+        rows.append(vector_from_skew(f))
+        f = xs * f
+    return rows
+
+
+def generator_rows_by_products(g):
+    """Test-only oracle: the generator-matrix rows vec(x^i g^(l)), i < deg
+    pi_l, over the support l, with g^(l) = eps_l g and every product a skew
+    multiplication."""
+    from skewcyclic.skew import SkewPoly
+
+    ctx = g.context
+    rows = []
+    for l in range(1, ctx.r + 1):
+        comp = SkewPoly.constant(g.sigma, ctx.idempotent(l)) * g
+        if comp:
+            rows += x_multiples_by_products(comp, ctx.kappas[l - 1])
+    return rows
+
+
+def is_reduced_by_terms(f):
+    """Test-only oracle: reducedness by the definition, term by term.  The
+    components eps_k f are skew products, each nonzero coefficient c of one
+    is split into its parts eps_j c, and a component's leading monomial is
+    its largest (z-degree, j).  A term z^nu (part in K^(j)) of one component
+    is right divisible by the leading monomial z^mu eps_i of another exactly
+    when nu >= mu and j = i."""
+    from skewcyclic.skew import SkewPoly
+
+    ctx = f.context
+    comps = []
+    for k in range(1, ctx.r + 1):
+        comp = SkewPoly.constant(f.sigma, ctx.idempotent(k)) * f
+        terms = [
+            (nu, j)
+            for nu, c in enumerate(comp.coeffs)
+            for j in range(1, ctx.r + 1)
+            if ctx.idempotent(j) * c
+        ]
+        if terms:
+            comps.append((k, terms))
+    for l, lead_terms in comps:
+        mu, i = max(lead_terms)
+        for k, terms in comps:
+            if k != l and any(nu >= mu and j == i for nu, j in terms):
+                return False
+    return True
+
+
+def griesmer_bound_by_levels(n, k, delta, m, q, levels=64):
+    """Test-only oracle for distance.griesmer_bound: the largest
+    d <= S(n,k,delta) for which sum_{l=0}^{top} ceil(d/q^l) <= n(m+i),
+    top = k(m+i) - delta - 1, holds at every level i <= levels, each sum
+    taken in full, with no stopping rule."""
+    cap = (n - k) * (delta // k + 1) + delta + 1
+    sizes = [max(k * (m + i) - delta, 0) for i in range(levels + 1)]
+    for d in range(cap, 0, -1):
+        # prefix[t] = sum_{l<t} ceil(d/q^l); q^l is held at d once it passes
+        # d, where the ceiling is 1 either way
+        prefix, power = [0], 1
+        for _ in range(max(sizes)):
+            prefix.append(prefix[-1] - (-d // power))
+            power = min(power * q, d)
+        if all(prefix[t] <= n * (m + i) for i, t in enumerate(sizes)):
+            return d
+    return 1
+
+
 def inverse_degree_bound(f) -> int:
     """Proven bound on deg_z of an inverse: (n-1) * deg_z f.
 

@@ -64,6 +64,27 @@ def test_minimal_code_invariants_all_contexts(sig43, sig45, sig27, sig87):
             assert code.generator.is_minimal()
 
 
+def test_build_computes_each_component_once(sig87, monkeypatch):
+    """One build_minimal_code call computes each component of each skew
+    polynomial at most once: g's components are kept on g, and
+    is_reduced, support, generator_matrix and from_reduced all read them."""
+    calls = []
+    component = SkewPoly.component
+
+    def recording(self, k):
+        calls.append((self, k))
+        return component(self, k)
+
+    monkeypatch.setattr(SkewPoly, "component", recording)
+    code = build_minimal_code(MinimalCodeRecipe(sig87, 3, 2))
+    assert code.params == (7, 1, 2)
+    assert calls
+    keys = [(id(f), k) for f, k in calls]
+    assert len(keys) == len(set(keys)), calls
+    g = code.reduced_generator
+    assert sorted(k for f, k in calls if f is g) == list(range(1, sig87.context.r + 1))
+
+
 def test_default_scalars_cycle(ctx43, ctx87):
     sc = default_scalars(ctx43, 5)
     gen = ctx43.field.gen

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import generator_rows_by_products
 from skewcyclic import (
     ConvCode,
     MinimalCodeRecipe,
@@ -30,6 +31,7 @@ from skewcyclic.errors import (
 from skewcyclic.fields import Poly, poly_gcd
 from skewcyclic.literals import parse_field, parse_sigma
 from skewcyclic.skew import SkewPoly
+from skewcyclic.verify import golden_codes, load_default_fixtures
 
 GOLDEN_G = [
     ["1+z^2", "z+z^2", "1+z", "1+z", "1+z^2", "z", "z^2"],
@@ -97,6 +99,16 @@ def test_generator_matrix_golden(sig27, poly_g):
     assert G.is_right_invertible()
     assert G.is_minimal()
     assert G.forney_indices() == (2, 2, 2)
+
+
+def test_generator_matrix_rows_match_skew_products():
+    """On the 13 golden codes, every generator-matrix row is vec(x^i g^(l))
+    with x^i g^(l) formed by skew multiplication."""
+    codes = golden_codes(load_default_fixtures())
+    assert len(codes) == 13
+    for name, code, _ in codes:
+        want = tuple(generator_rows_by_products(code.reduced_generator))
+        assert code.generator.entries == want, name
 
 
 def test_minors_computed_once(poly_g, monkeypatch):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from helpers import min_weight_by_enumeration
+from helpers import griesmer_bound_by_levels, min_weight_by_enumeration
 
 from skewcyclic import (
     MinimalCodeRecipe,
@@ -60,6 +60,19 @@ def test_griesmer_examples():
     assert griesmer_bound(7, 2, 4, 2, 8) == 18
     with pytest.raises(BadParameters):
         griesmer_bound(3, 1, 1, 1, 1)
+
+
+def test_griesmer_matches_level_oracle():
+    """griesmer_bound, which stops one level after the sums settle, against
+    the oracle that checks every level up to 64, over n <= 8, k < n,
+    delta <= 8, m <= 4 and q in {2, 3, 4, 5, 8, 9}."""
+    for n in range(2, 9):
+        for k in range(1, n):
+            for delta in range(9):
+                for m in range(5):
+                    for q in (2, 3, 4, 5, 8, 9):
+                        want = griesmer_bound_by_levels(n, k, delta, m, q)
+                        assert griesmer_bound(n, k, delta, m, q) == want, (n, k, delta, m, q)
 
 
 def test_griesmer_never_exceeds_singleton():

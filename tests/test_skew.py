@@ -3,14 +3,24 @@ import random
 
 import pytest
 
-from helpers import module_determinant, module_unit_inverse, unit_inverse_by_solving
+from helpers import (
+    SWEEP_CONTEXTS,
+    generator_rows_by_products,
+    is_reduced_by_terms,
+    module_determinant,
+    module_unit_inverse,
+    unit_inverse_by_solving,
+    x_multiples_by_products,
+)
 from skewcyclic import (
     Automorphism,
     RingContext,
     decompose_into_elementary,
     elementary_unit,
     elementary_unit_inverse,
+    enumerate_automorphisms,
     find_automorphism_for_permutation,
+    generator_matrix,
     identity_automorphism,
     is_elementary_unit,
     make_field,
@@ -25,6 +35,7 @@ from skewcyclic.errors import (
     NotAUnit,
     ZeroPolynomial,
 )
+from skewcyclic.literals import parse_field
 from skewcyclic.skew import Monomial, SkewPoly
 
 
@@ -147,6 +158,45 @@ def test_is_reduced(sig27, poly_g, poly_v):
     assert poly_g.is_reduced()  # components always are
     assert SkewPoly.one(sig27).is_reduced()
     assert not poly_v.is_reduced()  # nonconstant units never are
+
+
+def _sparse_skew(rng, sig, max_deg):
+    """sum of parts z^nu a eps_j, a random, each (nu, j) present with
+    probability 2.5 / r, so both reduced and non-reduced sums are common."""
+    ctx = sig.context
+    q, n, r = ctx.field.q, ctx.n, ctx.r
+    coeffs = []
+    for _ in range(rng.randrange(max_deg + 1) + 1):
+        c = ctx.zero
+        for j in range(1, r + 1):
+            if rng.random() < 2.5 / r:
+                a = ctx.from_codes([rng.randrange(q) for _ in range(n)])
+                c = c + a * ctx.idempotent(j)
+        coeffs.append(c)
+    return SkewPoly(sig, coeffs)
+
+
+def test_is_reduced_sweep_matches_term_oracle():
+    """is_reduced, read off the sigma-cycles, against the term-by-term
+    definition, on 180 sparse random sums per context over GF(2) n=7 and
+    15, GF(4) n=3 and 5, GF(3) n=4 and 8, GF(5) n=4, GF(9) n=4 and
+    GF(8) n=7, each twisted by a random automorphism.  Every reduced one
+    also has its generator matrix checked against rows formed by skew
+    multiplication."""
+    rng = random.Random(71)
+    for field_text, n in SWEEP_CONTEXTS:
+        ctx = RingContext(parse_field(field_text), n)
+        sigmas = enumerate_automorphisms(ctx)
+        outcomes = {True: 0, False: 0}
+        for _ in range(180):
+            f = _sparse_skew(rng, rng.choice(sigmas), 3)
+            reduced = f.is_reduced()
+            assert reduced == is_reduced_by_terms(f), f
+            outcomes[reduced] += 1
+            if reduced and f:
+                rows = generator_matrix(f).entries
+                assert rows == tuple(generator_rows_by_products(f)), f
+        assert min(outcomes.values()) >= 10, (field_text, n, outcomes)
 
 
 def test_reduced_orthogonal_supports(sig87):
@@ -322,18 +372,12 @@ def _perturb(rng, f):
     return SkewPoly(f.sigma, coeffs)
 
 
-def test_unit_decision_sweep_matches_whole_module_oracle(sig45, sig87):
-    """Production is_unit and unit_inverse, which work one sigma-cycle at a
-    time, against the whole n x n module matrix (its determinant, and one
-    fraction-free solve for the inverse).  Contexts: GF(2) n=7 with
-    sigma = x^3 and with the identity, GF(4) n=5, GF(8) n=7 with
-    (1,2)(3,4,5), GF(3) n=8 with (1,2)(3,4) and GF(9) n=4 with (2,3,4).
-    Samples: units c * unit_product(...) with c a unit constant, a
-    one-coefficient perturbation of each, and for every sigma-cycle C the
-    non-unit u * (1 + z a e_C), which fails on C alone (a fixed or a moved
-    cycle; on C its leading coefficient is a unit, so degrees add)."""
+def _unit_oracle_sigmas(sig45, sig87):
+    """GF(2) n=7 with sigma = x^3 and with the identity, GF(4) n=5, GF(8)
+    n=7 with (1,2)(3,4,5), GF(3) n=8 with (1,2)(3,4) and GF(9) n=4 with
+    (2,3,4)."""
     ctx27 = RingContext(make_field(2, 1), 7)
-    cases = (
+    return (
         Automorphism(ctx27, ctx27.element([0, 0, 0, 1])),
         identity_automorphism(ctx27),
         sig45,
@@ -341,8 +385,36 @@ def test_unit_decision_sweep_matches_whole_module_oracle(sig45, sig87):
         _sigma_by_cycles(make_field(3, 1), 8, [(1, 2), (3, 4)]),
         _sigma_by_cycles(make_field(3, 2), 4, [(2, 3, 4)]),
     )
+
+
+def test_module_matrix_matches_skew_products(sig45, sig87):
+    """module_matrix, built by x_multiples, against rows vec(x^i f) formed
+    by skew multiplication with x, on the unit-oracle contexts: random f
+    of z-degree <= 3, the zero polynomial and units from unit_product."""
+    rng = random.Random(73)
+    for sig in _unit_oracle_sigmas(sig45, sig87):
+        n = sig.context.n
+        moved = [min(c) for c in sig.cycles if len(c) > 1]
+        samples = [SkewPoly.zero(sig)] + [_random_skew(rng, sig, 3) for _ in range(6)]
+        if moved:
+            units = _some_units(sig.context, rng, 3)
+            samples.append(unit_product(sig, rng.choice(moved), units))
+        for f in samples:
+            rows = [tuple(row) for row in f.module_matrix()]
+            assert rows == x_multiples_by_products(f, n), (sig, f)
+
+
+def test_unit_decision_sweep_matches_whole_module_oracle(sig45, sig87):
+    """Production is_unit and unit_inverse, which work one sigma-cycle at a
+    time, against the whole n x n module matrix (its determinant, and one
+    fraction-free solve for the inverse), on the contexts of
+    _unit_oracle_sigmas.
+    Samples: units c * unit_product(...) with c a unit constant, a
+    one-coefficient perturbation of each, and for every sigma-cycle C the
+    non-unit u * (1 + z a e_C), which fails on C alone (a fixed or a moved
+    cycle; on C its leading coefficient is a unit, so degrees add)."""
     rng = random.Random(67)
-    for sig in cases:
+    for sig in _unit_oracle_sigmas(sig45, sig87):
         ctx = sig.context
         one = SkewPoly.one(sig)
         moved = [min(c) for c in sig.cycles if len(c) > 1]
