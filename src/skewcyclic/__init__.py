@@ -26,7 +26,6 @@ from .automorphisms import (
     permutation_from_cycles,
 )
 from .skew import (
-    Monomial,
     SkewPoly,
     decompose_into_elementary,
     elementary_unit,

@@ -85,12 +85,17 @@ class Automorphism:
         self.sigma_x = sigma_x
         self.perm = perm  # perm[k-1] = Pi_sigma(k)
         self.cycles = self._cycle_decomposition()
-        self._order_of = {l: len(cyc) for cyc in self.cycles for l in cyc}
 
     @functools.cached_property
     def _power_matrix(self) -> tuple:
         """Row i holds the codes of sigma(x^i); built on first use."""
         return _power_rows(self.context, self.sigma_x, self.context.n)
+
+    @functools.cached_property
+    def _cycle_of(self) -> dict:
+        """l -> (its cycle, its position there), so Pi^t(l) is one index;
+        built on first use."""
+        return {l: (cyc, i) for cyc in self.cycles for i, l in enumerate(cyc)}
 
     def _cycle_decomposition(self):
         cycles, seen = [], set()
@@ -160,9 +165,8 @@ class Automorphism:
         """Pi_sigma^power(k) on 1..r."""
         if not 1 <= k <= self.context.r:
             raise IndexOutOfRange(f"component index {k} not in 1..{self.context.r}")
-        for _ in range(power % self._order_of[k]):
-            k = self.perm[k - 1]
-        return k
+        cyc, i = self._cycle_of[k]
+        return cyc[(i + power) % len(cyc)]
 
     def sigma_equiv_classes(self):
         """The cycles of Pi_sigma as index sets (partition of 1..r)."""
@@ -172,7 +176,7 @@ class Automorphism:
         """Length of the Pi_sigma-cycle containing l."""
         if not 1 <= l <= self.context.r:
             raise IndexOutOfRange(f"component index {l} not in 1..{self.context.r}")
-        return self._order_of[l]
+        return len(self._cycle_of[l][0])
 
     def same_cycle(self, k: int, l: int) -> bool:
         return any(k in cyc and l in cyc for cyc in self.cycles)

@@ -6,7 +6,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-import sys
 from dataclasses import dataclass
 
 from .convolutional import PolyMatrix
@@ -106,7 +105,9 @@ def _word_ops(field, n: int, blocks: int = 1):
     field sum of two words of up to `blocks` blocks), `weight` (the number
     of nonzero symbols of such a word), S, and `block_weights`: given a
     table `words` of one-block words it returns `weights(base)`, which
-    yields weight(base + words[a]) for every a, in table order, at once.
+    weighs every base + words[a] at once and packs the weights into one
+    int, weight(base + words[a]) in bits [a*S, (a+1)*S) (a count up to n,
+    so below 2^W; every other bit is 0).
     """
     p, e = field.p, field.deg
     b = 1 if p == 2 else (p - 1).bit_length() + 1
@@ -153,32 +154,27 @@ def _word_ops(field, n: int, blocks: int = 1):
             x |= x >> s
         return (x & lows).bit_count()
 
-    # a count is read as one native unsigned int of nbytes bytes
-    fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}[nbytes]
-
     def block_weights(words):
         # slot a (S bits) of one wide int holds base + words[a]; after the
         # fold, x & bits keeps bit 0 of each nonzero symbol, and times low,
         # symbol n-1 of slot a sums exactly the n bits of slot a (a W-bit
-        # field holds a count up to n, so nothing carries out of it); the
-        # partial sums of the top slot spill into one more slot
+        # field holds a count up to n, so nothing carries out of it); moved
+        # down n-1 symbols, each count sits at the bottom of its slot, and
+        # the mask clears the partial sums above it (and those that the
+        # top slot spills into one more slot)
         slots = len(words)
         rep = _repunit(slots, S)
         table = sum(y << (a * S) for a, y in enumerate(words))
         add_all = adder(n * slots)
         bits = low * rep
-        size = (slots + 1) * S // 8
-        if sys.byteorder == "little":
-            counts = slice(n - 1, n * slots, n)
-        else:  # to_bytes then lists the fields from the top one down
-            counts = slice(n * slots, 0, -n)
+        counts = ((1 << W) - 1) * rep
+        down = (n - 1) * W
 
-        def weights(base: int):
+        def weights(base: int) -> int:
             x = add_all(base * rep, table)
             for s in shifts:
                 x |= x >> s
-            tally = ((x & bits) * low).to_bytes(size, sys.byteorder)
-            return memoryview(tally).cast(fmt)[counts]
+            return ((x & bits) * low >> down) & counts
 
         return weights
 
@@ -207,6 +203,10 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
     A state is the base-q number whose digits are the input registers, row
     0's newest first, then row 1's, and so on; input blocks are numbered in
     `itertools.product` order, so the zero state and the zero block are 0.
+    A state's whole fan of q^k edges is weighed and tested against the
+    distances of its successors in one packed step, and only the edges that
+    improve one are visited, in input order; the result, witness included,
+    is that of relaxing every edge in turn.
     """
     field = G.field
     k, n = G.shape
@@ -220,7 +220,7 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
         raise NotRightInvertible("free distance needs a right-invertible matrix")
     if not G.is_minimal():
         raise NotMinimal("state realization needs a minimal generator matrix")
-    pack, add, _, _, block_weights = _word_ops(field, n)
+    pack, add, _, S, block_weights = _word_ops(field, n)
     rows, degs = _coefficient_tables(G, pack)
     delta = sum(degs)
     nstates = q ** delta
@@ -247,41 +247,61 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
             out = [add(y, t) for y in out for t in rows[i][j]]
             shift = [s + c * moved for s in shift for c in range(q)]
     weights = block_weights(inp_out)
-    indices = range(len(inputs))
 
     # Dijkstra over states; a path must leave the zero state with a nonzero
     # input block and ends on its first return to the zero state.  The heap
-    # key w * nstates + s pops in (w, s) order.
-    unreached = n * nstates + 1  # a shortest path has at most nstates edges
-    dist = [unreached] * nstates
+    # key w * nstates + s pops in (w, s) order.  The message e_i is the
+    # codeword g_i, so d_free < lim and no path of weight >= lim matters:
+    # dist starts at lim, dist[0] is the lightest return to the zero state
+    # so far and parent[0] its closing edge.  Field a (S bits) of packed[t]
+    # holds dist[t + place[a]], so for t = shift[s] one packed subtraction
+    # flags every input a with w + weight < the dist of its successor.  No
+    # field borrows from the next: S >= 8n bits, and no term passes
+    # lim + n <= n(delta + 2) + 1.
+    lim = min(weight(row) for row in G.entries) + 1
+    dist = [lim] * nstates
     parent = [None] * nstates
+    one = _repunit(len(inputs), S)  # bit 0 of every field
+    H = one << (S - 1)
+    ramp = [(w + 1) * one for w in range(lim)]  # w + 1 in every field
+    field_mask = (1 << S) - 1
+    packed = [lim * one] * nstates  # only the entries t = shift[s] are read
+    # the fields of the inputs that share a place, so reach one successor:
+    # they differ only in the rows of degree 0
+    fields_of = {}
+    for a, pl in enumerate(place):
+        fields_of[pl] = fields_of.get(pl, 0) | 1 << (a * S)
+    siblings = [fields_of[pl] for pl in place]
     heap = [0]
-    best = None
-    best_final = None  # (last state, last input) of the closing edge
     while heap:
         w, s = divmod(heapq.heappop(heap), nstates)
         if w > dist[s]:
             continue
-        if best is not None and w >= best:
+        if w >= dist[0]:
             break
         sh = shift[s]
-        edges = zip(weights(out[s]), place, indices)
+        counts = weights(out[s])
+        tally = counts + ramp[w]
+        flags = ((packed[sh] | H) - tally) & H
         if not s:
-            next(edges)  # the zero block does not leave the zero state
-        for y, pl, ai in edges:
-            cand = w + y
-            ns = sh + pl
-            if ns == 0:
-                if best is None or cand < best:
-                    best, best_final = cand, (s, ai)
-            elif cand < dist[ns]:
-                dist[ns] = cand
-                parent[ns] = (s, ai)
+            flags &= ~(1 << S - 1)  # the zero block does not leave the zero state
+        while flags:
+            bit = flags & -flags
+            flags ^= bit
+            ai = bit.bit_length() // S - 1
+            cand = w + (counts >> ai * S & field_mask)
+            ns = sh + place[ai]
+            packed[sh] -= (dist[ns] - cand) * siblings[ai]
+            flags &= (packed[sh] | H) - tally  # a sibling must now beat cand
+            dist[ns] = cand
+            parent[ns] = (s, ai)
+            if ns:
                 heapq.heappush(heap, cand * nstates + ns)
-    if best is None:
+    if parent[0] is None:
         raise AssertionError("the state graph has no path back to the zero state")
+    best = dist[0]
     # reconstruct the input block sequence of the optimal excursion
-    s, ai = best_final
+    s, ai = parent[0]
     blocks = [inputs[ai]]
     while s:
         s, ai = parent[s]
@@ -332,7 +352,9 @@ def free_distance_bruteforce(
     only ever add weight, and shifting a message down in time preserves
     weight, so only messages with a nonzero block at time 0 are scanned.
     A nonzero scalar c keeps the weight and degree of cu, so the block at
-    time 0 is scanned only with its last nonzero symbol 1.
+    time 0 is scanned only with its last nonzero symbol 1.  A scan node
+    tests its whole fan of q^k blocks against its own best weight so far in
+    one packed step, and visits only the blocks that stay below it.
     """
     field = G.field
     k, n = G.shape
@@ -356,9 +378,18 @@ def free_distance_bruteforce(
         span.append(acc)
     first = (1 << S) - 1  # the block emitted now
     weights = block_weights([y & first for y in span])
-    # the blocks whose last nonzero symbol is 1 start a message
-    starts = [a for a, blk in enumerate(inputs) if [c for c in blk if c][-1:] == [1]]
-    blocks = range(len(inputs))
+    one = _repunit(len(inputs), S)  # bit 0 of every field
+    H = one << (S - 1)
+    # limits[v] - weights(...) keeps the top bit of field a iff the weight
+    # in it is at most v; a weight is at most n, so v stops at n
+    limits = [v * one + H for v in range(n + 1)]
+    # the top bits of the blocks whose last nonzero symbol is 1, which
+    # start a message
+    starts = sum(
+        1 << (a * S + S - 1)
+        for a, blk in enumerate(inputs)
+        if [c for c in blk if c][-1:] == [1]
+    )
     best = n * (D + m + 1) + 1  # above the weight of every codeword scanned
 
     def dfs(t, pending, partial):
@@ -368,9 +399,15 @@ def free_distance_bruteforce(
         if t > D:
             best = min(best, partial + weight(pending))
             return
-        ws = weights(pending & first)
-        for a in starts if t == 0 else blocks:
-            w = partial + ws[a]
+        counts = weights(pending & first)
+        # the blocks a with partial + weight < best, in increasing order;
+        # best may drop while they are scanned, so each is checked again
+        flags = (limits[min(best - partial - 1, n)] - counts) & (H if t else starts)
+        while flags:
+            bit = flags & -flags
+            flags ^= bit
+            a = bit.bit_length() // S - 1
+            w = partial + (counts >> a * S & first)
             if w < best:
                 dfs(t + 1, add(pending, span[a]) >> S, w)
 

@@ -16,7 +16,6 @@ x-multiples (generator, unit-block and module matrices) comes from
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import NamedTuple
 
 from . import linalg
 from .errors import (
@@ -27,23 +26,10 @@ from .errors import (
     MixedAlgebras,
     NonUnitScalar,
     NotAUnit,
-    ZeroPolynomial,
 )
 from .automorphisms import Automorphism
 from .fields import NEG_INF, Poly, poly_ext_gcd
 from .ring import RingElement
-
-
-class Monomial(NamedTuple):
-    """z^mu eps_k; ordered by z-degree first, then component index."""
-
-    z_degree: int
-    idempotent_index: int
-
-    def __str__(self):
-        mu, k = self.z_degree, self.idempotent_index
-        zpart = "" if mu == 0 else ("z*" if mu == 1 else f"z^{mu}*")
-        return f"{zpart}eps{k}"
 
 
 class SkewPoly:
@@ -177,7 +163,7 @@ class SkewPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    # -- components, support, monomials --------------------------------------
+    # -- components, support, reducedness -------------------------------------
 
     def component(self, k: int) -> "SkewPoly":
         """eps_k * f; the z^nu coefficient is eps_{Pi^nu(k)} f_nu."""
@@ -201,19 +187,6 @@ class SkewPoly:
 
     def support(self):
         return tuple(self.components())
-
-    def leading_monomial(self):
-        """Largest monomial with a nonzero coefficient, plus that coefficient."""
-        if not self.coeffs:
-            raise ZeroPolynomial("the zero polynomial has no leading monomial")
-        ctx = self.context
-        mu = len(self.coeffs) - 1
-        top = self.coeffs[mu]
-        for j in range(ctx.r, 0, -1):
-            part = ctx.idempotent(j) * top
-            if part:
-                return Monomial(mu, j), part
-        raise AssertionError("nonzero coefficient with no nonzero component")
 
     def is_reduced(self) -> bool:
         """No term of one component right-divisible by another's leading monomial.

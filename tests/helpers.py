@@ -1,11 +1,26 @@
 """Shared heavy property checks used by module tests and the acceptance gate."""
 
+import heapq
 import itertools
 import random
+from typing import NamedTuple
 
 from skewcyclic.convolutional import PolyMatrix
-from skewcyclic.distance import weight
-from skewcyclic.fields import Poly, monic_polys
+from skewcyclic.distance import (
+    _check_cap,
+    _coefficient_tables,
+    _report,
+    _witness_from_inputs,
+    _word_ops,
+    weight,
+)
+from skewcyclic.errors import (
+    NotMinimal,
+    NotRightInvertible,
+    StateCapExceeded,
+    ZeroPolynomial,
+)
+from skewcyclic.fields import NEG_INF, Poly, monic_polys
 
 
 # (field literal, n): the contexts that the automorphism and CRT
@@ -287,6 +302,28 @@ def is_reduced_by_terms(f):
     return True
 
 
+class Monomial(NamedTuple):
+    """z^mu eps_k; ordered by z-degree first, then component index."""
+
+    z_degree: int
+    idempotent_index: int
+
+
+def leading_monomial(f):
+    """Test-side: the largest monomial of f with a nonzero coefficient, and
+    that coefficient's part, found by idempotent products from eps_r down."""
+    if not f.coeffs:
+        raise ZeroPolynomial("the zero polynomial has no leading monomial")
+    ctx = f.context
+    mu = len(f.coeffs) - 1
+    top = f.coeffs[mu]
+    for j in range(ctx.r, 0, -1):
+        part = ctx.idempotent(j) * top
+        if part:
+            return Monomial(mu, j), part
+    raise AssertionError("nonzero coefficient with no nonzero component")
+
+
 def griesmer_bound_by_levels(n, k, delta, m, q, levels=64):
     """Test-only oracle for distance.griesmer_bound: the largest
     d <= S(n,k,delta) for which sum_{l=0}^{top} ceil(d/q^l) <= n(m+i),
@@ -385,3 +422,96 @@ def min_weight_by_enumeration(G, D: int) -> int:
         if best is None or w < best:
             best = w
     return best
+
+
+def free_distance_by_edges(G, state_cap: int = 2 ** 16):
+    """Test-only reference for distance.free_distance: the same Dijkstra,
+    relaxing every edge of a state one at a time, in input order, each
+    edge weighed alone.  It pins the tie rules that pick the witness.
+
+    A state is the base-q number whose digits are the input registers, row
+    0's newest first, then row 1's, and so on; input blocks are numbered in
+    `itertools.product` order, so the zero state and the zero block are 0.
+    """
+    field = G.field
+    k, n = G.shape
+    q = field.q
+    # the cap precedes the minors and gcds below; a zero row (degree -inf) first
+    row_degrees = G.row_degrees()
+    if NEG_INF in row_degrees:
+        raise NotRightInvertible("free distance needs a right-invertible matrix")
+    _check_cap(q, sum(row_degrees), state_cap, StateCapExceeded, "q^delta")
+    if not G.is_right_invertible():
+        raise NotRightInvertible("free distance needs a right-invertible matrix")
+    if not G.is_minimal():
+        raise NotMinimal("state realization needs a minimal generator matrix")
+    pack, add, word_weight, _, _ = _word_ops(field, n)
+    rows, degs = _coefficient_tables(G, pack)
+    delta = sum(degs)
+    nstates = q ** delta
+    inputs = list(itertools.product(range(q), repeat=k))
+    # place value of each register digit; the newest one of row i is first[i]
+    radix = [q ** (delta - 1 - f) for f in range(delta)]
+    first = [sum(degs[:i]) for i in range(k)]
+    place = [
+        sum(c * radix[first[i]] for i, c in enumerate(a) if degs[i]) for a in inputs
+    ]
+    inp_out = []
+    for a in inputs:
+        y = 0
+        for i, c in enumerate(a):
+            y = add(y, rows[i][0][c])
+        inp_out.append(y)
+    # by linearity, one register digit at a time (most significant first):
+    # out[s] is the word the registers of s emit, shift[s] is s with every
+    # register moved one step older, so the next state is shift[s] + place[a]
+    out, shift = [0], [0]
+    for i in range(k):
+        for j in range(1, degs[i] + 1):
+            moved = radix[first[i] + j] if j < degs[i] else 0
+            out = [add(y, t) for y in out for t in rows[i][j]]
+            shift = [s + c * moved for s in shift for c in range(q)]
+    indices = range(len(inputs))
+
+    # Dijkstra over states; a path must leave the zero state with a nonzero
+    # input block and ends on its first return to the zero state.  The heap
+    # key w * nstates + s pops in (w, s) order.
+    unreached = n * nstates + 1  # a shortest path has at most nstates edges
+    dist = [unreached] * nstates
+    parent = [None] * nstates
+    heap = [0]
+    best = None
+    best_final = None  # (last state, last input) of the closing edge
+    while heap:
+        w, s = divmod(heapq.heappop(heap), nstates)
+        if w > dist[s]:
+            continue
+        if best is not None and w >= best:
+            break
+        sh = shift[s]
+        edges = zip((word_weight(add(out[s], y)) for y in inp_out), place, indices)
+        if not s:
+            next(edges)  # the zero block does not leave the zero state
+        for y, pl, ai in edges:
+            cand = w + y
+            ns = sh + pl
+            if ns == 0:
+                if best is None or cand < best:
+                    best, best_final = cand, (s, ai)
+            elif cand < dist[ns]:
+                dist[ns] = cand
+                parent[ns] = (s, ai)
+                heapq.heappush(heap, cand * nstates + ns)
+    if best is None:
+        raise AssertionError("the state graph has no path back to the zero state")
+    # reconstruct the input block sequence of the optimal excursion
+    s, ai = best_final
+    blocks = [inputs[ai]]
+    while s:
+        s, ai = parent[s]
+        blocks.append(inputs[ai])
+    blocks.reverse()
+    witness = _witness_from_inputs(G, blocks)
+    if weight(witness) != best:
+        raise AssertionError("witness weight differs from the free distance")
+    return _report(G, best, witness, q)

@@ -75,6 +75,26 @@ def test_l_order(sig43, sig87):
         sig43.l_order(0)
 
 
+def test_perm_power_matches_walk():
+    """perm_power(k, t), one index into k's cycle, against t mod order
+    steps along perm, for every k and every t in [-2 order, 2 order], on
+    up to 12 seeded automorphisms of each sweep context."""
+    rng = random.Random(29)
+    for field_text, n in SWEEP_CONTEXTS:
+        ctx = RingContext(parse_field(field_text), n)
+        sigmas = enumerate_automorphisms(ctx)
+        for sig in rng.sample(sigmas, min(12, len(sigmas))):
+            for k in range(1, ctx.r + 1):
+                for t in range(-2 * sig.order, 2 * sig.order + 1):
+                    walked = k
+                    for _ in range(t % sig.order):
+                        walked = sig.perm[walked - 1]
+                    assert sig.perm_power(k, t) == walked, (sig, k, t)
+            for k in (0, ctx.r + 1):
+                with pytest.raises(IndexOutOfRange):
+                    sig.perm_power(k, 1)
+
+
 def test_l_order_is_minimal(sig27, sig87):
     for sig in (sig27, sig87):
         ctx = sig.context

@@ -114,6 +114,18 @@ def test_automorphisms_listing_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == AUTOMORPHISMS_F8N7_SHA256
 
 
+# SHA-256 of the stdout of `verify-paper --format json`, every golden check,
+# recorded with the state graph that relaxed one edge at a time and the
+# oracle that looped over every block of a fan
+VERIFY_PAPER_JSON_SHA256 = "35de3ae74531a8fd5ef5dc229e17307daace251c5719a662316ab801f3ba512c"
+
+
+def test_verify_paper_json_pinned(capsys):
+    code, out, _ = run(capsys, "verify-paper", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PAPER_JSON_SHA256
+
+
 def test_automorphisms_cap_before_enumerating(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "automorphisms", "--field", "GF(2)", "--n", "31")

@@ -4,19 +4,26 @@ import time
 
 import pytest
 
-from helpers import griesmer_bound_by_levels, min_weight_by_enumeration
+from helpers import (
+    SWEEP_CONTEXTS,
+    free_distance_by_edges,
+    griesmer_bound_by_levels,
+    min_weight_by_enumeration,
+)
 
 from skewcyclic import (
     MinimalCodeRecipe,
     PolyMatrix,
     RingContext,
     build_minimal_code,
+    enumerate_automorphisms,
     free_distance,
     free_distance_bruteforce,
     generator_matrix,
     griesmer_bound,
     make_field,
     membership,
+    orthogonal_sum,
     singleton_bound,
     weight,
 )
@@ -202,20 +209,22 @@ def test_bruteforce_monotone_and_agrees(sig43, ctx43):
         prev = val
 
 
+def _random_units(rng, ctx, count):
+    units = []
+    while len(units) < count:
+        a = ctx.from_codes([rng.randrange(ctx.field.q) for _ in range(ctx.n)])
+        if ctx.is_unit(a):
+            units.append(a)
+    return tuple(units)
+
+
 def test_bruteforce_matches_state_graph_random(sig43, sig45):
     rng = random.Random(61)
     for sig in (sig43, sig45):
         ctx = sig.context
         for _ in range(4):
             d = rng.randrange(0, 3)
-            scalars = []
-            while len(scalars) < d:
-                a = ctx.from_codes(
-                    [rng.randrange(ctx.field.q) for _ in range(ctx.n)]
-                )
-                if ctx.is_unit(a):
-                    scalars.append(a)
-            code = build_minimal_code(MinimalCodeRecipe(sig, 2, d, tuple(scalars)))
+            code = build_minimal_code(MinimalCodeRecipe(sig, 2, d, _random_units(rng, ctx, d)))
             exact = free_distance(code.generator).distance
             assert free_distance_bruteforce(
                 code.generator, code.delta + ctx.n, cap=2 ** 60
@@ -274,13 +283,8 @@ def _seeded_code(index):
     field_text, n, perm, l, d = SEEDED_CODES[index]
     ctx = RingContext(parse_field(field_text), n)
     sig = parse_sigma(ctx, "perm:" + perm)
-    rng = random.Random(index)
-    scalars = []
-    while len(scalars) < d:
-        a = ctx.from_codes([rng.randrange(ctx.field.q) for _ in range(n)])
-        if ctx.is_unit(a):
-            scalars.append(a)
-    return build_minimal_code(MinimalCodeRecipe(sig, l, d, tuple(scalars)))
+    units = _random_units(random.Random(index), ctx, d)
+    return build_minimal_code(MinimalCodeRecipe(sig, l, d, units))
 
 
 # free_distance(G).as_dict(), witnesses included, recorded with an earlier
@@ -502,6 +506,85 @@ def test_odd_characteristic_state_graph_matches_oracle(index):
     assert rep.distance <= rep.griesmer <= rep.singleton
 
 
+@functools.cache  # two tests share the codes
+def _sweep_codes():
+    """34 seeded codes over each SWEEP_CONTEXTS context, in turn: a block
+    code (delta = 0, every row of degree 0), a minimal code of delta > 0 on
+    a moved cycle, and the orthogonal sum of a block code with such a
+    minimal code, whose degree-0 rows send several input blocks to one
+    successor.  At most 1024 states and 256 input blocks each."""
+    per_context, max_states, max_inputs = 34, 1024, 256
+    rng = random.Random(131)
+    codes = []
+    for field_text, n in SWEEP_CONTEXTS:
+        ctx = RingContext(parse_field(field_text), n)
+        q, kappas = ctx.field.q, ctx.kappas
+        sigmas = [s for s in enumerate_automorphisms(ctx) if len(s.cycles) < ctx.r]
+
+        def minimal(sig, l, d):
+            return build_minimal_code(MinimalCodeRecipe(sig, l, d, _random_units(rng, ctx, d)))
+
+        def moved_code(sig, l):
+            ds = [d for d in (1, 2, 3) if q ** (d * kappas[l - 1]) <= max_states]
+            return minimal(sig, l, rng.choice(ds))
+
+        made = []
+        while len(made) < per_context:
+            sig = rng.choice(sigmas)
+            moved = [l for c in sig.cycles if len(c) > 1 for l in c]
+            kind = len(made) % 3
+            if kind == 0:
+                l = rng.randrange(1, ctx.r + 1)
+                if q ** kappas[l - 1] <= max_inputs:
+                    made.append(minimal(sig, l, 0))
+            elif kind == 1:
+                l = rng.choice(moved)
+                if q ** kappas[l - 1] <= max_inputs:
+                    made.append(moved_code(sig, l))
+            else:
+                l = rng.choice(moved)
+                others = [j for j in range(1, ctx.r + 1) if not sig.same_cycle(j, l)]
+                if others:
+                    j = rng.choice(others)
+                    if q ** (kappas[j - 1] + kappas[l - 1]) <= max_inputs:
+                        made.append(orthogonal_sum([minimal(sig, j, 0), moved_code(sig, l)]))
+        codes += made
+    return tuple(codes)
+
+
+def test_state_graph_sweep_matches_edge_reference():
+    """free_distance, which flags a whole input fan at once, against the
+    reference that relaxes one edge at a time: the same report, witness
+    included, on 306 seeded codes (see _sweep_codes)."""
+    codes = _sweep_codes()
+    assert len(codes) >= 300
+    block = [c for c in codes if c.delta == 0]
+    mixed = [c for c in codes if c.delta and 0 in c.forney]
+    assert len(block) >= 90 and len(mixed) >= 90
+    for code in codes:
+        G = code.generator
+        assert free_distance(G).as_dict() == free_distance_by_edges(G).as_dict(), G
+
+
+def test_oracle_sweep_matches_enumeration_and_state_graph():
+    """free_distance_bruteforce on the sweep codes: against the plain
+    enumeration for D <= 2 while it walks at most 256 messages, and against
+    the state graph at D = delta + n on every other code."""
+    codes = _sweep_codes()
+    enumerated = 0
+    for index, code in enumerate(codes):
+        G = code.generator
+        q, k = G.field.q, G.nrows
+        for D in range(3):
+            if q ** (k * (D + 1)) <= 256:
+                enumerated += 1
+                assert free_distance_bruteforce(G, D) == min_weight_by_enumeration(G, D), G
+        if index % 2 == 0:
+            exact = free_distance(G).distance
+            assert free_distance_bruteforce(G, code.delta + code.n, cap=2 ** 400) == exact, G
+    assert enumerated >= 300
+
+
 @functools.cache  # two tests share the fields; building them takes ~2 s
 def _default_fields():
     primes = [p for p in range(2, MAX_FIELD_SIZE + 1) if all(p % d for d in range(2, p))]
@@ -559,31 +642,37 @@ def test_packed_word_arithmetic():
                 assert packed[add(x, y)] == [table[a][b] for a, b in zip(w, w2)]
 
 
+def _packed(weights, S):
+    """The one int that holds weights[a] in bits [a*S, (a+1)*S)."""
+    return sum(w << (a * S) for a, w in enumerate(weights))
+
+
 def test_block_weights():
-    """weights(base) against a plain count of every base + words[a]: for
-    every default field, tables of 1, q and 64 seeded words of 3 symbols,
-    one word the negation of base; and 300-symbol words, whose counts pass
-    255, in characteristic 2 and in odd characteristic."""
+    """weights(base) against a plain count of every base + words[a], packed
+    one count per S-bit field with every other bit 0: for every default
+    field, tables of 1, q and 64 seeded words of 3 symbols, one word the
+    negation of base; and 300-symbol words, whose counts pass 255, in
+    characteristic 2 and in odd characteristic."""
     for field in _default_fields():
         q, table, neg = field.q, field._add, field._neg
         rng = random.Random(q)
-        pack, _, _, _, block_weights = _word_ops(field, 3)
+        pack, _, _, S, block_weights = _word_ops(field, 3)
         for size in (1, q, 64):
             base = [rng.randrange(q) for _ in range(3)]
             words = [[neg[c] for c in base]]
             words += [[rng.randrange(q) for _ in range(3)] for _ in range(size - 1)]
             weights = block_weights([pack(w) for w in words])
             expected = [_nonzero(table[x][y] for x, y in zip(base, w)) for w in words]
-            assert list(weights(pack(base))) == expected
+            assert weights(pack(base)) == _packed(expected, S)
     by_size = {field.q: field for field in _default_fields()}
     for q in (2, 256, 3, 251):
         field, table = by_size[q], by_size[q]._add
         rng = random.Random(q)
-        pack, _, _, _, block_weights = _word_ops(field, 300)
+        pack, _, _, S, block_weights = _word_ops(field, 300)
         base = [rng.randrange(1, q) for _ in range(300)]
         words = [[0] * 300, [field._neg[c] for c in base]]
         words += [[rng.randrange(q) for _ in range(300)] for _ in range(5)]
         weights = block_weights([pack(w) for w in words])
         expected = [_nonzero(table[x][y] for x, y in zip(base, w)) for w in words]
         assert expected[0] == 300
-        assert list(weights(pack(base))) == expected
+        assert weights(pack(base)) == _packed(expected, S)
