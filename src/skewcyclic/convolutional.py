@@ -184,15 +184,7 @@ class PolyMatrix:
         rows are dependent); stops at the first minor that makes the gcd
         constant.  The matrix is immutable, so the answer is kept."""
         if self._right_invertible is None:
-            found, g = False, None
-            for m in self.k_minors():
-                if m.is_zero():
-                    continue
-                g = m if g is None else poly_gcd(g, m)
-                if g.degree == 0:
-                    found = True
-                    break
-            self._right_invertible = found
+            self._right_invertible = _constant_gcd(self.k_minors())
         return self._right_invertible
 
     # -- Smith form and consequences -------------------------------------------
@@ -403,10 +395,22 @@ EQUIVALENCE_MAX_NULLITY = 14
 def strong_equivalence(G: PolyMatrix, Gp: PolyMatrix):
     """Search for (P, D) with im G = im(Gp * P * D); None if inequivalent.
 
-    P runs over all n! column permutations.  For each P the diagonal D is
-    not enumerated directly: membership of the rows of Gp*P*D in im G is
-    linear in the diagonal entries, so candidates come from a nullspace
-    over F, and the first one with all entries nonzero is checked.
+    P runs over the column permutations that the maximal minors allow.
+    If B = Gp*P*D spans im G, then B = T*G with det T a nonzero constant
+    (see below), so by Cauchy-Binet (here B[:, S] = T * G[:, S]) the minor
+    of B on a k-set S of columns is det T times the minor of G on S.  It
+    is also, up to sign, the product of the entries of D on S times the
+    minor of Gp on perm(S).  So the monic minor of G on S equals the monic
+    minor of Gp on perm(S), for every S.  Permutations are generated depth
+    first in itertools.permutations order, and a prefix is dropped at the
+    first set S that closes at its last position and disagrees.  A dropped
+    permutation has no valid D, so the answer is the one a search over
+    all n! permutations finds first.
+
+    For each remaining P the diagonal D is not enumerated directly:
+    membership of the rows of Gp*P*D in im G is linear in the diagonal
+    entries, so candidates come from a nullspace over F, and the first one
+    with all entries nonzero is checked.
 
     The witness is checked with T = B*Gtilde, B = Gp*P*D: T*G == B and
     det T a nonzero constant, one k x k determinant.  Why this decides
@@ -426,24 +430,32 @@ def strong_equivalence(G: PolyMatrix, Gp: PolyMatrix):
             f"n <= {EQUIVALENCE_MAX_N} and q <= {EQUIVALENCE_MAX_Q} required"
         )
     gt = G.right_inverse()
-    if not Gp.is_right_invertible():
+    gp_minors = tuple(Gp.k_minors())
+    if not _constant_gcd(gp_minors):
         raise NotRightInvertible("both matrices must be right invertible")
+    perms = _minor_preserving_permutations(n, k, G.k_minors(), gp_minors)
     # Q = I - Gtilde*G annihilates exactly im G (row vectors w with w*Q = 0)
     Q = PolyMatrix.identity(field, n) - (gt * G)
-    # z-coefficients of Gp[r][i] * Q[j][c], shared by every permutation
-    prods = [
-        [[[(a * q).codes for q in Q.entries[j]] for j in range(n)] for a in row]
-        for row in Gp.entries
-    ]
+    # z-coefficients of Gp[r][i] * Q[j][c] by (r, c), formed when a
+    # remaining permutation first sends position j to column i
+    prods = {}
     one = Poly.one(field)
     zero = Poly.zero(field)
-    for perm in itertools.permutations(range(n)):
+    for perm in perms:
+        blocks = []
+        for j, i in enumerate(perm):
+            block = prods.get((i, j))
+            if block is None:
+                block = prods[i, j] = [
+                    [(row[i] * q).codes for q in Q.entries[j]] for row in Gp.entries
+                ]
+            blocks.append(block)
         # rows of B*diag(d) lie in im G, B = Gp*P: for all r, c:
         # sum_j Gp[r][perm[j]] Q[j][c] d_j = 0, coefficient by coefficient in z
         eqs = []
         for r in range(k):
             for c in range(n):
-                cols = [prods[r][perm[j]][j][c] for j in range(n)]
+                cols = [block[r][c] for block in blocks]
                 for t in range(max(len(p) for p in cols)):
                     eqs.append([p[t] if t < len(p) else 0 for p in cols])
         if eqs:
@@ -477,6 +489,55 @@ def strong_equivalence(G: PolyMatrix, Gp: PolyMatrix):
         )
         return P, D
     return None
+
+
+def _constant_gcd(minors) -> bool:
+    """Whether the nonzero polynomials among `minors` have a constant gcd
+    (False when all are zero); stops at the first that makes it constant."""
+    g = None
+    for m in minors:
+        if m.is_zero():
+            continue
+        g = m if g is None else poly_gcd(g, m)
+        if g.degree == 0:
+            return True
+    return False
+
+
+def _minor_preserving_permutations(n, k, g_minors, gp_minors):
+    """The permutations perm of range(n), in itertools.permutations order,
+    with Gp's monic minor on perm(S) equal to G's on S for every k-set S of
+    columns.  Both minor sequences come in itertools.combinations order.
+    A prefix perm[:t+1] is dropped at the first S with max(S) = t whose
+    minors disagree, so only prefixes that pass every closed set grow."""
+    sets = list(itertools.combinations(range(n), k))
+    # Gp's monic minors keyed by the bit mask of their column set
+    gp_key = {
+        sum(1 << j for j in s): m.monic().codes for s, m in zip(sets, gp_minors)
+    }
+    # closing[t]: (the other positions of S, G's monic minor on S), max(S) = t
+    closing = [[] for _ in range(n)]
+    for s, m in zip(sets, g_minors):
+        closing[s[-1]].append((s[:-1], m.monic().codes))
+    perm = [0] * n
+    bits = [0] * n  # bits[j] = 1 << perm[j]
+
+    def extend(t, used):
+        for i in range(n):
+            bit = 1 << i
+            if used & bit:
+                continue
+            if all(
+                gp_key[bit + sum(bits[j] for j in rest)] == key
+                for rest, key in closing[t]
+            ):
+                perm[t], bits[t] = i, bit
+                if t == n - 1:
+                    yield tuple(perm)
+                else:
+                    yield from extend(t + 1, used | bit)
+
+    return extend(0, 0)
 
 
 def _nonvanishing_combination(field, basis):

@@ -3,9 +3,10 @@
 Field elements are encoded as integers in [0, q): the code of an element
 with coefficient vector (c_0, ..., c_{deg-1}) over F_p is sum(c_i * p**i).
 All arithmetic goes through tables built once per field, so the fields
-handled here are deliberately small: q <= MAX_FIELD_SIZE = 256.  The
-tables of GF(p) are integer arithmetic mod p; those of GF(p^deg) are sums
-and products of `Poly` residues over GF(p) reduced mod the modulus.
+handled here are deliberately small: q <= MAX_FIELD_SIZE = 256.  Sums are
+taken digit by digit (coefficient by coefficient mod p); the product a*b
+is the F_p-linear combination sum_i b_i * (a*y^i) of the images of the
+basis 1, y, ..., y^(deg-1), with a*y a shift reduced by the modulus.
 """
 
 from __future__ import annotations
@@ -68,46 +69,58 @@ class FieldSpec:
         self.deg = deg
         self.q = p ** deg
         self.modulus = modulus
-        if deg == 1:
-            self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self._mul = [[a * b % p for b in range(p)] for a in range(p)]
-            self._neg = [-a % p for a in range(p)]
-        else:
-            mod = Poly(FieldSpec(p, 1, (0, 1)), modulus)
-            if not is_irreducible(mod):
-                raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
-            self._build_tables(mod)
+        if deg > 1 and not is_irreducible(Poly(FieldSpec(p, 1, (0, 1)), modulus)):
+            raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
+        self._build_tables()
         self._find_generator()
 
     # -- construction helpers ------------------------------------------
 
-    def _code_coeffs(self, code: int):
-        cs = []
-        for _ in range(self.deg):
-            cs.append(code % self.p)
-            code //= self.p
-        return cs
+    def _build_tables(self):
+        """Sum, product and negation tables on element codes.
 
-    def _coeffs_code(self, cs) -> int:
-        code = 0
-        for c in reversed(cs):
-            code = code * self.p + (c % self.p)
-        return code
+        A code's base-p digits are its coefficients over F_p, so sums and
+        negatives are built one digit at a time.  Row a of the product
+        table is the F_p-linear map b -> a*b = sum_i b_i * (a*y^i), built
+        one digit of b at a time from the images a*y^i.
+        """
+        p, deg, q = self.p, self.deg, self.q
+        add = [[(a + b) % p for b in range(p)] for a in range(p)]
+        neg = [-a % p for a in range(p)]
+        size = p
+        for _ in range(deg - 1):
+            # a = hi * size + low: the low digits add by the old table
+            tops = [[size * ((ha + hb) % p) for hb in range(p)] for ha in range(p)]
+            add = [
+                [low + top for top in tops[ha] for low in add[la]]
+                for ha in range(p)
+                for la in range(size)
+            ]
+            neg = [low + size * (-hi % p) for hi in range(p) for low in neg]
+            size *= p
 
-    def _build_tables(self, mod: "Poly"):
-        """Sums and products of the residues mod `mod`, a Poly over F_p."""
-        q = self.q
-        elems = [Poly(mod.field, self._code_coeffs(c)) for c in range(q)]
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a, fa in enumerate(elems):
-            for b in range(a, q):
-                fb = elems[b]
-                add[a][b] = add[b][a] = self._coeffs_code((fa + fb).codes)
-                mul[a][b] = mul[b][a] = self._coeffs_code((fa * fb % mod).codes)
+        def multiples(v):
+            out = [0]
+            for _ in range(p - 1):
+                out.append(add[out[-1]][v])
+            return out
+
+        # a*y shifts the digits up; the top digit t wraps as t*y^deg, and
+        # y^deg = -(m_0 + m_1 y + ... + m_(deg-1) y^(deg-1)) mod the modulus
+        top = q // p
+        wrap = multiples(neg[sum(c * p ** i for i, c in enumerate(self.modulus[:-1]))])
+        times_y = [add[a % top * p][wrap[a // top]] for a in range(q)]
+        mul = []
+        for a in range(q):
+            row, v = [0], a
+            for _ in range(deg):
+                # row covers the b below p^i; the next digit adds b_i * (a*y^i)
+                row = [add[r][w] for w in multiples(v) for r in row]
+                v = times_y[v]
+            mul.append(row)
         self._add = add
         self._mul = mul
-        self._neg = [self._coeffs_code((-f).codes) for f in elems]
+        self._neg = neg
 
     def _find_generator(self):
         # first code (in natural code order) of multiplicative order q-1
@@ -306,7 +319,8 @@ class Poly:
     """Univariate polynomial over a FieldSpec, coefficients low-to-high.
 
     Stored as a tuple of element codes with no trailing zeros; the zero
-    polynomial is the empty tuple and has degree -inf.
+    polynomial is the empty tuple and has degree -inf.  In characteristic 2
+    codes add by XOR and every element is its own negative.
     """
 
     __slots__ = ("field", "codes")
@@ -317,6 +331,14 @@ class Poly:
             codes.pop()
         self.field = field
         self.codes = tuple(codes)
+
+    @classmethod
+    def _trusted(cls, field, codes: tuple):
+        """A Poly from a tuple that already has no trailing zeros."""
+        f = object.__new__(cls)
+        f.field = field
+        f.codes = codes
+        return f
 
     @classmethod
     def zero(cls, field):
@@ -361,42 +383,55 @@ class Poly:
 
     def __add__(self, other):
         other = self._checked(other)
-        add = self.field._add
+        field = self.field
         a, b = self.codes, other.codes
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add[out[i]][c]
-        return Poly(self.field, out)
+        if field.p == 2:
+            for i, c in enumerate(b):
+                out[i] ^= c
+        else:
+            add = field._add
+            for i, c in enumerate(b):
+                out[i] = add[out[i]][c]
+        return _normalized(field, out)
 
     def __neg__(self):
+        if self.field.p == 2:
+            return self
         neg = self.field._neg
-        return Poly(self.field, [neg[c] for c in self.codes])
+        return Poly._trusted(self.field, tuple(neg[c] for c in self.codes))
 
     def __sub__(self, other):
-        return self + (-self._checked(other))
+        other = self._checked(other)
+        field = self.field
+        if field.p == 2:
+            return self + other
+        add, neg = field._add, field._neg
+        a, b = self.codes, other.codes
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] = add[out[i]][neg[c]]
+        return _normalized(field, out)
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             return self.scale(other.code)
         other = self._checked(other)
+        field = self.field
         if not self.codes or not other.codes:
-            return Poly.zero(self.field)
-        mul = self.field._mul
-        add = self.field._add
+            return Poly._trusted(field, ())
+        # the leading coefficients multiply to a nonzero one: no trimming
         out = [0] * (len(self.codes) + len(other.codes) - 1)
-        for i, x in enumerate(self.codes):
-            if x:
-                row = mul[x]
-                for j, y in enumerate(other.codes):
-                    if y:
-                        out[i + j] = add[out[i + j]][row[y]]
-        return Poly(self.field, out)
+        _accumulate(field, out, self.codes, other.codes)
+        return Poly._trusted(field, tuple(out))
 
     def scale(self, code: int) -> "Poly":
-        mul = self.field._mul
-        return Poly(self.field, [mul[c][code] for c in self.codes])
+        if not code:
+            return Poly._trusted(self.field, ())
+        row = self.field._mul[code]
+        return Poly._trusted(self.field, tuple(row[c] for c in self.codes))
 
     def __divmod__(self, other):
         other = self._checked(other)
@@ -408,16 +443,19 @@ class Poly:
         if dd < dv:
             return Poly.zero(field), self
         inv_lc = field.inv_c(other.lc())
+        mul, add, neg = field._mul, field._add, field._neg
+        # rem += c * pivot clears rem[i]; that entry is never read again
+        pivot = [neg[mul[oc][inv_lc]] for oc in other.codes[:-1]]
         quot = [0] * (dd - dv + 1)
-        mul, sub = field._mul, field.sub_c
         for i in range(dd, dv - 1, -1):
             c = rem[i]
             if c:
-                f = mul[c][inv_lc]
-                quot[i - dv] = f
-                for j, oc in enumerate(other.codes):
-                    rem[i - dv + j] = sub(rem[i - dv + j], mul[f][oc])
-        return Poly(field, quot), Poly(field, rem[:dv])
+                quot[i - dv] = mul[c][inv_lc]
+                row = mul[c]
+                for j, pc in enumerate(pivot, i - dv):
+                    rem[j] = add[rem[j]][row[pc]]
+        # the top quotient coefficient is lc(self) / lc(other), nonzero
+        return Poly._trusted(field, tuple(quot)), _normalized(field, rem[:dv])
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -493,6 +531,47 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.to_str()})"
+
+
+def _normalized(field, out: list) -> Poly:
+    """The Poly of a fresh code list, its trailing zeros popped in place."""
+    while out and not out[-1]:
+        out.pop()
+    return Poly._trusted(field, tuple(out))
+
+
+def _accumulate(field, out: list, a, b):
+    """out += a * b on code sequences, out long enough to hold the product."""
+    mul = field._mul
+    if field.p == 2:
+        for i, x in enumerate(a):
+            if x:
+                row = mul[x]
+                for j, y in enumerate(b, i):
+                    if y:
+                        out[j] ^= row[y]
+    else:
+        add = field._add
+        for i, x in enumerate(a):
+            if x:
+                row = mul[x]
+                for j, y in enumerate(b, i):
+                    if y:
+                        out[j] = add[out[j]][row[y]]
+
+
+def cross_difference(a: Poly, b: Poly, c: Poly, d: Poly) -> Poly:
+    """a*b - c*d in one pass, with no intermediate Poly; all four over one
+    field."""
+    field = a.field
+    out = [0] * max(len(a.codes) + len(b.codes), len(c.codes) + len(d.codes))
+    _accumulate(field, out, a.codes, b.codes)
+    if field.p == 2:
+        _accumulate(field, out, c.codes, d.codes)
+    else:
+        neg = field._neg
+        _accumulate(field, out, [neg[x] for x in c.codes], d.codes)
+    return _normalized(field, out)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:

@@ -4,7 +4,7 @@ fraction-free elimination (rank and determinant) for matrices of polynomials."""
 from __future__ import annotations
 
 from .errors import LengthMismatch
-from .fields import FieldSpec, Poly
+from .fields import FieldSpec, Poly, cross_difference
 
 
 def bareiss(field: FieldSpec, rows):
@@ -43,7 +43,7 @@ def bareiss(field: FieldSpec, rows):
             row = a[i]
             f = row[c]
             for j in range(c + 1, n):
-                t = row[j] * piv - f * prow[j]
+                t = cross_difference(row[j], piv, f, prow[j])
                 if scale is None:
                     t = t.exact_div(prev)
                 elif scale != 1:

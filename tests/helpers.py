@@ -5,7 +5,14 @@ import itertools
 import random
 from typing import NamedTuple
 
-from skewcyclic.convolutional import PolyMatrix
+from skewcyclic import linalg
+from skewcyclic.convolutional import (
+    EQUIVALENCE_MAX_N,
+    EQUIVALENCE_MAX_NULLITY,
+    EQUIVALENCE_MAX_Q,
+    PolyMatrix,
+    _nonvanishing_combination,
+)
 from skewcyclic.distance import (
     _check_cap,
     _coefficient_tables,
@@ -17,10 +24,11 @@ from skewcyclic.distance import (
 from skewcyclic.errors import (
     NotMinimal,
     NotRightInvertible,
+    SearchSpaceTooLarge,
     StateCapExceeded,
     ZeroPolynomial,
 )
-from skewcyclic.fields import NEG_INF, Poly, monic_polys
+from skewcyclic.fields import NEG_INF, FieldSpec, Poly, monic_polys
 
 
 # (field literal, n): the contexts that the automorphism and CRT
@@ -150,8 +158,6 @@ def unit_test_agrees_with_exhaustive_search(ctx):
 def module_determinant(f):
     """Test-only oracle: det of the whole n x n module matrix over F[z]; f
     is a unit iff it is a nonzero constant."""
-    from skewcyclic import linalg
-
     return linalg.poly_det(f.context.field, f.module_matrix())
 
 
@@ -160,7 +166,6 @@ def module_unit_inverse(f):
     M^T vec(g) = vec(1) on the whole module matrix M, or None when det M is
     not a nonzero constant.  Row i of M is vec(x^i f), so vec(g f) =
     vec(g) M."""
-    from skewcyclic import linalg
     from skewcyclic.skew import SkewPoly, skew_from_vector, vector_from_skew
 
     if module_determinant(f).degree != 0:
@@ -189,7 +194,6 @@ def is_unit_by_components(f):
     cycles included, on right multiplication by f restricted to
     eps_C A[z;sigma] = (F[x]/(g_C))[z;sigma], with no shortcut.  Row i of
     the block holds the z-coefficients of x^i f reduced mod g_C."""
-    from skewcyclic import linalg
     from skewcyclic.skew import SkewPoly
 
     ctx = f.context
@@ -360,7 +364,6 @@ def unit_inverse_by_solving(f):
     product, with deg_z g at the proven bound.  The inverse is unique and a
     right inverse is two-sided, so this returns the inverse of a unit and
     None for a non-unit."""
-    from skewcyclic import linalg
     from skewcyclic.skew import SkewPoly
 
     if not f:
@@ -515,3 +518,95 @@ def free_distance_by_edges(G, state_cap: int = 2 ** 16):
     if weight(witness) != best:
         raise AssertionError("witness weight differs from the free distance")
     return _report(G, best, witness, q)
+
+
+def strong_equivalence_by_permutations(G: PolyMatrix, Gp: PolyMatrix):
+    """Test-only oracle for convolutional.strong_equivalence: the same
+    search with no pruning, one F-nullspace for each of the n! column
+    permutations, and every product Gp[r][i] * Q[j][c] formed before the
+    loop.  The first permutation (in itertools order) with a diagonal of
+    nonzero entries is the answer, so it must give the same (P, D)."""
+    field = G.field
+    if G.shape != Gp.shape:
+        return None
+    k, n = G.shape
+    if n > EQUIVALENCE_MAX_N or field.q > EQUIVALENCE_MAX_Q:
+        raise SearchSpaceTooLarge(
+            f"n <= {EQUIVALENCE_MAX_N} and q <= {EQUIVALENCE_MAX_Q} required"
+        )
+    gt = G.right_inverse()
+    if not Gp.is_right_invertible():
+        raise NotRightInvertible("both matrices must be right invertible")
+    # Q = I - Gtilde*G annihilates exactly im G (row vectors w with w*Q = 0)
+    Q = PolyMatrix.identity(field, n) - (gt * G)
+    # z-coefficients of Gp[r][i] * Q[j][c], shared by every permutation
+    prods = [
+        [[[(a * q).codes for q in Q.entries[j]] for j in range(n)] for a in row]
+        for row in Gp.entries
+    ]
+    one = Poly.one(field)
+    zero = Poly.zero(field)
+    for perm in itertools.permutations(range(n)):
+        # rows of B*diag(d) lie in im G, B = Gp*P: for all r, c:
+        # sum_j Gp[r][perm[j]] Q[j][c] d_j = 0, coefficient by coefficient in z
+        eqs = []
+        for r in range(k):
+            for c in range(n):
+                cols = [prods[r][perm[j]][j][c] for j in range(n)]
+                for t in range(max(len(p) for p in cols)):
+                    eqs.append([p[t] if t < len(p) else 0 for p in cols])
+        if eqs:
+            basis = linalg.nullspace(field, eqs)
+            if not basis:
+                continue
+        else:
+            basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        if len(basis) > EQUIVALENCE_MAX_NULLITY:
+            raise SearchSpaceTooLarge("nullspace too large to enumerate")
+        found = _nonvanishing_combination(field, basis)
+        if found is None:
+            continue
+        B = PolyMatrix(
+            field,
+            [[row[p].scale(d) for p, d in zip(perm, found)] for row in Gp.entries],
+        )
+        T = B * gt
+        if T * G != B or T.det().degree != 0:
+            raise AssertionError("equivalence candidate failed its check")
+        P = PolyMatrix(
+            field,
+            [[one if perm[j] == i else zero for j in range(n)] for i in range(n)],
+        )
+        D = PolyMatrix(
+            field,
+            [
+                [Poly(field, (found[i],)) if i == j else zero for j in range(n)]
+                for i in range(n)
+            ],
+        )
+        return P, D
+    return None
+
+
+def field_tables_by_residues(field):
+    """Test-only oracle for FieldSpec's tables: (add, mul, neg) from sums and
+    products of Poly residues over F_p, reduced mod the modulus."""
+    p, deg, q = field.p, field.deg, field.q
+    prime = FieldSpec(p, 1, (0, 1))
+    mod = Poly(prime, field.modulus)
+
+    def coeffs(code):
+        return [code // p ** i % p for i in range(deg)]
+
+    def code_of(cs):
+        return sum(c * p ** i for i, c in enumerate(cs))
+
+    elems = [Poly(prime, coeffs(c)) for c in range(q)]
+    add = [[0] * q for _ in range(q)]
+    mul = [[0] * q for _ in range(q)]
+    for a, fa in enumerate(elems):
+        for b in range(a, q):
+            fb = elems[b]
+            add[a][b] = add[b][a] = code_of((fa + fb).codes)
+            mul[a][b] = mul[b][a] = code_of((fa * fb % mod).codes)
+    return add, mul, [code_of((-f).codes) for f in elems]

@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from helpers import generator_rows_by_products
+from helpers import generator_rows_by_products, strong_equivalence_by_permutations
 from skewcyclic import (
     ConvCode,
     MinimalCodeRecipe,
@@ -426,25 +427,107 @@ def test_strong_equivalence_random_k_at_least_2(field_text, n, perm, comps):
 
 
 def test_strong_equivalence_k2_negative_and_determinants(monkeypatch):
-    """(5,2,4)/GF(4): an equivalent pair takes 7 determinants, 6 minors
-    until the gcd of Gp's minors is constant and 1 for the witness (G is
-    decided by its Smith form); a code of another free distance (the (5,2,2)
-    code, 8 against 12) is not equivalent."""
+    """(5,2,4)/GF(4): each matrix's 10 maximal minors are taken once (they
+    decide Gp's right invertibility and prune the permutations; G is
+    decided by its Smith form), plus 1 determinant for the witness, so an
+    equivalent pair takes 21 determinants and 1 nullspace.  A code of
+    another free distance (the (5,2,2) code, 8 against 12) is not
+    equivalent, and its minors rule out every permutation at the first
+    column: no nullspace at all, where a search over all 5! permutations
+    solves 120."""
     G = _code("GF(4):y^2+y+1", 5, "(1)(2,3)", ((2, 2),)).generator
     other = _code("GF(4):y^2+y+1", 5, "(1)(2,3)", ((2, 1),)).generator
     assert free_distance(G).distance == 12 and free_distance(other).distance == 8
-    assert strong_equivalence(G, other) is None
     Gp = _permuted_rescaled(G, [3, 4, 2, 1, 0], [3, 1, 3, 1, 3])
-    calls = []
-    det = linalg.poly_det
+    calls = {"poly_det": 0, "nullspace": 0}
 
-    def counting_det(field, rows):
-        calls.append(1)
-        return det(field, rows)
+    def counting(name):
+        inner = getattr(linalg, name)
 
-    monkeypatch.setattr(linalg, "poly_det", counting_det)
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(linalg, name, wrapper)
+
+    counting("poly_det")
+    counting("nullspace")
+    assert strong_equivalence(G, other) is None
+    assert calls == {"poly_det": 20, "nullspace": 0}
+    calls.update(poly_det=0, nullspace=0)
     assert strong_equivalence(G, Gp) is not None
-    assert len(calls) == 7
+    assert calls == {"poly_det": 21, "nullspace": 1}
+
+
+# (field, n, sigma, (component, Forney index) of each minimal code).  At
+# n = 7 the unpruned search solves all 5,040 nullspaces of an inequivalent
+# pair, so those contexts take a few small codes; the GF(2) ones are block
+# codes, and binary cyclic block codes of length 7 and one dimension are
+# all equivalent.
+EQUIVALENCE_SWEEP = (
+    ("GF(2)", 7, "(1)(2,3)", ((1, 0), (2, 0), (3, 0))),
+    ("GF(3)", 4, "(1,2)(3)", ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 0))),
+    ("GF(4):y^2+y+1", 3, "(1,2,3)", tuple((l, d) for l in (1, 2, 3) for d in (0, 1, 2))),
+    ("GF(4):y^2+y+1", 5, "(1)(2,3)", ((1, 0), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2))),
+    ("GF(5)", 4, "(1,2)(3,4)", tuple((l, d) for l in (1, 2, 3, 4) for d in (0, 1, 2))),
+    ("GF(8):y^3+y+1", 7, "(1,2)(3,4,5)(6)(7)", ((1, 0), (3, 1))),
+    ("GF(9):y^2+1", 4, "(1,2)(3,4)", tuple((l, d) for l in (1, 2, 3, 4) for d in (0, 1, 2))),
+)
+
+
+def _random_copy(G, rng):
+    """G with its columns shuffled and each scaled by a nonzero constant."""
+    cols = list(range(G.ncols))
+    rng.shuffle(cols)
+    return _permuted_rescaled(G, cols, [rng.randrange(1, G.field.q) for _ in cols])
+
+
+@pytest.mark.parametrize("field_text, n, sigma, recipes", EQUIVALENCE_SWEEP)
+def test_strong_equivalence_sweep_matches_unpruned_search(field_text, n, sigma, recipes):
+    """The minor-pruned search returns what the search over all n!
+    permutations returns, P and D included: on a random column permutation
+    and rescaling of each code, and on copies of the other codes of its
+    shape."""
+    ctx = RingContext(parse_field(field_text), n)
+    sig = parse_sigma(ctx, "perm:" + sigma)
+    codes = [build_minimal_code(MinimalCodeRecipe(sig, l, d)).generator for l, d in recipes]
+    rng = random.Random(f"equivalence sweep {field_text} {n}")
+    answers = []
+    for G in codes:
+        others = [H for H in codes if H is not G and H.shape == G.shape]
+        for H in [G] + rng.sample(others, min(2, len(others))):
+            Gp = _random_copy(H, rng)
+            found = strong_equivalence(G, Gp)
+            assert found == strong_equivalence_by_permutations(G, Gp)
+            answers.append(found is not None)
+    assert any(answers)
+    assert field_text == "GF(2)" or not all(answers)
+
+
+def test_strong_equivalence_golden_f2n7_is_fast():
+    """The (7,3,6) golden against a column permutation of itself: the
+    unpruned search takes seconds here, the pruned one well under one."""
+    codes = {name: code for name, code, _ in golden_codes(load_default_fixtures())}
+    G = codes["dist-F2n7"].generator
+    Gp = _permuted_rescaled(G, [5, 2, 6, 0, 3, 1, 4], [1] * 7)
+    start = time.perf_counter()
+    res = strong_equivalence(G, Gp)
+    assert time.perf_counter() - start < 1.0
+    B = Gp * res[0] * res[1]
+    assert all(membership(G, B.row(r)) is not None for r in range(3))
+    assert all(membership(B, G.row(r)) is not None for r in range(3))
+
+
+def test_strong_equivalence_inequivalent_f3n8_is_fast():
+    """Two (8,3,2) codes over GF(3), with Forney indices (0,1,1), that are
+    not strongly equivalent: the unpruned search solves all 40,320
+    nullspaces (tens of seconds), the pruned one answers in under one."""
+    G = _code("GF(3)", 8, "(1,2)(3,4,5)", ((1, 0), (3, 1))).generator
+    other = _code("GF(3)", 8, "(1,2)(3,4,5)", ((2, 0), (3, 1))).generator
+    assert G.shape == other.shape == (3, 8)
+    start = time.perf_counter()
+    assert strong_equivalence(G, other) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def _one_by(field, rows, cols):

@@ -1,9 +1,10 @@
 import itertools
+import random
 import time
 
 import pytest
 
-from helpers import factor_squarefree_trial
+from helpers import factor_squarefree_trial, field_tables_by_residues
 from skewcyclic import make_field, poly_gcd, factor_xn_minus_1
 from skewcyclic.errors import (
     BadParameters,
@@ -18,6 +19,7 @@ from skewcyclic.fields import (
     MAX_FIELD_SIZE,
     FieldSpec,
     Poly,
+    cross_difference,
     is_irreducible,
     monic_polys,
 )
@@ -185,6 +187,64 @@ def test_element_display(F4, F8):
     assert str(F4.one) == "1"
     assert str(F4.gen) == "a"
     assert str(F8.gen ** 5) == "a^5"
+
+
+@pytest.mark.parametrize("p,deg", [
+    (2, 1), (3, 1), (5, 1), (7, 1), (251, 1),
+    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2),
+    (2, 7), (2, 8), (3, 4), (3, 5), (5, 3), (11, 2), (13, 2),
+])
+def test_tables_match_residue_arithmetic(p, deg):
+    """The digit-wise sums and the a*y^i products give the tables of Poly
+    residue arithmetic mod the modulus: for every monic irreducible modulus
+    of the fields with q <= 64 (every monic linear one for GF(p)), and for
+    the default modulus of the larger ones."""
+    if p ** deg <= 64:
+        moduli = [f.codes for f in monic_polys(make_field(p, 1), deg) if is_irreducible(f)]
+    else:
+        moduli = [make_field(p, deg).modulus]
+    for modulus in moduli:
+        field = FieldSpec(p, deg, modulus)
+        assert (field._add, field._mul, field._neg) == field_tables_by_residues(field), modulus
+
+
+@pytest.mark.parametrize("spec", [(2, 1, None), (2, 2, None), (3, 1, None), (3, 2, None), (5, 1, None)])
+def test_poly_ops_match_coefficient_arithmetic(spec):
+    """Sum, difference, negation, product, a*b - c*d and division with
+    remainder against coefficient-by-coefficient table arithmetic, with
+    leading terms that cancel."""
+    field = make_field(*spec)
+    q = field.q
+    rng = random.Random(f"poly ops {q}")
+
+    def rand():
+        return Poly(field, [rng.randrange(q) for _ in range(rng.randrange(0, 6))])
+
+    def coeffwise(op, f, g):
+        pairs = itertools.zip_longest(f.codes, g.codes, fillvalue=0)
+        return Poly(field, [op(x, y) for x, y in pairs])
+
+    def product(f, g):
+        out = [0] * (len(f.codes) + len(g.codes))
+        for i, x in enumerate(f.codes):
+            for j, y in enumerate(g.codes):
+                out[i + j] = field.add_c(out[i + j], field.mul_c(x, y))
+        return Poly(field, out)
+
+    for _ in range(150):
+        f, g, h, k = rand(), rand(), rand(), rand()
+        for a, b in ((f, g), (f, f), (f, f + Poly(field, [rng.randrange(q)]))):
+            assert a + b == coeffwise(field.add_c, a, b)
+            assert a - b == coeffwise(field.sub_c, a, b)
+            assert -a == coeffwise(field.sub_c, Poly.zero(field), a)
+            assert a * b == product(a, b)
+        assert cross_difference(f, g, h, k) == coeffwise(field.sub_c, product(f, g), product(h, k))
+        assert cross_difference(f, g, g, f).is_zero()
+        if g:
+            quot, rem = divmod(f, g)
+            assert quot * g + rem == f
+            assert rem.degree < g.degree
+            assert quot.codes[-1:] != (0,) and rem.codes[-1:] != (0,)
 
 
 # (p, deg) -> (default modulus, generator code), as built before the field

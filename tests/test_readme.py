@@ -1,12 +1,13 @@
 """The README's examples run as printed: the library quick tour prints what
-its comments say, and the GF(8) descriptor builds with the distance it
-expects."""
+its comments say, the GF(8) descriptor builds with the distance it
+expects, and the strong-equivalence example prints the line under it."""
 
 import contextlib
 import io
 import json
 import pathlib
 import re
+import shlex
 
 from skewcyclic import cli
 
@@ -33,3 +34,16 @@ def test_descriptor_file_builds_with_distance(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["distance"]["distance"] == 18
+
+
+def test_equivalence_example_prints_its_comment(tmp_path, monkeypatch, capsys):
+    """The A.json and B.json heredocs of the CLI block, then the
+    `skewcyclic equivalence` line after them, run from a scratch directory."""
+    cli_block = _block("## CLI", "sh")
+    for name, body in re.findall(r"cat > ([AB]\.json) <<'EOF'\n(.*?)EOF\n", cli_block, re.S):
+        (tmp_path / name).write_text(body)
+    command, expected = re.search(r"^skewcyclic (equivalence .*)\n# (.*)$", cli_block, re.M).groups()
+    monkeypatch.chdir(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["A.json", "B.json"]
+    assert cli.main(shlex.split(command)) == 0
+    assert capsys.readouterr().out.splitlines() == [expected]
