@@ -3,6 +3,7 @@ the generalized Singleton and Griesmer bounds."""
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import operator
@@ -38,10 +39,16 @@ def griesmer_bound(n: int, k: int, delta: int, m: int, q: int) -> int:
     The level-i condition is sum_{l=0}^{k(m+i)-delta-1} ceil(d'/q^l) <= n(m+i)
     for all integers i >= 0; once q^(k(m+i)-delta-1) >= d' each further level
     adds k ones on the left and n on the right, so checking one level past
-    that point settles the rest.
+    that point settles the rest.  Forney indices of maximum m and sum delta
+    have m <= delta <= k*m, so delta = 0 forces m = 0; other data describe
+    no code, and are refused before any level is summed.
     """
     if k < 1 or n <= k or delta < 0 or m < 0 or q < 2:
         raise BadParameters("need 1 <= k < n, delta >= 0, m >= 0, q >= 2")
+    if not m <= delta <= k * m:
+        raise BadParameters(
+            "Forney indices of maximum m and sum delta need m <= delta <= k*m"
+        )
     cap = singleton_bound(n, k, delta)
     for d in range(cap, 0, -1):
         if _griesmer_ok(n, k, delta, m, q, d):
@@ -102,12 +109,12 @@ def _word_ops(field, n: int, blocks: int = 1):
     to n.  A block is n symbols, or S = n*W bits.
 
     Returns `pack` (a sequence of codes to a word), `add` (the symbol-wise
-    field sum of two words of up to `blocks` blocks), `weight` (the number
-    of nonzero symbols of such a word), S, and `block_weights`: given a
-    table `words` of one-block words it returns `weights(base)`, which
-    weighs every base + words[a] at once and packs the weights into one
-    int, weight(base + words[a]) in bits [a*S, (a+1)*S) (a count up to n,
-    so below 2^W; every other bit is 0).
+    field sum of two words of up to `blocks` blocks), `word_weight` (the
+    number of nonzero symbols of such a word), S, and `block_weights`:
+    given a table `words` of one-block words it returns `weights(base)`,
+    which weighs every base + words[a] at once and packs the weights into
+    one int, word_weight(base + words[a]) in bits [a*S, (a+1)*S) (a count
+    up to n, so below 2^W; every other bit is 0).
     """
     p, e = field.p, field.deg
     b = 1 if p == 2 else (p - 1).bit_length() + 1
@@ -149,7 +156,7 @@ def _word_ops(field, n: int, blocks: int = 1):
     low = _repunit(n, W)
     lows = _repunit(n * blocks, W)
 
-    def weight(x: int) -> int:
+    def word_weight(x: int) -> int:
         for s in shifts:
             x |= x >> s
         return (x & lows).bit_count()
@@ -178,7 +185,7 @@ def _word_ops(field, n: int, blocks: int = 1):
 
         return weights
 
-    return pack, adder(n * blocks), weight, S, block_weights
+    return pack, adder(n * blocks), word_weight, S, block_weights
 
 
 def _coefficient_tables(G: PolyMatrix, pack):
@@ -203,10 +210,21 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
     A state is the base-q number whose digits are the input registers, row
     0's newest first, then row 1's, and so on; input blocks are numbered in
     `itertools.product` order, so the zero state and the zero block are 0.
-    A state's whole fan of q^k edges is weighed and tested against the
-    distances of its successors in one packed step, and only the edges that
-    improve one are visited, in input order; the result, witness included,
-    is that of relaxing every edge in turn.
+
+    The graph is F-linear: scaling a state and an input block by c != 0
+    scales the successor and the emitted word, so it keeps the edge
+    weight, and the q - 1 nonzero multiples of a state share one distance.
+    Dijkstra runs over these classes, (q^delta - 1)/(q - 1) of them besides
+    the zero state, each named by its member whose most significant nonzero
+    digit is 1.  A state's whole fan of q^k edges is weighed and tested
+    against cached distances of its successors in one packed step.
+
+    The witness is the one that Dijkstra over every state records, relaxing
+    every edge in turn: it keeps the first edge into a state t, in the
+    order the search settles states and then in input order, of weight
+    dist[t] - dist[s].  That order reads the final distances alone (see
+    `earlier` below), so the excursion is rebuilt backwards from the zero
+    state without parent pointers.
     """
     field = G.field
     k, n = G.shape
@@ -220,7 +238,7 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
         raise NotRightInvertible("free distance needs a right-invertible matrix")
     if not G.is_minimal():
         raise NotMinimal("state realization needs a minimal generator matrix")
-    pack, add, _, S, block_weights = _word_ops(field, n)
+    pack, add, word_weight, S, block_weights = _word_ops(field, n)
     rows, degs = _coefficient_tables(G, pack)
     delta = sum(degs)
     nstates = q ** delta
@@ -231,6 +249,11 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
     place = [
         sum(c * radix[first[i]] for i, c in enumerate(a) if degs[i]) for a in inputs
     ]
+    # the inputs of one place reach one successor: they differ only in the
+    # rows of degree 0
+    inputs_at = {}
+    for a, pl in enumerate(place):
+        inputs_at.setdefault(pl, []).append(a)
     inp_out = []
     for a in inputs:
         y = 0
@@ -247,31 +270,29 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
             out = [add(y, t) for y in out for t in rows[i][j]]
             shift = [s + c * moved for s in shift for c in range(q)]
     weights = block_weights(inp_out)
+    name = _class_names(field, delta)
 
-    # Dijkstra over states; a path must leave the zero state with a nonzero
+    # Dijkstra over classes; a path must leave the zero state with a nonzero
     # input block and ends on its first return to the zero state.  The heap
     # key w * nstates + s pops in (w, s) order.  The message e_i is the
     # codeword g_i, so d_free < lim and no path of weight >= lim matters:
-    # dist starts at lim, dist[0] is the lightest return to the zero state
-    # so far and parent[0] its closing edge.  Field a (S bits) of packed[t]
-    # holds dist[t + place[a]], so for t = shift[s] one packed subtraction
-    # flags every input a with w + weight < the dist of its successor.  No
-    # field borrows from the next: S >= 8n bits, and no term passes
-    # lim + n <= n(delta + 2) + 1.
+    # dist starts at lim, and dist[0] is the lightest return to the zero
+    # state so far.  Field a (S bits) of packed[t] caches the distance of
+    # the class of t + place[a]; it is never below it, but stays high when
+    # the class improves through another of its states.  So for t =
+    # shift[s] one packed subtraction flags every input a with w + weight
+    # below its field, the improving inputs among them, and each flagged
+    # field is set to the class distance, with the fields of the inputs of
+    # its place.  No field borrows from the next: S >= 8n bits, and no term
+    # passes lim + n <= n(delta + 2) + 1.
     lim = min(weight(row) for row in G.entries) + 1
-    dist = [lim] * nstates
-    parent = [None] * nstates
+    dist = [lim] * nstates  # only the entries of class names are read
     one = _repunit(len(inputs), S)  # bit 0 of every field
     H = one << (S - 1)
     ramp = [(w + 1) * one for w in range(lim)]  # w + 1 in every field
     field_mask = (1 << S) - 1
     packed = [lim * one] * nstates  # only the entries t = shift[s] are read
-    # the fields of the inputs that share a place, so reach one successor:
-    # they differ only in the rows of degree 0
-    fields_of = {}
-    for a, pl in enumerate(place):
-        fields_of[pl] = fields_of.get(pl, 0) | 1 << (a * S)
-    siblings = [fields_of[pl] for pl in place]
+    siblings = [sum(1 << (b * S) for b in inputs_at[pl]) for pl in place]
     heap = [0]
     while heap:
         w, s = divmod(heapq.heappop(heap), nstates)
@@ -282,35 +303,141 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
         sh = shift[s]
         counts = weights(out[s])
         tally = counts + ramp[w]
-        flags = ((packed[sh] | H) - tally) & H
+        cache = packed[sh]
+        flags = ((cache | H) - tally) & H
         if not s:
             flags &= ~(1 << S - 1)  # the zero block does not leave the zero state
         while flags:
-            bit = flags & -flags
-            flags ^= bit
-            ai = bit.bit_length() // S - 1
+            ai = (flags & -flags).bit_length() // S - 1
             cand = w + (counts >> ai * S & field_mask)
-            ns = sh + place[ai]
-            packed[sh] -= (dist[ns] - cand) * siblings[ai]
-            flags &= (packed[sh] | H) - tally  # a sibling must now beat cand
-            dist[ns] = cand
-            parent[ns] = (s, ai)
-            if ns:
-                heapq.heappush(heap, cand * nstates + ns)
-    if parent[0] is None:
-        raise AssertionError("the state graph has no path back to the zero state")
+            t = name[sh + place[ai]]
+            if cand < dist[t]:
+                dist[t] = cand
+                if t:
+                    heapq.heappush(heap, cand * nstates + t)
+            else:
+                cand = dist[t]  # the field was stale
+            cache -= ((cache >> ai * S & field_mask) - cand) * siblings[ai]
+            flags &= (cache | H) - tally  # ai, and a sibling, must now beat it
+        packed[sh] = cache
     best = dist[0]
-    # reconstruct the input block sequence of the optimal excursion
-    s, ai = parent[0]
-    blocks = [inputs[ai]]
-    while s:
-        s, ai = parent[s]
-        blocks.append(inputs[ai])
+    if best == lim:
+        raise AssertionError("the state graph has no path back to the zero state")
+
+    # The search settles the zero state and every state s with dist[s] <
+    # best, and no other.  An edge into the zero state from s != 0 emits a
+    # nonzero combination of the rows of the high-order coefficient matrix,
+    # so weighs >= 1; an edge (s, a) into t with dist[s] + weight = dist[t]
+    # <= best therefore starts at a settled state.  Without its newest
+    # digits (head), t is shift[s] for s = (t - head) * q + tail, any
+    # oldest digits tail, and the inputs are those of place head.
+    newest = [first[i] for i in range(k) if degs[i]]
+    tails = [0]
+    for i in range(k):
+        if degs[i]:
+            oldest = radix[first[i] + degs[i] - 1]
+            tails = [x + c * oldest for x in tails for c in range(q)]
+
+    def edges_into(t):
+        """The edges (dist[s], s, a) into t, least first; never the zero
+        block from the zero state, which starts at distance 0."""
+        head = sum(t // radix[f] % q * radix[f] for f in newest)
+        base = (t - head) * q
+        return sorted(
+            (dist[name[s]] if s else 0, s, a)
+            for s in [base + tail for tail in tails]
+            for a in inputs_at[head]
+            if s or a
+        )
+
+    def emits(s, a):
+        return word_weight(add(out[s], inp_out[a]))
+
+    zero_parents = {}
+
+    def zero_parent(y, w):
+        """The state whose edge of weight 0 set dist[y] = w, or None when an
+        edge from a lighter state did.  At most one state has an edge of
+        weight 0 into y: the difference of two would have one into the zero
+        state."""
+        if y not in zero_parents:
+            edges = edges_into(y)
+            zero = (s for ds, s, a in edges if ds == w and not add(out[s], inp_out[a]))
+            x = next(zero, None)
+            if x is not None and any(ds + emits(s, a) == w for ds, s, a in edges if ds < w):
+                x = None  # a lighter state reached y first
+            zero_parents[y] = x
+        return zero_parents[y]
+
+    def earlier(y, z, w):
+        """Whether the search settles y before z, both at distance w.  The
+        states an edge from a lighter state reaches are in the heap when
+        the level starts, and pop in increasing order; the head of an edge
+        of weight 0 joins the heap only when its tail pops."""
+        if y == z:
+            return False
+        x = zero_parent(y, w)
+        if x is None and y < z:
+            return True
+        x2 = zero_parent(z, w)
+        if x2 is None and z < y:
+            return False
+        if x2 is not None and (x is None or earlier(x, x2, w)):
+            # y is in the heap when z joins it
+            return y == x2 or earlier(y, x2, w) or y < z
+        return not earlier(z, y, w)
+
+    blocks = []
+    t, d = 0, best
+    while True:
+        # the first edge (s, a) into t of weight d - dist[s] that the search
+        # relaxes: s of least distance w and, among those, the least s,
+        # unless s joined the heap late, behind an edge of weight 0
+        edges = edges_into(t)
+        tight = (e for e in edges if e[0] + emits(e[1], e[2]) == d)
+        w, s, a = next(tight, (None, None, None))
+        if s is None:
+            raise AssertionError("no edge into a witness state attains its distance")
+        rivals = [e for e in edges if e[0] == w and e[1] != s]
+        if rivals and zero_parent(s, w) is not None:
+            first_input = {s: a}  # the least input of each state of distance w
+            for _, y, b in rivals:
+                if w + emits(y, b) == d:
+                    first_input.setdefault(y, b)
+            s = functools.reduce(lambda y, z: y if earlier(y, z, w) else z, first_input)
+            a = first_input[s]
+        blocks.append(inputs[a])
+        if not s:
+            break
+        t, d = s, w
     blocks.reverse()
     witness = _witness_from_inputs(G, blocks)
     if weight(witness) != best:
         raise AssertionError("witness weight differs from the free distance")
     return _report(G, best, witness, q)
+
+
+def _class_names(field, delta: int):
+    """name[s]: the state s (delta base-q digits) scaled by the inverse of
+    its most significant nonzero digit, the name of its class of nonzero
+    multiples; over GF(2) every class is one state."""
+    q = field.q
+    if q == 2:
+        return list(range(2 ** delta))  # a list indexes faster than a range
+    mul, inv = field._mul, field._inv
+    names = [0]
+    scaled = [[0] for _ in range(q)]  # scaled[c][s] = c * s, digit by digit
+    top = 1
+    for level in range(delta):
+        # the states d * top + s, s < top, most significant digit d
+        names += [top + x for d in range(1, q) for x in scaled[inv[d]]]
+        if level < delta - 1:
+            scaled = [[0]] + [
+                [r + x for r in [m * top for m in mul[c]] for x in scaled[c]]
+                for c in range(1, q)
+            ]
+        top *= q
+    return names
 
 
 def _witness_from_inputs(G: PolyMatrix, blocks):
@@ -364,7 +491,7 @@ def free_distance_bruteforce(
         raise BadParameters("the message degree bound D must be >= 0")
     _check_cap(q, k * (D + 1), cap, EnumerationCapExceeded, "q^(k(D+1))")
     m = max(max(d, 0) for d in G.row_degrees())  # a zero row has degree -inf
-    pack, add, weight, S, block_weights = _word_ops(field, n, m + 1)
+    pack, add, word_weight, S, block_weights = _word_ops(field, n, m + 1)
     rows, degs = _coefficient_tables(G, pack)
     inputs = list(itertools.product(range(q), repeat=k))
 
@@ -397,7 +524,7 @@ def free_distance_bruteforce(
         from time t on, and `partial` the weight they emitted before t."""
         nonlocal best
         if t > D:
-            best = min(best, partial + weight(pending))
+            best = min(best, partial + word_weight(pending))
             return
         counts = weights(pending & first)
         # the blocks a with partial + weight < best, in increasing order;

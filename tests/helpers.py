@@ -428,9 +428,11 @@ def min_weight_by_enumeration(G, D: int) -> int:
 
 
 def free_distance_by_edges(G, state_cap: int = 2 ** 16):
-    """Test-only reference for distance.free_distance: the same Dijkstra,
-    relaxing every edge of a state one at a time, in input order, each
-    edge weighed alone.  It pins the tie rules that pick the witness.
+    """Test-only reference for distance.free_distance: Dijkstra over every
+    state (free_distance searches classes of scalar multiples), relaxing
+    every edge of a state one at a time, in input order, each edge weighed
+    alone, and keeping parent pointers.  It pins the tie rules that pick
+    the witness.
 
     A state is the base-q number whose digits are the input registers, row
     0's newest first, then row 1's, and so on; input blocks are numbered in

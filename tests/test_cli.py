@@ -367,6 +367,17 @@ def test_bounds_bad_parameters_exit_2(capsys):
     assert code == 2
 
 
+def test_bounds_impossible_forney_data_exit_2_at_once(capsys):
+    """m = 0 with delta = 3000 describes no code; it is refused before the
+    Griesmer levels, which would take time quadratic in delta."""
+    start = time.perf_counter()
+    code, _, _ = run(
+        capsys, "bounds", "--n", "8", "--k", "1", "--delta", "3000", "--m", "0", "--q", "2"
+    )
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+
+
 def test_equivalence_command(tmp_path, capsys):
     a = {"rows": 1, "cols": 3, "entries": [["1+z", "a^2+a*z", "a+a^2*z"]]}
     b = {"rows": 1, "cols": 3, "entries": [["a^2+a*z", "1+z", "a+a^2*z"]]}

@@ -1,6 +1,8 @@
 import functools
+import heapq
 import random
 import time
+import types
 
 import pytest
 
@@ -34,6 +36,7 @@ from skewcyclic.errors import (
     NotRightInvertible,
     StateCapExceeded,
 )
+from skewcyclic import distance
 from skewcyclic.distance import _word_ops
 from skewcyclic.fields import MAX_FIELD_SIZE, Poly
 from skewcyclic.literals import parse_field, parse_sigma
@@ -72,14 +75,21 @@ def test_griesmer_examples():
 def test_griesmer_matches_level_oracle():
     """griesmer_bound, which stops one level after the sums settle, against
     the oracle that checks every level up to 64, over n <= 8, k < n,
-    delta <= 8, m <= 4 and q in {2, 3, 4, 5, 8, 9}."""
+    delta <= 8, m <= 4 and q in {2, 3, 4, 5, 8, 9}, wherever Forney indices
+    of maximum m and sum delta exist (m <= delta <= k*m); it refuses the
+    rest."""
     for n in range(2, 9):
         for k in range(1, n):
             for delta in range(9):
                 for m in range(5):
                     for q in (2, 3, 4, 5, 8, 9):
-                        want = griesmer_bound_by_levels(n, k, delta, m, q)
-                        assert griesmer_bound(n, k, delta, m, q) == want, (n, k, delta, m, q)
+                        if m <= delta <= k * m:
+                            want = griesmer_bound_by_levels(n, k, delta, m, q)
+                            got = griesmer_bound(n, k, delta, m, q)
+                            assert got == want, (n, k, delta, m, q)
+                        else:
+                            with pytest.raises(BadParameters):
+                                griesmer_bound(n, k, delta, m, q)
 
 
 def test_griesmer_never_exceeds_singleton():
@@ -564,6 +574,99 @@ def test_state_graph_sweep_matches_edge_reference():
     for code in codes:
         G = code.generator
         assert free_distance(G).as_dict() == free_distance_by_edges(G).as_dict(), G
+
+
+# orthogonal sums of two minimal codes, one on each of two moved cycles, at
+# 1024 < q^delta <= 4096, past the sweep: (field, n, sigma, Forney index on
+# the first moved cycle and on the second, for each code)
+LARGE_SUMS = (
+    ("GF(3)", 8, "(1,2)(3,4,5)", ((1, 3), (5, 1))),
+    ("GF(4):y^2+y+1", 9, "(1)(2,3)(4,5)", ((3, 1),)),
+    ("GF(5)", 4, "(1,2)(3,4)", ((2, 3), (4, 1))),
+    ("GF(8):y^3+y+1", 7, "(1,2)(3,4,5)(6)(7)", ((1, 3), (3, 1))),
+)
+
+
+def test_class_search_matches_edge_reference_past_the_sweep():
+    """free_distance, a search over classes of scalar multiples, against
+    the reference over every state, on seeded sums of 1,025 to 4,096
+    states: the same report, witness included."""
+    rng = random.Random(1511)
+    for field_text, n, perm, splits in LARGE_SUMS:
+        ctx = RingContext(parse_field(field_text), n)
+        sig = parse_sigma(ctx, "perm:" + perm)
+        moved = [c for c in sig.cycles if len(c) > 1]
+        for ds in splits:
+            code = orthogonal_sum(
+                build_minimal_code(
+                    MinimalCodeRecipe(sig, rng.choice(c), d, _random_units(rng, ctx, d))
+                )
+                for c, d in zip(moved, ds)
+            )
+            assert 1024 < ctx.field.q ** code.delta <= 4096
+            G = code.generator
+            assert free_distance(G).as_dict() == free_distance_by_edges(G).as_dict(), G
+
+
+def test_witness_follows_the_settling_order():
+    """A (3,2,2) code over GF(3) with edges of weight 0 between nonzero
+    states.  State 5 reaches distance 1 only through such an edge from
+    state 8, so the search settles it after 7 and 8, though 5 < 7; 5 and 7
+    both close a path of weight 3, and the witness takes 7's edge, as the
+    reference does."""
+    F = parse_field("GF(3)")
+    rows = [[(2,), (2, 2), (1,)], [(1, 1), (1, 2), (0, 1)]]
+    G = PolyMatrix(F, [[Poly(F, list(c)) for c in row] for row in rows])
+    rep = free_distance(G)
+    assert rep.as_dict() == free_distance_by_edges(G).as_dict()
+    assert rep.distance == 3
+    assert [p.to_str("z") for p in rep.witness] == ["z^2", "0", "1+z^2"]
+
+
+def test_state_graph_matches_edge_reference_on_random_matrices():
+    """free_distance against the reference on 1,000 seeded minimal matrices
+    over GF(2), GF(3), GF(4) and GF(5), k <= 2, n <= k + 2, row degrees <=
+    3: with so few columns, many edges between nonzero states weigh 0, and
+    they change the order in which the search settles states."""
+    fields = [parse_field(t) for t in ("GF(2)", "GF(3)", "GF(4):y^2+y+1", "GF(5)")]
+    rng = random.Random(2203)
+    tested = 0
+    while tested < 1000:
+        F = rng.choice(fields)
+        k = rng.choice((1, 2))
+        n = rng.randrange(k + 1, k + 3)
+        degs = [rng.randrange(4) for _ in range(k)]
+        if not 0 < sum(degs) or F.q ** sum(degs) > 2048:
+            continue
+        rows = [
+            [Poly(F, [rng.randrange(F.q) for _ in range(d + 1)]) for _ in range(n)]
+            for d in degs
+        ]
+        G = PolyMatrix(F, rows)
+        if min(G.row_degrees()) < 0 or not G.is_right_invertible() or not G.is_minimal():
+            continue
+        tested += 1
+        assert free_distance(G).as_dict() == free_distance_by_edges(G).as_dict(), G
+
+
+def test_heap_pushes_pinned(monkeypatch):
+    """The search pushes one heap entry per improved class: on the
+    (7,2,4)/GF(8) sum, 1/7 of the 4,116 pushes a search over states makes;
+    over GF(2) every class is one state."""
+    pushes = []
+
+    def push(heap, item):
+        pushes.append(item)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(
+        distance, "heapq", types.SimpleNamespace(heappush=push, heappop=heapq.heappop)
+    )
+    codes = {name: code for name, code, _ in golden_codes(load_default_fixtures())}
+    for name, want in (("F8n7-sum", 588), ("dist-F2n7", 70)):
+        pushes.clear()
+        free_distance(codes[name].generator)
+        assert len(pushes) == want, name
 
 
 def test_oracle_sweep_matches_enumeration_and_state_graph():
