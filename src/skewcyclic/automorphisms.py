@@ -6,8 +6,9 @@ over F.  Each automorphism permutes the primitive idempotents; that
 permutation, its cycles, and the per-component orders are kept with it.
 
 Enumerated and permutation-built automorphisms are correct by construction
-(sigma(x) is lifted from a root of pi_k in component perm(k)), so nothing is
-re-checked; only a supplied image of x goes through `Automorphism(ctx, a)`.
+(sigma(x) is the sum over k of the CRT lift of a root of pi_k from
+component perm(k)), so nothing is re-checked; only a supplied image of x
+goes through `Automorphism(ctx, a)`.
 The brute-force enumeration, the `aut-*` goldens and a test that rebuilds
 every enumerated automorphism through that validating path cross-check it.
 """
@@ -22,6 +23,7 @@ from typing import NamedTuple
 from . import linalg
 from .errors import ClassViolation, IndexOutOfRange, NotAnAutomorphism, SearchSpaceTooLarge
 from .fields import Poly
+from .packed import _unpacker, _word_ops
 from .ring import CrtVector, RingContext, RingElement, accumulate_rows
 
 # enumerate_automorphisms refuses larger groups (GF(2), n = 31 has 11,250,000)
@@ -74,17 +76,21 @@ class Automorphism:
         self._power_matrix = rows
 
     @classmethod
-    def _trusted(cls, context: RingContext, sigma_x: RingElement, perm) -> "Automorphism":
-        """An automorphism built to induce `perm`: nothing is re-checked."""
+    def _trusted(
+        cls, context: RingContext, sigma_x: RingElement, perm, cycles=None
+    ) -> "Automorphism":
+        """An automorphism built to induce `perm`: nothing is re-checked.
+        A caller that has the cycle decomposition of `perm` passes it as
+        `cycles`."""
         self = cls.__new__(cls)
-        self._init(context, sigma_x, tuple(perm))
+        self._init(context, sigma_x, tuple(perm), cycles)
         return self
 
-    def _init(self, context, sigma_x, perm):
+    def _init(self, context, sigma_x, perm, cycles=None):
         self.context = context
         self.sigma_x = sigma_x
         self.perm = perm  # perm[k-1] = Pi_sigma(k)
-        self.cycles = self._cycle_decomposition()
+        self.cycles = _cycle_decomposition(perm) if cycles is None else cycles
 
     @functools.cached_property
     def _power_matrix(self) -> tuple:
@@ -96,18 +102,6 @@ class Automorphism:
         """l -> (its cycle, its position there), so Pi^t(l) is one index;
         built on first use."""
         return {l: (cyc, i) for cyc in self.cycles for i, l in enumerate(cyc)}
-
-    def _cycle_decomposition(self):
-        cycles, seen = [], set()
-        for k in range(1, self.context.r + 1):
-            cyc = []
-            while k not in seen:
-                seen.add(k)
-                cyc.append(k)
-                k = self.perm[k - 1]
-            if cyc:
-                cycles.append(tuple(cyc))
-        return tuple(cycles)
 
     # -- evaluation --------------------------------------------------------
 
@@ -198,6 +192,22 @@ class Automorphism:
         return f"sigma: x -> {self.sigma_x} [{self.cycle_str()}]"
 
 
+def _cycle_decomposition(perm) -> tuple:
+    """The cycles of the permutation perm of 1..r, each from its least
+    element, in order of that element."""
+    cycles = []
+    todo = [True] * (len(perm) + 1)
+    for k, j in enumerate(perm, start=1):
+        if todo[k]:
+            cyc = [k]
+            while j != k:
+                cyc.append(j)
+                todo[j] = False
+                j = perm[j - 1]
+            cycles.append(tuple(cyc))
+    return tuple(cycles)
+
+
 def identity_automorphism(ctx: RingContext) -> Automorphism:
     return Automorphism._trusted(ctx, ctx.x, range(1, ctx.r + 1))
 
@@ -214,10 +224,12 @@ def _roots_in_component(ctx: RingContext, l: int, m: int):
     kappa = int(pi_m.degree)
     for codes in itertools.product(range(field.q), repeat=kappa):
         beta = Poly(field, codes)
-        value = Poly.zero(field)
-        for c in reversed(pi_l.codes):  # pi_l(beta) mod pi_m, by Horner
-            value = (value * beta + Poly(field, (c,))) % pi_m
-        if value.is_zero():
+        # pi_l(beta) mod pi_m, from the powers beta^i mod pi_m, i <= kappa
+        power, powers = beta, [(1,), beta.codes]
+        for _ in range(kappa - 1):
+            power = power * beta % pi_m
+            powers.append(power.codes)
+        if not any(accumulate_rows(field, [0] * kappa, pi_l.codes, powers)):
             break
     else:
         raise AssertionError("equal-degree factors must share roots")
@@ -227,49 +239,60 @@ def _roots_in_component(ctx: RingContext, l: int, m: int):
     return orbit
 
 
-def _class_preserving_perms(ctx: RingContext):
-    """All permutations of 1..r mapping each degree class onto itself."""
-    per_class = [list(itertools.permutations(cls)) for cls in ctx.degree_classes]
-    for combo in itertools.product(*per_class):
-        perm = [0] * ctx.r
-        for cls, images in zip(ctx.degree_classes, combo):
-            for src, dst in zip(cls, images):
-                perm[src - 1] = dst
-        yield tuple(perm)
+def _component_lifts(ctx: RingContext, pairs, roots=None):
+    """The one way sigma(x) is built: returns `lifts` and `sigma_x`.
 
+    lifts[k, m], for (k, m) in `pairs`, lists the packed CRT lifts of the
+    Frobenius roots of pi_k in K_m (only the first `roots` of them, when
+    given): each is the element equal to the root in component m and to 0
+    in every other.  As the CRT lift is linear, the automorphism inducing
+    perm with x|_{K_k} -> root^(q^exps[k]) has sigma(x) = sum_k
+    lifts[k, perm[k]][exps[k]], which `sigma_x(terms)` adds up and unpacks.
+    """
+    pack, add, _, _, _ = _word_ops(ctx.field, ctx.n)
+    unpack = _unpacker(ctx.field, ctx.n)
+    zero = Poly.zero(ctx.field)
+    lifts = {}
+    for k, m in pairs:
+        parts = [zero] * ctx.r
+        packed = []
+        for root in _roots_in_component(ctx, k, m)[:roots]:
+            parts[m - 1] = root
+            packed.append(pack(ctx.crt_backward(CrtVector(ctx, tuple(parts))).codes))
+        lifts[k, m] = packed
 
-def _sigma_x_for(ctx: RingContext, perm, exps, roots_cache) -> RingElement:
-    """sigma(x) for the isomorphism choice x|_{K_k} -> root^(q^exps[k]).
+    def sigma_x(terms) -> RingElement:
+        return RingElement(ctx, unpack(functools.reduce(add, terms)))
 
-    Its part in K_m, m = perm[k-1], is a root of pi_k, so sigma(eps_k) =
-    eps_m; the CRT lift is linear, with no ring product."""
-    parts = [None] * ctx.r
-    for k in range(1, ctx.r + 1):
-        m = perm[k - 1]
-        key = (k, m)
-        if key not in roots_cache:
-            roots_cache[key] = _roots_in_component(ctx, k, m)
-        parts[m - 1] = roots_cache[key][exps[k - 1]]
-    return ctx.crt_backward(CrtVector(ctx, tuple(parts)))
+    return lifts, sigma_x
 
 
 def enumerate_automorphisms(ctx: RingContext):
     """Every automorphism, built from class-preserving permutations of the
     components plus one Frobenius twist per component.  Raises
     SearchSpaceTooLarge, before any root search, when the group has more
-    than MAX_LISTED_AUTOMORPHISMS elements."""
+    than MAX_LISTED_AUTOMORPHISMS elements.
+
+    The packed CRT lift of each root of pi_k in each K_m of its degree
+    class is computed once, so each sigma(x) costs r packed adds and one
+    unpack.  A permutation is one tuple from each class's
+    `itertools.permutations`, concatenated, as the classes are consecutive
+    runs of 1..r, and its cycles serve all its Frobenius twists.
+    """
     count = automorphism_count(ctx)
     if count > MAX_LISTED_AUTOMORPHISMS:
         raise SearchSpaceTooLarge(
             f"{count} automorphisms exceed MAX_LISTED_AUTOMORPHISMS = "
             f"{MAX_LISTED_AUTOMORPHISMS}"
         )
-    roots_cache = {}
+    classes = ctx.degree_classes
+    lifts, sigma_x = _component_lifts(ctx, [(k, m) for c in classes for k in c for m in c])
     out = []
-    for perm in _class_preserving_perms(ctx):
-        for exps in itertools.product(*(range(kap) for kap in ctx.kappas)):
-            sigma_x = _sigma_x_for(ctx, perm, exps, roots_cache)
-            out.append(Automorphism._trusted(ctx, sigma_x, perm))
+    for images in itertools.product(*(itertools.permutations(c) for c in classes)):
+        perm = tuple(itertools.chain.from_iterable(images))
+        cycles = _cycle_decomposition(perm)
+        for terms in itertools.product(*map(lifts.__getitem__, enumerate(perm, start=1))):
+            out.append(Automorphism._trusted(ctx, sigma_x(terms), perm, cycles))
     return out
 
 
@@ -288,10 +311,11 @@ def enumerate_automorphisms_bruteforce(ctx: RingContext):
     Exhaustive oracle for small contexts; guarded by
     n * q^n <= MAX_BRUTEFORCE_CANDIDATES.
     """
-    if ctx.n * ctx.field.q ** ctx.n > MAX_BRUTEFORCE_CANDIDATES:
+    n, q = ctx.n, ctx.field.q
+    # as q >= 2, n past the cap's bit length settles it before q^n is built
+    if n > MAX_BRUTEFORCE_CANDIDATES.bit_length() or n * q ** n > MAX_BRUTEFORCE_CANDIDATES:
         raise SearchSpaceTooLarge(
-            f"brute force needs n*q^n <= {MAX_BRUTEFORCE_CANDIDATES}, "
-            f"got {ctx.n * ctx.field.q ** ctx.n}"
+            f"brute force needs n*q^n <= {MAX_BRUTEFORCE_CANDIDATES}, got {n}*{q}^{n}"
         )
     out = []
     for a in ctx.elements():
@@ -312,8 +336,9 @@ def find_automorphism_for_permutation(ctx: RingContext, target) -> Automorphism:
         for k in cls:
             if target[k - 1] not in cls:
                 raise ClassViolation(f"permutation moves component {k} out of its degree class")
-    sigma_x = _sigma_x_for(ctx, target, (0,) * ctx.r, {})
-    return Automorphism._trusted(ctx, sigma_x, target)
+    pairs = list(enumerate(target, start=1))
+    lifts, sigma_x = _component_lifts(ctx, pairs, roots=1)
+    return Automorphism._trusted(ctx, sigma_x(lifts[p][0] for p in pairs), target)
 
 
 def permutation_from_cycles(r: int, cycles) -> tuple:

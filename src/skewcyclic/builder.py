@@ -181,7 +181,10 @@ def build_unit_for_profile(sigma: Automorphism, targets) -> SkewPoly:
 def degree_profile_feasible(o: int, profile):
     """Necessary conditions on component degrees along one cycle of length o.
 
-    Positions are 1-based along the cycle; returns (ok, reason).
+    Positions are 1-based along the cycle; returns (ok, reason).  The marks
+    (i + d_i) mod o must be distinct, and a profile over the whole cycle
+    must not be one positive degree repeated; the all-zero profile over the
+    whole cycle is the unit 1's.
     """
     profile = [int(d) for d in profile]
     c = len(profile)
@@ -190,6 +193,6 @@ def degree_profile_feasible(o: int, profile):
     marks = [(i + d) % o for i, d in enumerate(profile, start=1)]
     if len(set(marks)) != c:
         return False, "leading coefficients collide: positions not distinct mod o"
-    if c == o and len(set(profile)) == 1:
-        return False, "full-cycle support with equal degrees cannot extend to a unit"
+    if c == o and len(set(profile)) == 1 and profile[0] > 0:
+        return False, "full-cycle support with equal degrees d > 0 cannot extend to a unit"
     return True, "passes both necessary conditions"

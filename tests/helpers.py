@@ -6,6 +6,7 @@ import random
 from typing import NamedTuple
 
 from skewcyclic import linalg
+from skewcyclic.automorphisms import Automorphism, _roots_in_component
 from skewcyclic.convolutional import (
     EQUIVALENCE_MAX_N,
     EQUIVALENCE_MAX_NULLITY,
@@ -18,7 +19,6 @@ from skewcyclic.distance import (
     _coefficient_tables,
     _report,
     _witness_from_inputs,
-    _word_ops,
     weight,
 )
 from skewcyclic.errors import (
@@ -29,6 +29,8 @@ from skewcyclic.errors import (
     ZeroPolynomial,
 )
 from skewcyclic.fields import NEG_INF, FieldSpec, Poly, monic_polys
+from skewcyclic.packed import _word_ops
+from skewcyclic.ring import CrtVector
 
 
 # (field literal, n): the contexts that the automorphism and CRT
@@ -55,6 +57,52 @@ def crt_round_trip(ctx, samples, seed):
     ]
     for a in elements:
         assert ctx.crt_backward(ctx.crt_forward(a)) == a, f"round trip fails on {a}"
+
+
+def _class_preserving_perms(ctx):
+    """All permutations of 1..r mapping each degree class onto itself."""
+    per_class = [list(itertools.permutations(cls)) for cls in ctx.degree_classes]
+    for combo in itertools.product(*per_class):
+        perm = [0] * ctx.r
+        for cls, images in zip(ctx.degree_classes, combo):
+            for src, dst in zip(cls, images):
+                perm[src - 1] = dst
+        yield tuple(perm)
+
+
+def _cycles_by_walk(perm):
+    """The cycles of a permutation of 1..r, each walked from its least
+    element, in order of that element."""
+    cycles, seen = [], set()
+    for k in range(1, len(perm) + 1):
+        cyc = []
+        while k not in seen:
+            seen.add(k)
+            cyc.append(k)
+            k = perm[k - 1]
+        if cyc:
+            cycles.append(tuple(cyc))
+    return tuple(cycles)
+
+
+def automorphisms_by_crt_lift(ctx):
+    """The automorphism group in enumeration order, one CRT lift per element:
+    for each class-preserving permutation, then each Frobenius exponent
+    tuple in `itertools.product` order, sigma(x) is the lift of the CRT
+    vector whose part in K_perm(k) is root^(q^exps[k]) of pi_k, and the
+    cycles are walked afresh for every element."""
+    roots = {}
+    out = []
+    for perm in _class_preserving_perms(ctx):
+        for exps in itertools.product(*(range(kap) for kap in ctx.kappas)):
+            parts = [None] * ctx.r
+            for k, m in enumerate(perm, start=1):
+                if (k, m) not in roots:
+                    roots[k, m] = _roots_in_component(ctx, k, m)
+                parts[m - 1] = roots[k, m][exps[k - 1]]
+            sigma_x = ctx.crt_backward(CrtVector(ctx, tuple(parts)))
+            out.append(Automorphism._trusted(ctx, sigma_x, perm, _cycles_by_walk(perm)))
+    return out
 
 
 def all_element_codes(ctx):

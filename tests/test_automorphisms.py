@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,10 +14,15 @@ from skewcyclic import (
     make_field,
     permutation_from_cycles,
 )
-from skewcyclic.errors import ClassViolation, IndexOutOfRange, NotAnAutomorphism
+from skewcyclic.errors import (
+    ClassViolation,
+    IndexOutOfRange,
+    NotAnAutomorphism,
+    SearchSpaceTooLarge,
+)
 from skewcyclic.literals import parse_field
 
-from helpers import SWEEP_CONTEXTS
+from helpers import SWEEP_CONTEXTS, automorphisms_by_crt_lift
 
 
 def test_x5_induces_transposition(ctx27, sig27):
@@ -185,6 +191,29 @@ def test_constructed_match_validated(field, n):
         assert v.perm == s.perm and v.cycles == s.cycles
         assert v.order == s.order
         assert v._power_matrix == s._power_matrix
+
+
+@pytest.mark.parametrize("field, n", SWEEP_CONTEXTS)
+def test_enumeration_matches_crt_lift_in_order(field, n):
+    """The enumeration by summed component lifts against one CRT lift per
+    element, element by element and in order: sigma(x), perm and cycles."""
+    ctx = RingContext(parse_field(field), n)
+    got = enumerate_automorphisms(ctx)
+    want = automorphisms_by_crt_lift(ctx)
+    assert len(got) == len(want) == automorphism_count(ctx)
+    for s, t in zip(got, want):
+        assert s.sigma_x.codes == t.sigma_x.codes
+        assert s.perm == t.perm
+        assert s.cycle_str() == t.cycle_str()
+
+
+def test_bruteforce_cap_message_past_int_str_limit():
+    """n*q^n is refused without being built or printed in full: at n =
+    15001 it has more digits than Python converts to a string.  A stand-in
+    context carries only n and q, as a real ring that long takes minutes."""
+    ctx = SimpleNamespace(n=15001, field=SimpleNamespace(q=2))
+    with pytest.raises(SearchSpaceTooLarge, match=r"got 15001\*2\^15001$"):
+        enumerate_automorphisms_bruteforce(ctx)
 
 
 def test_construction_does_not_validate(monkeypatch, ctx27):

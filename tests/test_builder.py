@@ -282,14 +282,30 @@ def test_degree_profile_feasible_examples():
         degree_profile_feasible(2, [1, 1, 1])
 
 
+def test_degree_profile_feasible_unit_one(sig87):
+    """The unit 1 has degree 0 on every component, so its profile along a
+    whole cycle is all zeros, and it is feasible: on a fixed cycle, a
+    2-cycle and a 3-cycle of sigma = (1,2)(3,4,5)(6)(7) over GF(8), n = 7."""
+    one = SkewPoly.one(sig87)
+    lengths = []
+    for cycle in sig87.cycles:
+        profile = [one.component(l).degree for l in cycle]
+        assert profile == [0] * len(cycle)
+        ok, why = degree_profile_feasible(len(cycle), profile)
+        assert ok, (cycle, why)
+        lengths.append(len(cycle))
+    assert sorted(set(lengths)) == [1, 2, 3]
+
+
 def test_degree_profile_feasible_truth_table():
-    """Re-derive both necessary conditions independently for o <= 4."""
+    """Re-derive both necessary conditions independently for o <= 4; the
+    all-zero profile over the whole cycle passes (it is the unit 1's)."""
     for o in range(1, 5):
         for c in range(1, o + 1):
             for profile in itertools.product(range(4), repeat=c):
                 marks = [(i + d) % o for i, d in enumerate(profile, start=1)]
                 expect = len(set(marks)) == c and not (
-                    c == o and len(set(profile)) == 1
+                    c == o and len(set(profile)) == 1 and profile != (0,) * c
                 )
                 got, _ = degree_profile_feasible(o, list(profile))
                 assert got == expect, (o, profile)

@@ -114,6 +114,19 @@ def test_automorphisms_listing_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == AUTOMORPHISMS_F8N7_SHA256
 
 
+# SHA-256 of the stdout of `automorphisms --field "GF(2)" --n 15`, all 768
+# entries (three degree classes, Frobenius twists of orders 1, 2 and 4),
+# recorded with the enumeration that built each sigma(x) by one CRT lift of
+# its r roots
+AUTOMORPHISMS_F2N15_SHA256 = "3178a0c7ada55b508c787215cb1179273634dc5a3824e6690bc5c9b4e1534aa7"
+
+
+def test_automorphisms_listing_pinned_f2n15(capsys):
+    code, out, _ = run(capsys, "automorphisms", "--field", "GF(2)", "--n", "15")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == AUTOMORPHISMS_F2N15_SHA256
+
+
 # SHA-256 of the stdout of `verify-paper --format json`, every golden check,
 # recorded with the state graph that relaxed one edge at a time and the
 # oracle that looped over every block of a fan

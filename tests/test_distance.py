@@ -37,9 +37,9 @@ from skewcyclic.errors import (
     StateCapExceeded,
 )
 from skewcyclic import distance
-from skewcyclic.distance import _word_ops
 from skewcyclic.fields import MAX_FIELD_SIZE, Poly
 from skewcyclic.literals import parse_field, parse_sigma
+from skewcyclic.packed import _unpacker, _word_ops
 from skewcyclic.skew import SkewPoly
 from skewcyclic.verify import golden_codes, load_default_fixtures
 
@@ -704,15 +704,17 @@ def _nonzero(word):
 
 
 def test_packed_word_arithmetic():
-    """The packed add and weight against the field tables and a plain count:
-    every symbol pair at each position of a length-3 word whose other
-    symbols are seeded, and for q <= 16 every pair of length-2 words."""
+    """The packed add and weight against the field tables and a plain count,
+    and unpack as the inverse of pack: every symbol pair at each position
+    of a length-3 word whose other symbols are seeded, and for q <= 16
+    every pair of length-2 words."""
     fields = _default_fields()
     assert len(fields) == 70
     for field in fields:
         q, table = field.q, field._add
         rng = random.Random(q)
         pack, add, weight, _, _ = _word_ops(field, 3)
+        unpack = _unpacker(field, 3)
         u = [rng.randrange(q) for _ in range(3)]
         v = [rng.randrange(q) for _ in range(3)]
         uv = [table[x][y] for x, y in zip(u, v)]
@@ -724,6 +726,7 @@ def test_packed_word_arithmetic():
             assert len(set(packed_sums)) == q
             for words in (us, vs, sums):
                 assert [weight(pack(w)) for w in words] == [_nonzero(w) for w in words]
+                assert [unpack(pack(w)) for w in words] == [tuple(w) for w in words]
             packed_vs = [pack(w) for w in vs]
             for a in range(q):
                 x = pack(us[a])
@@ -737,10 +740,12 @@ def test_packed_word_arithmetic():
         if q > 16:
             continue
         pack, add, weight, _, _ = _word_ops(field, 2)
+        unpack = _unpacker(field, 2)
         packed = {pack([a, b]): [a, b] for a in range(q) for b in range(q)}
         assert len(packed) == q * q
         for x, w in packed.items():
             assert weight(x) == _nonzero(w)
+            assert unpack(x) == tuple(w)
             for y, w2 in packed.items():
                 assert packed[add(x, y)] == [table[a][b] for a, b in zip(w, w2)]
 
