@@ -76,21 +76,22 @@ class Automorphism:
         self._power_matrix = rows
 
     @classmethod
-    def _trusted(
-        cls, context: RingContext, sigma_x: RingElement, perm, cycles=None
-    ) -> "Automorphism":
-        """An automorphism built to induce `perm`: nothing is re-checked.
-        A caller that has the cycle decomposition of `perm` passes it as
-        `cycles`."""
+    def _trusted(cls, context: RingContext, sigma_x: RingElement, perm) -> "Automorphism":
+        """An automorphism built to induce `perm`: nothing is re-checked."""
         self = cls.__new__(cls)
-        self._init(context, sigma_x, tuple(perm), cycles)
+        self._init(context, sigma_x, tuple(perm))
         return self
 
-    def _init(self, context, sigma_x, perm, cycles=None):
+    def _init(self, context, sigma_x, perm):
         self.context = context
         self.sigma_x = sigma_x
         self.perm = perm  # perm[k-1] = Pi_sigma(k)
-        self.cycles = _cycle_decomposition(perm) if cycles is None else cycles
+
+    @functools.cached_property
+    def cycles(self) -> tuple:
+        """The cycles of Pi_sigma, each from its least element, in order of
+        that element; built on first use."""
+        return _cycle_decomposition(self.perm)
 
     @functools.cached_property
     def _power_matrix(self) -> tuple:
@@ -277,7 +278,7 @@ def enumerate_automorphisms(ctx: RingContext):
     class is computed once, so each sigma(x) costs r packed adds and one
     unpack.  A permutation is one tuple from each class's
     `itertools.permutations`, concatenated, as the classes are consecutive
-    runs of 1..r, and its cycles serve all its Frobenius twists.
+    runs of 1..r.  Each element's cycles are built on first use.
     """
     count = automorphism_count(ctx)
     if count > MAX_LISTED_AUTOMORPHISMS:
@@ -290,9 +291,8 @@ def enumerate_automorphisms(ctx: RingContext):
     out = []
     for images in itertools.product(*(itertools.permutations(c) for c in classes)):
         perm = tuple(itertools.chain.from_iterable(images))
-        cycles = _cycle_decomposition(perm)
         for terms in itertools.product(*map(lifts.__getitem__, enumerate(perm, start=1))):
-            out.append(Automorphism._trusted(ctx, sigma_x(terms), perm, cycles))
+            out.append(Automorphism._trusted(ctx, sigma_x(terms), perm))
     return out
 
 

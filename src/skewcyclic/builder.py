@@ -6,7 +6,7 @@ in disjoint permutation cycles stay direct and add their parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .automorphisms import Automorphism
 from .convolutional import ConvCode
@@ -22,33 +22,38 @@ from .ring import RingElement
 from .skew import SkewPoly, unit_product
 
 
-@dataclass(frozen=True)
-class MinimalCodeRecipe:
-    """One minimal code: component l, target Forney index d, unit scalars."""
-
+class _RecipeFields(NamedTuple):
     sigma: Automorphism
     l: int
     d: int
-    scalars: tuple = dc_field(default=())
+    scalars: tuple = ()
 
-    def __post_init__(self):
-        if self.d < 0:
+
+class MinimalCodeRecipe(_RecipeFields):
+    """One minimal code: component l, target Forney index d, unit scalars.
+
+    Checked when made: d >= 0, sigma moves eps_l when d > 0, and exactly d
+    scalars, each a unit of A; int scalars become ring elements, and no
+    scalars means `default_scalars`."""
+
+    __slots__ = ()
+
+    def __new__(cls, sigma: Automorphism, l: int, d: int, scalars: tuple = ()):
+        if d < 0:
             raise BadParameters("Forney index must be >= 0")
-        if self.d > 0 and self.sigma.l_order(self.l) == 1:
-            raise FixedIdempotent(
-                f"sigma fixes eps_{self.l}: positive complexity is impossible there"
-            )
-        scalars = self.scalars or default_scalars(self.sigma.context, self.d)
+        if d > 0 and sigma.l_order(l) == 1:
+            raise FixedIdempotent(f"sigma fixes eps_{l}: positive complexity is impossible there")
+        ctx = sigma.context
         scalars = tuple(
-            s if isinstance(s, RingElement) else self.sigma.context.scalar(s)
-            for s in scalars
+            s if isinstance(s, RingElement) else ctx.scalar(s)
+            for s in scalars or default_scalars(ctx, d)
         )
-        if len(scalars) != self.d:
-            raise BadParameters(f"need exactly {self.d} scalars")
+        if len(scalars) != d:
+            raise BadParameters(f"need exactly {d} scalars")
         for s in scalars:
-            if not self.sigma.context.is_unit(s):
+            if not ctx.is_unit(s):
                 raise NonUnitScalar(f"scalar {s} is not a unit of A")
-        object.__setattr__(self, "scalars", scalars)
+        return super().__new__(cls, sigma, l, d, scalars)
 
 
 def default_scalars(ctx, d: int):

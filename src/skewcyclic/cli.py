@@ -99,16 +99,22 @@ def cmd_automorphisms(args) -> int:
     else:
         listed = enumerate_automorphisms(ctx)
         count = len(listed)
+    labels = [str(l) for l in range(1, ctx.r + 1)]
+
+    def orders(s):
+        """l -> the length of its cycle, read off the cycles once."""
+        length = [0] * ctx.r
+        for cyc in s.cycles:
+            for l in cyc:
+                length[l - 1] = len(cyc)
+        return dict(zip(labels, length))
+
     payload = {
         "field": field_to_str(ctx.field),
         "n": ctx.n,
         "count": count,
         "automorphisms": [
-            {
-                "image": str(s.sigma_x),
-                "cycles": s.cycle_str(),
-                "orders": {str(l): s.l_order(l) for l in range(1, ctx.r + 1)},
-            }
+            {"image": str(s.sigma_x), "cycles": s.cycle_str(), "orders": orders(s)}
             for s in listed
         ],
     }

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .errors import (
@@ -349,8 +349,7 @@ def generator_matrix(g: SkewPoly) -> PolyMatrix:
     return PolyMatrix(ctx.field, rows)
 
 
-@dataclass(frozen=True)
-class ConvCode:
+class ConvCode(NamedTuple):
     """A convolutional code with its minimal generator matrix and parameters."""
 
     generator: PolyMatrix

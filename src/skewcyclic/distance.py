@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .convolutional import PolyMatrix
 from .errors import (
@@ -75,8 +75,7 @@ def _griesmer_ok(n, k, delta, m, q, d) -> bool:
         i += 1
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     distance: int
     witness: tuple  # minimal-weight codeword, n polynomials in z
     singleton: int

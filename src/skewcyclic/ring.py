@@ -8,7 +8,7 @@ remainder isomorphism onto prod F[x]/(pi_k).  Component indices are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadParameters,
@@ -292,8 +292,7 @@ class RingElement:
         return f"({self}) in {self.context!r}"
 
 
-@dataclass(frozen=True)
-class CrtVector:
+class CrtVector(NamedTuple):
     """Residues of a ring element modulo each pi_k, reduced."""
 
     context: RingContext

@@ -4,8 +4,8 @@ as named pass/fail checks runnable from the CLI or from tests."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
+import os
+from typing import NamedTuple
 
 from .automorphisms import (
     automorphism_count,
@@ -27,16 +27,16 @@ from .ring import RingContext
 from .skew import SkewPoly
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
 
 
 def load_default_fixtures() -> dict:
-    text = resources.files("skewcyclic").joinpath("data/golden.json").read_text()
-    return json.loads(text)
+    path = os.path.join(os.path.dirname(__file__), "data", "golden.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 # the context each minimal-code family is built over

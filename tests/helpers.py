@@ -6,7 +6,7 @@ import random
 from typing import NamedTuple
 
 from skewcyclic import linalg
-from skewcyclic.automorphisms import Automorphism, _roots_in_component
+from skewcyclic.automorphisms import _roots_in_component
 from skewcyclic.convolutional import (
     EQUIVALENCE_MAX_N,
     EQUIVALENCE_MAX_NULLITY,
@@ -86,11 +86,12 @@ def _cycles_by_walk(perm):
 
 
 def automorphisms_by_crt_lift(ctx):
-    """The automorphism group in enumeration order, one CRT lift per element:
-    for each class-preserving permutation, then each Frobenius exponent
-    tuple in `itertools.product` order, sigma(x) is the lift of the CRT
-    vector whose part in K_perm(k) is root^(q^exps[k]) of pi_k, and the
-    cycles are walked afresh for every element."""
+    """The automorphism group in enumeration order, as (sigma(x), perm,
+    cycles) with one CRT lift per element: for each class-preserving
+    permutation, then each Frobenius exponent tuple in `itertools.product`
+    order, sigma(x) is the lift of the CRT vector whose part in K_perm(k)
+    is root^(q^exps[k]) of pi_k, and the cycles are walked afresh for
+    every element."""
     roots = {}
     out = []
     for perm in _class_preserving_perms(ctx):
@@ -101,7 +102,7 @@ def automorphisms_by_crt_lift(ctx):
                     roots[k, m] = _roots_in_component(ctx, k, m)
                 parts[m - 1] = roots[k, m][exps[k - 1]]
             sigma_x = ctx.crt_backward(CrtVector(ctx, tuple(parts)))
-            out.append(Automorphism._trusted(ctx, sigma_x, perm, _cycles_by_walk(perm)))
+            out.append((sigma_x, perm, _cycles_by_walk(perm)))
     return out
 
 

@@ -196,15 +196,25 @@ def test_constructed_match_validated(field, n):
 @pytest.mark.parametrize("field, n", SWEEP_CONTEXTS)
 def test_enumeration_matches_crt_lift_in_order(field, n):
     """The enumeration by summed component lifts against one CRT lift per
-    element, element by element and in order: sigma(x), perm and cycles."""
+    element, element by element and in order: sigma(x), perm and cycles
+    (built on first use in production, walked afresh by the helper)."""
     ctx = RingContext(parse_field(field), n)
     got = enumerate_automorphisms(ctx)
     want = automorphisms_by_crt_lift(ctx)
     assert len(got) == len(want) == automorphism_count(ctx)
-    for s, t in zip(got, want):
-        assert s.sigma_x.codes == t.sigma_x.codes
-        assert s.perm == t.perm
-        assert s.cycle_str() == t.cycle_str()
+    for s, (sigma_x, perm, cycles) in zip(got, want):
+        assert s.sigma_x.codes == sigma_x.codes
+        assert s.perm == perm
+        assert s.cycles == cycles
+
+
+def test_enumerated_cycles_built_on_first_use(ctx27):
+    """Enumeration builds sigma(x) and perm only; cycles wait for a read."""
+    auts = enumerate_automorphisms(ctx27)
+    assert not any("cycles" in vars(s) for s in auts)
+    s = next(s for s in auts if s.perm == (1, 3, 2))
+    assert s.cycle_str() == "(1)(2,3)"
+    assert "cycles" in vars(s) and s.cycles == ((1,), (2, 3))
 
 
 def test_bruteforce_cap_message_past_int_str_limit():

@@ -23,10 +23,13 @@ from skewcyclic.errors import (
     BadParameters,
     ComponentMismatch,
     FixedIdempotent,
+    NonUnitScalar,
     NotAUnit,
     OverlappingCycles,
 )
+from skewcyclic.distance import free_distance
 from skewcyclic.fields import Poly
+from skewcyclic.ring import RingElement
 from skewcyclic.skew import SkewPoly
 
 
@@ -48,6 +51,50 @@ def test_minimal_code_block_case(sig43, ctx43):
 def test_minimal_code_rejects_fixed_idempotent(sig43):
     with pytest.raises(FixedIdempotent):
         MinimalCodeRecipe(sig43, 1, 1)
+
+
+def test_minimal_code_recipe_checks_and_scalars(sig43, ctx43):
+    """The recipe refuses bad inputs in a fixed order (Forney index, fixed
+    idempotent, scalar count, units), turns int scalars into ring elements
+    and fills in the default scalars when given none."""
+    with pytest.raises(BadParameters):
+        MinimalCodeRecipe(sig43, 1, -1, (0,))
+    with pytest.raises(FixedIdempotent):
+        MinimalCodeRecipe(sig43, 1, 1, (0, 0))
+    with pytest.raises(BadParameters):
+        MinimalCodeRecipe(sig43, 2, 2, (0,))
+    with pytest.raises(NonUnitScalar):
+        MinimalCodeRecipe(sig43, 2, 1, (0,))
+    with pytest.raises(NonUnitScalar):
+        MinimalCodeRecipe(sig43, 2, 1, [ctx43.idempotent(2)])
+    recipe = MinimalCodeRecipe(sig43, 2, 2, [1, 3])  # ints read in GF(2)
+    assert recipe.scalars == (ctx43.one, ctx43.one)
+    assert all(isinstance(s, RingElement) for s in recipe.scalars)
+    assert MinimalCodeRecipe(sig43, 2, 2).scalars == default_scalars(ctx43, 2)
+    assert MinimalCodeRecipe(sig43, 3, 0).scalars == ()
+
+
+def test_records_are_immutable_values(sig43, ctx43):
+    """The result records compare, hash and print by their fields, and
+    refuse assignment to a field or to any other attribute."""
+    recipe = MinimalCodeRecipe(sig43, 2, 1, (1,))
+    code = build_minimal_code(recipe)
+    report = free_distance(code.generator)
+    crt = ctx43.crt_forward(ctx43.x)
+    for record, name in ((recipe, "d"), (code, "k"), (report, "distance"), (crt, "parts")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.note = None
+    twin = MinimalCodeRecipe(sig43, 2, 1, (ctx43.one,))
+    assert recipe == twin and hash(recipe) == hash(twin)
+    assert repr(recipe) == f"MinimalCodeRecipe(sigma={sig43!r}, l=2, d=1, scalars=({ctx43.one!r},))"
+    assert code == ConvCode.from_reduced(code.reduced_generator)
+    assert repr(ConvCode(code.generator, 3, 1, 1, (1,))).endswith(
+        "delta=1, forney=(1,), support=None, reduced_generator=None)"
+    )
+    assert report == free_distance(code.generator)
+    assert crt == ctx43.crt_forward(ctx43.x) and hash(crt) == hash(ctx43.crt_forward(ctx43.x))
 
 
 def test_minimal_code_invariants_all_contexts(sig43, sig45, sig27, sig87):

@@ -2,6 +2,8 @@
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "skewcyclic"
 
@@ -48,3 +50,21 @@ def test_no_unused_imports():
             if name not in used
         ]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_cli_import_leaves_heavy_stdlib_unloaded():
+    """Importing the CLI loads none of dataclasses, importlib.resources or
+    what they pull in.  The interpreter starts without `site` (-S), and only
+    the modules it did not hold before the import count."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import skewcyclic.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    added = set(res.stdout.split())
+    assert "skewcyclic.cli" in added
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "importlib.resources"}
+    assert not heavy & added, sorted(heavy & added)
