@@ -30,7 +30,7 @@ from skewcyclic.errors import (
     ZeroPolynomial,
 )
 from skewcyclic.fields import Poly, poly_gcd
-from skewcyclic.literals import parse_field, parse_sigma
+from skewcyclic.literals import matrix_from_dict, parse_field, parse_sigma
 from skewcyclic.skew import SkewPoly
 from skewcyclic.verify import golden_codes, load_default_fixtures
 
@@ -574,3 +574,12 @@ def test_convcode_requires_right_invertible(F2):
     z, zero = Poly.x(F2), Poly.zero(F2)
     with pytest.raises(NotRightInvertible):
         ConvCode.from_generator(PolyMatrix(F2, [[z, zero]]))
+
+
+def test_matrix_str_and_hash(F4):
+    """str lays the rows out in right-justified columns of one width; equal
+    matrices hash alike."""
+    M = matrix_from_dict(F4, {"rows": 2, "cols": 2, "entries": [["1+z", "a"], ["0", "a^2*z^2"]]})
+    assert str(M) == "[    1+z        a]\n[      0  a^2*z^2]"
+    same = matrix_from_dict(F4, {"rows": 2, "cols": 2, "entries": [["z+1", "a"], ["0", "a^2*z^2"]]})
+    assert same == M and hash(same) == hash(M)

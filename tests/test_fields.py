@@ -362,3 +362,15 @@ def test_element_eq_hash_contract(spec):
     assert 1 in {field.one} and field.one in {1}
     assert field.zero == 0 and field.one == 1
     assert field.one != field.p + 1 and field.zero != field.p and field.one != 1 - field.p
+
+
+@pytest.mark.parametrize("spec", [(2, 2), (3, 2), (5, 1)])
+def test_element_subtraction_and_truth(spec):
+    """x - y is the y with (x - y) + y = x; an element is true iff nonzero."""
+    field = make_field(*spec)
+    elements = list(field.elements())
+    for x in elements:
+        assert bool(x) == (x != field.zero)
+        assert x - x == field.zero and field.zero - x == -x
+        for y in elements:
+            assert (x - y) + y == x

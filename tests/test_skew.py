@@ -603,3 +603,19 @@ def test_skew_str_roundtrip(sig27, poly_g):
         str(poly_g)
         == "1+x^2+x^3+x^4 + z*(x+x^2+x^3+x^5) + z^2*(1+x+x^4+x^6)"
     )
+
+
+def test_left_scalar_multiplication_and_hash():
+    """a * f and c * f (a in A, c an int) are the products by the constant
+    skew polynomials a and c; equal skew polynomials hash alike."""
+    ctx = RingContext(make_field(3, 1), 4)
+    sig = identity_automorphism(ctx)
+    rng = random.Random(5)
+    for _ in range(20):
+        f = _random_skew(rng, sig, 3)
+        a = ctx.from_codes([rng.randrange(3) for _ in range(ctx.n)])
+        assert a * f == SkewPoly.constant(sig, a) * f
+        assert 2 * f == f + f == SkewPoly.constant(sig, ctx.scalar(2)) * f
+        assert 3 * f == SkewPoly.zero(sig)
+        copy = SkewPoly(sig, list(f.coeffs) + [ctx.zero])
+        assert copy == f and hash(copy) == hash(f)
