@@ -3,14 +3,17 @@
 Commands: factor, automorphisms, build, distance, bounds, equivalence,
 verify-paper.  Machine output is JSON (default); --format table renders
 aligned text.  Exit codes: 0 success, 1 golden/expected mismatch,
-2 violated precondition, 3 parse error, 4 mathematical obstruction.
+2 violated precondition, 3 parse error, 4 mathematical obstruction.  Each
+command returns an Outcome, and `main` alone prints it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from typing import NamedTuple
 
 from . import verify
 from .automorphisms import automorphism_count, enumerate_automorphisms
@@ -51,11 +54,13 @@ _PRECONDITION_ERRORS = (
 )
 
 
-def _emit(payload, fmt: str, table_renderer):
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        table_renderer(payload)
+class Outcome(NamedTuple):
+    """A command's JSON payload, its table-line generator, exit code and stderr lines."""
+
+    payload: object
+    table: object
+    code: int = 0
+    errors: tuple = ()
 
 
 def _context(args):
@@ -63,7 +68,7 @@ def _context(args):
     return RingContext(field, args.n)
 
 
-def cmd_factor(args) -> int:
+def cmd_factor(args) -> Outcome:
     ctx = _context(args)
     payload = {
         "field": field_to_str(ctx.field),
@@ -81,17 +86,16 @@ def cmd_factor(args) -> int:
     }
 
     def table(p):
-        print(f"x^{p['n']} - 1 over {p['field']}")
-        print(f"degree classes: {p['degree_classes']}")
+        yield f"x^{p['n']} - 1 over {p['field']}"
+        yield f"degree classes: {p['degree_classes']}"
         for f in p["factors"]:
-            print(f"  pi_{f['index']} = {f['poly']}  (deg {f['degree']})")
-            print(f"    eps_{f['index']} = {f['idempotent']}")
+            yield f"  pi_{f['index']} = {f['poly']}  (deg {f['degree']})"
+            yield f"    eps_{f['index']} = {f['idempotent']}"
 
-    _emit(payload, args.format, table)
-    return 0
+    return Outcome(payload, table)
 
 
-def cmd_automorphisms(args) -> int:
+def cmd_automorphisms(args) -> Outcome:
     ctx = _context(args)
     if args.sigma:
         listed = [parse_sigma(ctx, args.sigma)]
@@ -120,13 +124,12 @@ def cmd_automorphisms(args) -> int:
     }
 
     def table(p):
-        print(f"{p['count']} automorphisms of A = {p['field']}[x]/(x^{p['n']}-1)")
+        yield f"{p['count']} automorphisms of A = {p['field']}[x]/(x^{p['n']}-1)"
         for s in p["automorphisms"]:
             orders = ", ".join(f"o_{l}={o}" for l, o in s["orders"].items())
-            print(f"  x -> {s['image']:<40} {s['cycles']:<20} {orders}")
+            yield f"  x -> {s['image']:<40} {s['cycles']:<20} {orders}"
 
-    _emit(payload, args.format, table)
-    return 0
+    return Outcome(payload, table)
 
 
 def _load_json(path: str, what: str):
@@ -158,7 +161,7 @@ def _build_from_descriptor(desc: dict):
     sigma = parse_sigma(ctx, sigma_text)
     if "generator" in desc:
         g = parse_skew(sigma, desc["generator"])
-        return sigma, ConvCode.from_reduced(g)
+        return ConvCode.from_reduced(g)
     recipe = desc.get("recipe")
     if recipe is None:
         raise ParseError("descriptor needs either a generator or a recipe")
@@ -177,7 +180,7 @@ def _build_from_descriptor(desc: dict):
             for s in _json_typed(comp.get("scalars", []), list, "scalars")
         )
         codes.append(build_minimal_code(MinimalCodeRecipe(sigma, l, d, scalars)))
-    return sigma, (codes[0] if len(codes) == 1 else orthogonal_sum(codes))
+    return codes[0] if len(codes) == 1 else orthogonal_sum(codes)
 
 
 def _code_payload(desc, code, report=None):
@@ -198,7 +201,9 @@ def _code_payload(desc, code, report=None):
     return payload
 
 
-def _check_expected(desc, code, report) -> list:
+def _checked(payload, table, desc, code, report) -> Outcome:
+    """The outcome of build or distance: exit 1 and one stderr line for each
+    value that differs from the descriptor's expected block, else exit 0."""
     expected = desc.get("expected") or {}
     problems = []
     if "k" in expected and code.k != expected["k"]:
@@ -211,7 +216,8 @@ def _check_expected(desc, code, report) -> list:
         if report is None or report.distance != expected["distance"]:
             got = report.distance if report else None
             problems.append(f"distance = {got}, expected {expected['distance']}")
-    return problems
+    errors = tuple(f"expected-mismatch: {p}" for p in problems)
+    return Outcome(payload, table, EXIT_MISMATCH if errors else 0, errors)
 
 
 def _apply_overrides(desc: dict, args) -> dict:
@@ -223,9 +229,9 @@ def _apply_overrides(desc: dict, args) -> dict:
     return out
 
 
-def cmd_build(args) -> int:
+def cmd_build(args) -> Outcome:
     desc = _apply_overrides(_load_json(args.recipe, "descriptor"), args)
-    sigma, code = _build_from_descriptor(desc)
+    code = _build_from_descriptor(desc)
     report = None
     expected = desc.get("expected") or {}
     if args.with_distance or "distance" in expected:
@@ -233,56 +239,44 @@ def cmd_build(args) -> int:
     payload = _code_payload(desc, code, report)
 
     def table(p):
-        print(f"code over {p['field']}, n = {p['n']}, sigma = {p['sigma']}")
-        print(f"parameters (n,k,delta) = ({p['parameters']['n']},{p['parameters']['k']},{p['parameters']['delta']})")
-        print(f"forney indices: {p['forney']}")
+        yield f"code over {p['field']}, n = {p['n']}, sigma = {p['sigma']}"
+        yield f"parameters (n,k,delta) = ({p['parameters']['n']},{p['parameters']['k']},{p['parameters']['delta']})"
+        yield f"forney indices: {p['forney']}"
         if p["generator"]:
-            print(f"generator polynomial: {p['generator']}")
-        print("generator matrix:")
+            yield f"generator polynomial: {p['generator']}"
+        yield "generator matrix:"
         for row in p["generator_matrix"]["entries"]:
-            print("  [" + ", ".join(row) + "]")
+            yield "  [" + ", ".join(row) + "]"
         if "distance" in p:
             d = p["distance"]
-            print(
+            yield (
                 f"distance {d['distance']} (singleton {d['singleton']}, "
                 f"griesmer {d['griesmer']}, attains {d['attains']})"
             )
 
-    _emit(payload, args.format, table)
-    problems = _check_expected(desc, code, report)
-    if problems:
-        for p in problems:
-            print(f"expected-mismatch: {p}", file=sys.stderr)
-        return EXIT_MISMATCH
-    return 0
+    return _checked(payload, table, desc, code, report)
 
 
-def cmd_distance(args) -> int:
+def cmd_distance(args) -> Outcome:
     desc = _apply_overrides(_load_json(args.recipe, "descriptor"), args)
-    sigma, code = _build_from_descriptor(desc)
+    code = _build_from_descriptor(desc)
     report = free_distance(code.generator, args.state_cap)
     payload = report.as_dict()
     payload["parameters"] = {"n": code.n, "k": code.k, "delta": code.delta}
 
     def table(p):
         pr = p["parameters"]
-        print(f"({pr['n']},{pr['k']},{pr['delta']}) code")
-        print(f"free distance  {p['distance']}")
-        print(f"singleton      {p['singleton']}")
-        print(f"griesmer       {p['griesmer']}")
-        print(f"attains        {p['attains']}")
-        print(f"witness        {p['witness']}")
+        yield f"({pr['n']},{pr['k']},{pr['delta']}) code"
+        yield f"free distance  {p['distance']}"
+        yield f"singleton      {p['singleton']}"
+        yield f"griesmer       {p['griesmer']}"
+        yield f"attains        {p['attains']}"
+        yield f"witness        {p['witness']}"
 
-    _emit(payload, args.format, table)
-    problems = _check_expected(desc, code, report)
-    if problems:
-        for p in problems:
-            print(f"expected-mismatch: {p}", file=sys.stderr)
-        return EXIT_MISMATCH
-    return 0
+    return _checked(payload, table, desc, code, report)
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> Outcome:
     payload = {
         "n": args.n,
         "k": args.k,
@@ -294,15 +288,14 @@ def cmd_bounds(args) -> int:
     }
 
     def table(p):
-        print(f"(n,k,delta) = ({p['n']},{p['k']},{p['delta']}), m = {p['m']}, q = {p['q']}")
-        print(f"singleton bound  {p['singleton']}")
-        print(f"griesmer bound   {p['griesmer']}")
+        yield f"(n,k,delta) = ({p['n']},{p['k']},{p['delta']}), m = {p['m']}, q = {p['q']}"
+        yield f"singleton bound  {p['singleton']}"
+        yield f"griesmer bound   {p['griesmer']}"
 
-    _emit(payload, args.format, table)
-    return 0
+    return Outcome(payload, table)
 
 
-def cmd_equivalence(args) -> int:
+def cmd_equivalence(args) -> Outcome:
     field = parse_field(args.field)
     A = matrix_from_dict(field, _load_json(args.matrix_a, "matrix"))
     B = matrix_from_dict(field, _load_json(args.matrix_b, "matrix"))
@@ -322,35 +315,26 @@ def cmd_equivalence(args) -> int:
 
     def table(p):
         if p["equivalent"]:
-            print(f"strongly equivalent: column permutation {p['permutation']}, scaling {p['diagonal']}")
+            yield f"strongly equivalent: column permutation {p['permutation']}, scaling {p['diagonal']}"
         else:
-            print("not strongly equivalent")
+            yield "not strongly equivalent"
 
-    _emit(payload, args.format, table)
-    return 0
+    return Outcome(payload, table)
 
 
-def cmd_verify_paper(args) -> int:
-    fixtures = None
-    if args.fixtures:
-        fixtures = _load_json(args.fixtures, "fixtures")
+def cmd_verify_paper(args) -> Outcome:
+    fixtures = _load_json(args.fixtures, "fixtures") if args.fixtures else None
     results = verify.run_checks(fixtures, only=args.only)
-    if args.format == "json":
-        print(
-            json.dumps(
-                [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results],
-                indent=2,
-            )
-        )
-    else:
-        for r in results:
-            print(f"{'PASS' if r.ok else 'FAIL'} {r.name} - {r.detail}")
-        passed = sum(r.ok for r in results)
-        print(f"{passed}/{len(results)} checks passed")
+    payload = [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]
+
+    def table(p):
+        for r in p:
+            yield f"{'PASS' if r['ok'] else 'FAIL'} {r['name']} - {r['detail']}"
+        yield f"{sum(r['ok'] for r in p)}/{len(p)} checks passed"
+
     if not results:
-        print("no checks matched the filter", file=sys.stderr)
-        return EXIT_MISMATCH
-    return 0 if all(r.ok for r in results) else EXIT_MISMATCH
+        return Outcome(payload, table, EXIT_MISMATCH, ("no checks matched the filter",))
+    return Outcome(payload, table, 0 if all(r.ok for r in results) else EXIT_MISMATCH)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -420,7 +404,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        outcome = args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -430,6 +414,18 @@ def main(argv=None) -> int:
     except SkewCyclicError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MATH
+    try:
+        if args.format == "json":
+            print(json.dumps(outcome.payload, indent=2))
+        else:
+            print("\n".join(outcome.table(outcome.payload)))
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered, and the
+        # interpreter's flush at exit, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for line in outcome.errors:
+        print(line, file=sys.stderr)
+    return outcome.code
 
 
 if __name__ == "__main__":

@@ -54,10 +54,6 @@ class PolyMatrix:
         one, zero = Poly.one(field), Poly.zero(field)
         return cls(field, [[one if i == j else zero for j in range(k)] for i in range(k)])
 
-    @classmethod
-    def constant(cls, field, codes):
-        return cls(field, [[Poly(field, (c,)) for c in row] for row in codes])
-
     # -- basics ---------------------------------------------------------------
 
     @property

@@ -370,10 +370,6 @@ class Poly:
         """Leading coefficient code; 0 for the zero polynomial."""
         return self.codes[-1] if self.codes else 0
 
-    def coeff(self, i: int) -> "FieldElement":
-        c = self.codes[i] if 0 <= i < len(self.codes) else 0
-        return FieldElement(self.field, c)
-
     def _checked(self, other) -> "Poly":
         if not isinstance(other, Poly):
             raise TypeError(f"expected Poly, got {type(other).__name__}")
@@ -473,13 +469,6 @@ class Poly:
         if self.is_zero() or self.lc() == 1:
             return self
         return self.scale(self.field.inv_c(self.lc()))
-
-    def __call__(self, x: FieldElement) -> FieldElement:
-        field = self.field
-        acc = 0
-        for c in reversed(self.codes):
-            acc = field._add[field._mul[acc][x.code]][c]
-        return FieldElement(field, acc)
 
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
         result = Poly.one(self.field)

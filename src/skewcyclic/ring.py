@@ -278,10 +278,6 @@ class RingElement:
     def __bool__(self):
         return any(self.codes)
 
-    @property
-    def coeffs(self):
-        return tuple(FieldElement(self.context.field, c) for c in self.codes)
-
     def as_poly(self) -> Poly:
         return Poly(self.context.field, self.codes)
 

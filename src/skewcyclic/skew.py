@@ -382,8 +382,6 @@ def elementary_unit(sigma: Automorphism, d: int, a: RingElement, l: int) -> Skew
     """u = 1 + z^d a eps_l (no validity check; see is_elementary_unit)."""
     ctx = sigma.context
     coeff = ctx._check(a) * ctx.idempotent(l)
-    if d == 0:
-        return SkewPoly(sigma, (ctx.one + coeff,))
     return SkewPoly.one(sigma) + SkewPoly.z_power(sigma, d, coeff)
 
 
@@ -410,12 +408,10 @@ def elementary_unit_inverse(sigma: Automorphism, d: int, a: RingElement, l: int)
 
 def simple_unit(sigma: Automorphism, a: RingElement, i: int, l: int) -> SkewPoly:
     """u_a(i) = 1 + z a sigma^i(eps_l); needs the cycle through l nontrivial."""
-    ctx = sigma.context
     if sigma.l_order(l) == 1:
         raise FixedIdempotent(f"sigma fixes eps_{l}; no degree-1 unit there")
     # sigma^i(eps_l) = eps_{Pi^i(l)}
-    coeff = ctx._check(a) * ctx.idempotent(sigma.perm_power(l, i))
-    return SkewPoly.one(sigma) + SkewPoly.z_power(sigma, 1, coeff)
+    return elementary_unit(sigma, 1, a, sigma.perm_power(l, i))
 
 
 def unit_product(sigma: Automorphism, l: int, scalars) -> SkewPoly:

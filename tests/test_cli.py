@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -137,6 +141,24 @@ def test_verify_paper_json_pinned(capsys):
     code, out, _ = run(capsys, "verify-paper", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PAPER_JSON_SHA256
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_closed_pipe_is_quiet(fmt):
+    """A reader that takes one line of a long listing and closes the pipe
+    leaves no traceback on stderr, and the command keeps its own exit code."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skewcyclic.cli", "automorphisms",
+         "--field", "GF(8):y^3+y+1", "--n", "7", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 def test_automorphisms_cap_before_enumerating(capsys):
