@@ -203,7 +203,8 @@ def _code_payload(desc, code, report=None):
 
 def _checked(payload, table, desc, code, report) -> Outcome:
     """The outcome of build or distance: exit 1 and one stderr line for each
-    value that differs from the descriptor's expected block, else exit 0."""
+    value that differs from the descriptor's expected block, else exit 0.
+    Both callers compute the report whenever the block expects a distance."""
     expected = desc.get("expected") or {}
     problems = []
     if "k" in expected and code.k != expected["k"]:
@@ -212,10 +213,8 @@ def _checked(payload, table, desc, code, report) -> Outcome:
         problems.append(f"delta = {code.delta}, expected {expected['delta']}")
     if "forney" in expected and sorted(code.forney) != sorted(expected["forney"]):
         problems.append(f"forney = {list(code.forney)}, expected {expected['forney']}")
-    if "distance" in expected:
-        if report is None or report.distance != expected["distance"]:
-            got = report.distance if report else None
-            problems.append(f"distance = {got}, expected {expected['distance']}")
+    if "distance" in expected and report.distance != expected["distance"]:
+        problems.append(f"distance = {report.distance}, expected {expected['distance']}")
     errors = tuple(f"expected-mismatch: {p}" for p in problems)
     return Outcome(payload, table, EXIT_MISMATCH if errors else 0, errors)
 
@@ -419,9 +418,10 @@ def main(argv=None) -> int:
             print(json.dumps(outcome.payload, indent=2))
         else:
             print("\n".join(outcome.table(outcome.payload)))
+        sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed stdout: send what is still buffered, and the
-        # interpreter's flush at exit, to the null device
+        # the reader closed stdout: what is still buffered goes to the null
+        # device at the interpreter's flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     for line in outcome.errors:
         print(line, file=sys.stderr)

@@ -143,22 +143,46 @@ def test_verify_paper_json_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PAPER_JSON_SHA256
 
 
+def _cli_process(*argv):
+    """The CLI in a child process with block-buffered stdout, as in a shell
+    pipeline, reading this checkout's package."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "skewcyclic.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+
+
+def _quiet_exit(proc):
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err
+
+
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_closed_pipe_is_quiet(fmt):
     """A reader that takes one line of a long listing and closes the pipe
     leaves no traceback on stderr, and the command keeps its own exit code."""
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "skewcyclic.cli", "automorphisms",
-         "--field", "GF(8):y^3+y+1", "--n", "7", "--format", fmt],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
+    proc = _cli_process("automorphisms", "--field", "GF(8):y^3+y+1", "--n", "7", "--format", fmt)
     assert proc.stdout.readline()
     proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (proc.wait(timeout=60), err) == (0, b"")
+    assert _quiet_exit(proc) == (0, b"")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bounds", "--n", "7", "--k", "2", "--delta", "4", "--m", "2", "--q", "8"], 0),
+    (["verify-paper", "--only", "no-such-check", "--format", "table"], 1),
+], ids=["bounds", "verify-no-match"])
+def test_pipe_closed_before_a_short_output(argv, code):
+    """An output shorter than the stdout buffer meets the closed pipe when it
+    is flushed: still no message on stderr but the command's own, and the
+    command's own exit code."""
+    proc = _cli_process(*argv)
+    proc.stdout.close()
+    want = b"no checks matched the filter\n" if code else b""
+    assert _quiet_exit(proc) == (code, want)
 
 
 def test_automorphisms_cap_before_enumerating(capsys):
