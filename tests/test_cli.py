@@ -155,7 +155,7 @@ def _cli_process(*argv):
     )
 
 
-def _quiet_exit(proc):
+def _exit_and_stderr(proc):
     err = proc.stderr.read()
     proc.stderr.close()
     return proc.wait(timeout=60), err
@@ -168,7 +168,7 @@ def test_closed_pipe_is_quiet(fmt):
     proc = _cli_process("automorphisms", "--field", "GF(8):y^3+y+1", "--n", "7", "--format", fmt)
     assert proc.stdout.readline()
     proc.stdout.close()
-    assert _quiet_exit(proc) == (0, b"")
+    assert _exit_and_stderr(proc) == (0, b"")
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -182,7 +182,7 @@ def test_pipe_closed_before_a_short_output(argv, code):
     proc = _cli_process(*argv)
     proc.stdout.close()
     want = b"no checks matched the filter\n" if code else b""
-    assert _quiet_exit(proc) == (code, want)
+    assert _exit_and_stderr(proc) == (code, want)
 
 
 def test_automorphisms_cap_before_enumerating(capsys):
