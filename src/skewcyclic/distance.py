@@ -378,14 +378,21 @@ def free_distance_bruteforce(
     """Min weight of uG over nonzero messages u with deg u <= D.
 
     Exhaustive over message space (so an upper bound on the free distance,
-    exact once D is large enough), implemented as a depth-first scan over
-    input blocks in time order with sound weight pruning: emitted blocks
-    only ever add weight, and shifting a message down in time preserves
-    weight, so only messages with a nonzero block at time 0 are scanned.
-    A nonzero scalar c keeps the weight and degree of cu, so the block at
-    time 0 is scanned only with its last nonzero symbol 1.  A scan node
-    tests its whole fan of q^k blocks against its own best weight so far in
-    one packed step, and visits only the blocks that stay below it.
+    exact once D is large enough), implemented as a scan over the times
+    t = 0..D that keeps one layer per time: each pending word, what the
+    blocks chosen before t still emit from t on, with the least weight
+    emitted before t.  Two prefixes that leave the same pending word have
+    the same continuations, of the same added weight, so only the lighter
+    one is expanded; the pending word is a linear image of the last
+    deg g_i blocks of each row i, so a layer holds at most q^(sum of row
+    degrees) entries.  A prefix whose pending word is 0 may end its
+    message there, and any later block only adds weight, so it lowers the
+    best weight and is not carried.  Shifting a message down in time keeps
+    its weight, so only messages with a nonzero block at time 0 are
+    scanned; a nonzero scalar c keeps the weight and degree of cu, so that
+    block is scanned only with its last nonzero symbol 1.  Each entry tests
+    its whole fan of q^k blocks against the best weight so far in one
+    packed step, and expands only the blocks that stay below it.
     """
     field = G.field
     k, n = G.shape
@@ -422,25 +429,29 @@ def free_distance_bruteforce(
         if [c for c in blk if c][-1:] == [1]
     )
     best = n * (D + m + 1) + 1  # above the weight of every codeword scanned
-
-    def dfs(t, pending, partial):
-        """Scan time t on; `pending` is what the blocks before t still emit,
-        from time t on, and `partial` the weight they emitted before t."""
-        nonlocal best
-        if t > D:
-            best = min(best, partial + word_weight(pending))
-            return
-        counts = weights(pending & first)
-        # the blocks a with partial + weight < best, in increasing order;
-        # best may drop while they are scanned, so each is checked again
-        flags = (limits[min(best - partial - 1, n)] - counts) & (H if t else starts)
-        while flags:
-            bit = flags & -flags
-            flags ^= bit
-            a = bit.bit_length() // S - 1
-            w = partial + (counts >> a * S & first)
-            if w < best:
-                dfs(t + 1, add(pending, span[a]) >> S, w)
-
-    dfs(0, 0, 0)
-    return best
+    layer = {0: 0}  # pending word -> least weight emitted before t
+    for t in range(D + 1):
+        top_bits = H if t else starts
+        nxt = {}
+        for pending, partial in layer.items():
+            if partial >= best:
+                continue
+            counts = weights(pending & first)
+            # the blocks a with partial + weight < best, in increasing
+            # order; best may drop while they are expanded, so each is
+            # checked again
+            flags = (limits[min(best - partial - 1, n)] - counts) & top_bits
+            while flags:
+                bit = flags & -flags
+                flags ^= bit
+                a = bit.bit_length() // S - 1
+                w = partial + (counts >> a * S & first)
+                if w >= best:
+                    continue
+                after = add(pending, span[a]) >> S
+                if not after:
+                    best = w  # the message ends here
+                elif nxt.get(after, best) > w:
+                    nxt[after] = w
+        layer = nxt
+    return min([best] + [w + word_weight(y) for y, w in layer.items()])

@@ -20,8 +20,8 @@ from .automorphisms import (
     permutation_from_cycles,
 )
 from .convolutional import PolyMatrix
-from .errors import ParseError, ReducibleModulus
-from .fields import FieldSpec, FieldElement, Poly, make_field
+from .errors import BadParameters, ParseError, ReducibleModulus
+from .fields import MAX_FIELD_SIZE, FieldSpec, FieldElement, Poly, make_field
 from .ring import RingContext, RingElement
 from .skew import SkewPoly
 
@@ -57,7 +57,13 @@ def parse_field(text: str) -> FieldSpec:
     m = _FIELD_RE.match(_text(text).strip())
     if not m:
         raise ParseError(f"bad field literal {text!r}; expected GF(q)[:modulus]")
-    q = int(m.group(1))
+    digits = m.group(1).lstrip("0") or "0"
+    # a q past the cap is refused before the trial division in _prime_power,
+    # and before int() meets more digits than it converts
+    if len(digits) > len(str(MAX_FIELD_SIZE)) or int(digits) > MAX_FIELD_SIZE:
+        size = digits if len(digits) <= 30 else f"of {len(digits)} digits"
+        raise BadParameters(f"field size {size} exceeds MAX_FIELD_SIZE = {MAX_FIELD_SIZE}")
+    q = int(digits)
     p, deg = _prime_power(q)
     if m.group(2) is None:
         return make_field(p, deg)

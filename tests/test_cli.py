@@ -61,12 +61,19 @@ def test_parse_error_exit_3(capsys):
         assert code == 3 and "permutation index" in err
 
 
-@pytest.mark.parametrize("field", ["GF(512)", "GF(65537)", "GF(1024):y^10+y^3+1"])
+@pytest.mark.parametrize("field", [
+    "GF(512)", "GF(65537)", "GF(1024):y^10+y^3+1",
+    # refused before q is factored by trial division up to sqrt(q), which
+    # takes minutes for this q; a q that is no prime power too
+    "GF(1000000000000000003)", "GF(1000000)",
+    # more digits than int() converts
+    pytest.param("GF(" + "9" * 5000 + ")", id="GF(5000 nines)"),
+])
 def test_field_size_cap_exit_2(capsys, field):
     start = time.perf_counter()
     code, _, err = run(capsys, "factor", "--field", field, "--n", "3")
     assert code == 2
-    assert "MAX_FIELD_SIZE" in err
+    assert "MAX_FIELD_SIZE" in err and len(err) < 200  # a long q is not echoed
     assert time.perf_counter() - start < 1.0
 
 

@@ -260,6 +260,24 @@ def test_bruteforce_matches_plain_enumeration():
             assert free_distance_bruteforce(G, D) == min_weight_by_enumeration(G, D)
 
 
+def test_bruteforce_matches_plain_enumeration_past_the_row_degrees():
+    """The oracle against a plain walk over every message at D above the
+    largest row degree, where prefixes that leave one pending word meet and
+    only the lightest is expanded; 4,096 messages each.  dist-F2n7 (row
+    degrees 2, 2, 2) at D = 3: its lightest word comes from a message of
+    degree 0, so its output ends before D, and every message still pending
+    at D weighs more.  A GF(2) sweep sum code (row degrees 0, 1, 1, 1) at
+    D = 2: expanding the first prefix to reach a pending word instead of
+    the lightest gives 7, not 6."""
+    golden = {name: code for name, code, _ in golden_codes(load_default_fixtures())}
+    cases = [(golden["dist-F2n7"].generator, 3, True), (_sweep_codes()[2].generator, 2, False)]
+    for G, D, ends_early in cases:
+        assert max(G.row_degrees()) < D
+        want = min_weight_by_enumeration(G, D)
+        assert free_distance_bruteforce(G, D) == want, G
+        assert (min_weight_by_enumeration(G, 0) == want) == ends_early, G
+
+
 def test_bound_chain(sig43, ctx43, sig45):
     """distance <= griesmer <= singleton on every tested code."""
     for sig in (sig43, sig45):
