@@ -428,7 +428,9 @@ def free_distance_bruteforce(
         for a, blk in enumerate(inputs)
         if [c for c in blk if c][-1:] == [1]
     )
-    best = n * (D + m + 1) + 1  # above the weight of every codeword scanned
+    # each row e_i G is scanned at any D >= 0, so the answer is at most the
+    # least row weight; input block e_i has index q^(k-1-i)
+    best = min(word_weight(span[q ** i]) for i in range(k)) + 1
     layer = {0: 0}  # pending word -> least weight emitted before t
     for t in range(D + 1):
         top_bits = H if t else starts

@@ -3,7 +3,8 @@ automorphisms, and matrices, as used by the CLI and fixture files.
 
     field:        GF(4):y^2+y+1         (modulus optional for prime q)
     element:      0 | 1 | 7 | a | a^3
-    polynomial:   1+x^2+x^3+x^4 | a^2*z+1   ('*' optional, any term order)
+    polynomial:   1+x^2+x^3+x^4 | a^2*z+1   ('*' optional, any term order;
+                  x^e in a ring element is x^(e mod n))
     skew poly:    1+x^2 + z*(x+x^5) + z^2*(1+x^4)
     sigma:        x^5 | sigma:x^5 | perm:(1)(2,3)
     matrix JSON:  {"rows": k, "cols": n, "entries": [["1+z^2", ...], ...]}
@@ -27,8 +28,19 @@ from .skew import SkewPoly
 
 _FIELD_RE = re.compile(r"^GF\((\d+)\)(?::(.+))?$")
 _ELEM_RE = re.compile(r"^(\d+|a(?:\^(\d+))?)$")
+# one term of a literal without parentheses, with the signs before it: a
+# coefficient (n, a or a^k), an optional '*', a variable with an optional
+# power; a term ends at a sign or at the end, and the last group catches
+# any character that starts no term
 _TERM_RE = re.compile(
-    r"^(?P<coeff>\d+|a(?:\^\d+)?)?\s*(?P<star>\*)?\s*(?:(?P<var>[a-z])(?:\^(?P<exp>\d+))?)?$"
+    r"([+-]*)(?:(\d+)|(a)(?:\^(\d+))?)?(\*)?(?:([a-z])(?:\^(\d+))?)?(?=[+-]|\Z)|(.)"
+)
+# one top-level term of a skew literal, with the signs before it: z^j with
+# an optional '*(...)', a parenthesized ring element, or a run of
+# ring-element terms up to the next z^j or parenthesis
+_SKEW_TERM_RE = re.compile(
+    r"([+-]*)(?:(z)(?:\^(\d+))?(?:\*?(\([^()]*\)))?|(\([^()]*\))"
+    r"|([^()+-]+(?:[+-]+(?!z)[^()+-]+)*))?(?=[+-]|\Z)|(.)"
 )
 
 
@@ -78,38 +90,11 @@ def parse_field(text: str) -> FieldSpec:
         raise ParseError(str(exc)) from exc
 
 
-def _split_terms(text: str):
-    """Top-level '+'/'-' split, honouring parentheses; yields (sign, term)."""
-    text = "".join(text.split())
-    if not text:
-        raise ParseError("empty expression")
-    out = []
-    depth = 0
-    cur = []
-    sign = 1
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced parentheses in {text!r}")
-        if ch in "+-" and depth == 0:
-            if cur:
-                out.append((sign, "".join(cur)))
-                cur = []
-                sign = 1 if ch == "+" else -1
-            else:
-                sign = sign * (1 if ch == "+" else -1)
-            continue
-        cur.append(ch)
-    if depth != 0:
-        raise ParseError(f"unbalanced parentheses in {text!r}")
-    if cur:
-        out.append((sign, "".join(cur)))
-    if not out:
-        raise ParseError(f"no terms in {text!r}")
-    return out
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"number of {len(digits)} digits is too long") from None
 
 
 def parse_element(field: FieldSpec, text: str) -> FieldElement:
@@ -118,62 +103,76 @@ def parse_element(field: FieldSpec, text: str) -> FieldElement:
         raise ParseError(f"bad element literal {text!r}")
     tok = m.group(1)
     if tok.isdigit():
-        return field.from_int(int(tok))
-    k = int(m.group(2)) if m.group(2) else 1
+        return field.from_int(_int(tok))
+    k = _int(m.group(2)) if m.group(2) else 1
     return field.gen ** k
 
 
+def _add_terms(field: FieldSpec, codes: list, text: str, var: str, n=0, negate=False):
+    """Add the terms of `text`, a literal in `var` with no whitespace and no
+    parentheses, into the code list `codes`, negated if `negate`.  With
+    n > 0 the exponents fold mod n (x^n = 1) into the n slots of `codes`;
+    otherwise `codes` grows to the highest exponent."""
+    add, neg, powers = field._add, field._neg, field._exp
+    found = False
+    for signs, num, a, k, star, v, e, junk in _TERM_RE.findall(text):
+        if junk:
+            raise ParseError(f"bad term in {text!r} at {junk!r}")
+        if star and not ((num or a) and v):
+            raise ParseError(f"bad term in {text!r}: '*' needs a factor on each side")
+        if not (num or a or v):
+            continue  # signs with no term after them, or the end
+        if v and v != var:
+            raise ParseError(f"unexpected variable {v!r} in {text!r}; wanted {var!r}")
+        if num:
+            c = _int(num) % field.p
+        else:
+            c = powers[(_int(k) if k else 1) % (field.q - 1)] if a else 1
+        if signs.count("-") % 2 != negate:
+            c = neg[c]
+        i = (_int(e) if e else 1) if v else 0
+        if n:
+            i %= n
+        elif i >= len(codes):
+            codes += [0] * (i + 1 - len(codes))
+        codes[i] = add[codes[i]][c]
+        found = True
+    if not found:
+        raise ParseError(f"no terms in {text!r}")
+    return codes
+
+
+def _squeezed(text) -> str:
+    return "".join(_text(text).split())
+
+
 def parse_poly(field: FieldSpec, text: str, var: str = "x") -> Poly:
-    acc = Poly.zero(field)
-    for sign, term in _split_terms(_text(text)):
-        m = _TERM_RE.match(term)
-        if not m or (m.group("coeff") is None and m.group("var") is None):
-            raise ParseError(f"bad term {term!r}")
-        if m.group("star") and None in (m.group("coeff"), m.group("var")):
-            raise ParseError(f"bad term {term!r}: '*' needs a factor on each side")
-        if m.group("var") not in (None, var):
-            raise ParseError(f"unexpected variable in {term!r}; wanted {var!r}")
-        coeff = (
-            parse_element(field, m.group("coeff"))
-            if m.group("coeff") is not None
-            else field.one
-        )
-        if sign < 0:
-            coeff = -coeff
-        exp = 0
-        if m.group("var"):
-            exp = int(m.group("exp") or 1)
-        acc = acc + Poly(field, (0,) * exp + (coeff.code,))
-    return acc
+    return Poly(field, _add_terms(field, [], _squeezed(text), var))
 
 
 def parse_ring_element(ctx: RingContext, text: str) -> RingElement:
-    return ctx.from_poly(parse_poly(ctx.field, text, "x"))
+    return RingElement(ctx, _add_terms(ctx.field, [0] * ctx.n, _squeezed(text), "x", ctx.n))
 
 
 def parse_skew(sigma: Automorphism, text: str) -> SkewPoly:
     """Skew-polynomial literal: z^j terms carry parenthesized ring elements;
     every other term is a ring element, in at most one pair of parentheses."""
     ctx = sigma.context
+    text = _squeezed(text)
     parts = {}
-    for sign, term in _split_terms(_text(text)):
-        if term.startswith("z"):
-            m = re.match(r"^z(?:\^(\d+))?(?:\s*\*?\s*\((?P<inner>.*)\))?$", term)
-            if not m:
-                raise ParseError(f"bad skew term {term!r}")
-            j = int(m.group(1) or 1)
-            inner = m.group("inner")
-            coeff = ctx.one if inner is None else parse_ring_element(ctx, inner)
-        else:
-            j = 0
-            if term.startswith("(") and term.endswith(")"):
-                term = term[1:-1]
-            coeff = parse_ring_element(ctx, term)
-        if sign < 0:
-            coeff = -coeff
-        parts[j] = parts.get(j, ctx.zero) + coeff
-    depth = max(parts) + 1 if parts else 0
-    coeffs = [parts.get(j, ctx.zero) for j in range(depth)]
+    for signs, z, j, zbody, body, terms, junk in _SKEW_TERM_RE.findall(text):
+        if junk:
+            raise ParseError(f"bad skew term in {text!r} at {junk!r}")
+        if z or body or terms:
+            codes = parts.setdefault((_int(j) if j else 1) if z else 0, [0] * ctx.n)
+            body = zbody or body
+            if body:  # the signs negate the whole ring element
+                _add_terms(ctx.field, codes, body[1:-1], "x", ctx.n, signs.count("-") % 2 == 1)
+            else:  # a bare z^j, or a run of terms whose first one takes the signs
+                _add_terms(ctx.field, codes, signs + (terms or "1"), "x", ctx.n)
+    if not parts:
+        raise ParseError(f"no terms in {text!r}")
+    coeffs = [RingElement(ctx, parts[j]) if j in parts else ctx.zero for j in range(max(parts) + 1)]
     return SkewPoly(sigma, coeffs)
 
 
@@ -191,7 +190,7 @@ def parse_sigma(ctx: RingContext, text: str) -> Automorphism:
         cycles = []
         seen = set()
         for grp in _PERM_RE.findall(body):
-            items = [int(t) for t in grp.replace(",", " ").split()]
+            items = [_int(t) for t in grp.replace(",", " ").split()]
             for k in items:
                 if not 1 <= k <= ctx.r:
                     raise ParseError(f"permutation index {k} not in 1..{ctx.r}")

@@ -16,6 +16,7 @@ from .errors import (
     LengthMismatch,
     LengthNotCoprime,
     MixedContexts,
+    MixedFields,
     NotAUnit,
     ZeroInput,
 )
@@ -63,8 +64,7 @@ class RingContext:
         for pi in self.factors:
             m_k = self.modulus.exact_div(pi)
             _, u, _ = poly_ext_gcd(m_k, pi)  # u*m_k = 1 mod pi_k
-            eps = (u * m_k) % self.modulus
-            idems.append(self.from_poly(eps))
+            idems.append(self.from_poly(u * m_k))
         self.idempotents = tuple(idems)
         # rows of the linear CRT lift: x^j * eps_k, j < kappa_k, is eps_k rotated
         self._lift_rows = tuple(
@@ -88,9 +88,14 @@ class RingContext:
         return RingElement(self, codes)
 
     def from_poly(self, poly: Poly) -> "RingElement":
-        poly = poly % self.modulus
-        codes = list(poly.codes) + [0] * (self.n - len(poly.codes))
-        return RingElement(self, tuple(codes))
+        """The class of `poly` in A: x^i lands in slot i mod n, as x^n = 1."""
+        if poly.field is not self.field and poly.field != self.field:
+            raise MixedFields("polynomial over a different field")
+        n, add = self.n, self.field._add
+        codes = [0] * n
+        for i, c in enumerate(poly.codes):
+            codes[i % n] = add[codes[i % n]][c]
+        return RingElement(self, codes)
 
     def scalar(self, c) -> "RingElement":
         return self.element([c])

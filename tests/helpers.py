@@ -3,10 +3,11 @@
 import heapq
 import itertools
 import random
+import re
 from typing import NamedTuple
 
 from skewcyclic import linalg
-from skewcyclic.automorphisms import _roots_in_component
+from skewcyclic.automorphisms import Automorphism, _roots_in_component
 from skewcyclic.convolutional import (
     EQUIVALENCE_MAX_N,
     EQUIVALENCE_MAX_NULLITY,
@@ -24,13 +25,16 @@ from skewcyclic.distance import (
 from skewcyclic.errors import (
     NotMinimal,
     NotRightInvertible,
+    ParseError,
     SearchSpaceTooLarge,
     StateCapExceeded,
     ZeroPolynomial,
 )
 from skewcyclic.fields import NEG_INF, FieldSpec, Poly, monic_polys
+from skewcyclic.literals import parse_element
 from skewcyclic.packed import _word_ops
 from skewcyclic.ring import CrtVector
+from skewcyclic.skew import SkewPoly
 
 
 # (field literal, n): the contexts that the automorphism and CRT
@@ -661,3 +665,100 @@ def field_tables_by_residues(field):
             add[a][b] = add[b][a] = code_of((fa + fb).codes)
             mul[a][b] = mul[b][a] = code_of((fa * fb % mod).codes)
     return add, mul, [code_of((-f).codes) for f in elems]
+
+
+# -- the literal grammar by terms: split at top-level signs, then match each
+# term on its own, building one Poly per term; the reference for the
+# one-pass parser in literals.py
+
+_TERM_RE = re.compile(
+    r"^(?P<coeff>\d+|a(?:\^\d+)?)?\s*(?P<star>\*)?\s*(?:(?P<var>[a-z])(?:\^(?P<exp>\d+))?)?$"
+)
+
+
+def _split_terms(text: str):
+    """Top-level '+'/'-' split, honouring parentheses; yields (sign, term)."""
+    text = "".join(text.split())
+    if not text:
+        raise ParseError("empty expression")
+    out = []
+    depth = 0
+    cur = []
+    sign = 1
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError(f"unbalanced parentheses in {text!r}")
+        if ch in "+-" and depth == 0:
+            if cur:
+                out.append((sign, "".join(cur)))
+                cur = []
+                sign = 1 if ch == "+" else -1
+            else:
+                sign = sign * (1 if ch == "+" else -1)
+            continue
+        cur.append(ch)
+    if depth != 0:
+        raise ParseError(f"unbalanced parentheses in {text!r}")
+    if cur:
+        out.append((sign, "".join(cur)))
+    if not out:
+        raise ParseError(f"no terms in {text!r}")
+    return out
+
+
+def parse_poly_by_terms(field: FieldSpec, text: str, var: str = "x") -> Poly:
+    acc = Poly.zero(field)
+    for sign, term in _split_terms(text):
+        m = _TERM_RE.match(term)
+        if not m or (m.group("coeff") is None and m.group("var") is None):
+            raise ParseError(f"bad term {term!r}")
+        if m.group("star") and None in (m.group("coeff"), m.group("var")):
+            raise ParseError(f"bad term {term!r}: '*' needs a factor on each side")
+        if m.group("var") not in (None, var):
+            raise ParseError(f"unexpected variable in {term!r}; wanted {var!r}")
+        coeff = (
+            parse_element(field, m.group("coeff"))
+            if m.group("coeff") is not None
+            else field.one
+        )
+        if sign < 0:
+            coeff = -coeff
+        exp = 0
+        if m.group("var"):
+            exp = int(m.group("exp") or 1)
+        acc = acc + Poly(field, (0,) * exp + (coeff.code,))
+    return acc
+
+
+def _ring_element_by_terms(ctx, text: str):
+    return ctx.from_poly(parse_poly_by_terms(ctx.field, text, "x") % ctx.modulus)
+
+
+def parse_skew_by_terms(sigma: Automorphism, text: str) -> SkewPoly:
+    """Skew-polynomial literal: z^j terms carry parenthesized ring elements;
+    every other term is a ring element, in at most one pair of parentheses."""
+    ctx = sigma.context
+    parts = {}
+    for sign, term in _split_terms(text):
+        if term.startswith("z"):
+            m = re.match(r"^z(?:\^(\d+))?(?:\s*\*?\s*\((?P<inner>.*)\))?$", term)
+            if not m:
+                raise ParseError(f"bad skew term {term!r}")
+            j = int(m.group(1) or 1)
+            inner = m.group("inner")
+            coeff = ctx.one if inner is None else _ring_element_by_terms(ctx, inner)
+        else:
+            j = 0
+            if term.startswith("(") and term.endswith(")"):
+                term = term[1:-1]
+            coeff = _ring_element_by_terms(ctx, term)
+        if sign < 0:
+            coeff = -coeff
+        parts[j] = parts.get(j, ctx.zero) + coeff
+    depth = max(parts) + 1 if parts else 0
+    coeffs = [parts.get(j, ctx.zero) for j in range(depth)]
+    return SkewPoly(sigma, coeffs)

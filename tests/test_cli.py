@@ -61,6 +61,24 @@ def test_parse_error_exit_3(capsys):
         assert code == 3 and "permutation index" in err
 
 
+_NINES = "9" * 5000  # more digits than int() converts
+
+
+@pytest.mark.parametrize(
+    "sigma", [f"x^{_NINES}", f"{_NINES}*x+1", f"perm:({_NINES})"], ids=["power", "coefficient", "perm"]
+)
+def test_oversized_number_in_sigma_exit_3(capsys, sigma):
+    code, _, err = run(capsys, "automorphisms", "--field", "GF(2)", "--n", "7", "--sigma", sigma)
+    assert code == 3 and "5000 digits" in err
+
+
+def test_oversized_number_in_descriptor_exit_3(tmp_path, capsys):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps({**_GOOD_DESC, "recipe": {"l": 2, "d": 1, "scalars": [f"x^{_NINES}"]}}))
+    code, _, err = run(capsys, "build", "--recipe", str(path))
+    assert code == 3 and err.startswith("parse error:") and "5000 digits" in err
+
+
 @pytest.mark.parametrize("field", [
     "GF(512)", "GF(65537)", "GF(1024):y^10+y^3+1",
     # refused before q is factored by trial division up to sqrt(q), which

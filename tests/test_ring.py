@@ -9,6 +9,7 @@ from skewcyclic.errors import (
     IndexOutOfRange,
     LengthNotCoprime,
     MixedContexts,
+    MixedFields,
     NotAUnit,
     ZeroInput,
 )
@@ -91,6 +92,18 @@ def test_index_range(ctx27):
 def test_mixed_contexts(ctx27, ctx43):
     with pytest.raises(MixedContexts):
         ctx27.one + ctx43.one  # type: ignore[operator]
+
+
+def test_from_poly_folds_powers_mod_n(ctx27, ctx43):
+    """x^i lands in slot i mod n: the remainder mod x^n - 1, in one pass."""
+    rng = random.Random(20)
+    for ctx in (ctx27, ctx43):
+        for _ in range(30):
+            f = Poly(ctx.field, [rng.randrange(ctx.field.q) for _ in range(rng.randrange(4 * ctx.n))])
+            rem = (f % ctx.modulus).codes
+            assert ctx.from_poly(f).codes == rem + (0,) * (ctx.n - len(rem))
+    with pytest.raises(MixedFields):
+        ctx27.from_poly(Poly(ctx43.field, (1,)))
 
 
 def test_crt_goldens(ctx27):
