@@ -187,89 +187,67 @@ class PolyMatrix:
 
     def smith_form(self):
         """(S, Linv, Rinv) with Linv*self*Rinv = S, Linv and Rinv unimodular,
-        S diagonal with each diagonal entry dividing the next."""
+        S diagonal with each diagonal entry dividing the next.
+
+        One block matrix B = [[self, I_m], [I_n, 0]] is reduced: a row
+        operation on its first m rows acts on S and Linv in one step, and a
+        column operation on its first n columns on S and Rinv.
+        """
         field = self.field
         m, n = self.nrows, self.ncols
-        S = [list(row) for row in self.entries]
-        Li = [list(row) for row in PolyMatrix.identity(field, m).entries]
-        Ri = [list(row) for row in PolyMatrix.identity(field, n).entries]
-
-        def row_swap(i, j):
-            S[i], S[j] = S[j], S[i]
-            Li[i], Li[j] = Li[j], Li[i]
-
-        def col_swap(i, j):
-            for t in range(m):
-                S[t][i], S[t][j] = S[t][j], S[t][i]
-            for t in range(n):
-                Ri[t][i], Ri[t][j] = Ri[t][j], Ri[t][i]
-
-        def row_addmul(dst, src, q: Poly):
-            S[dst] = [a + q * b for a, b in zip(S[dst], S[src])]
-            Li[dst] = [a + q * b for a, b in zip(Li[dst], Li[src])]
-
-        def col_addmul(dst, src, q: Poly):
-            for t in range(m):
-                S[t][dst] = S[t][dst] + S[t][src] * q
-            for t in range(n):
-                Ri[t][dst] = Ri[t][dst] + Ri[t][src] * q
-
-        def row_scale(i, c_code):
-            S[i] = [e.scale(c_code) for e in S[i]]
-            Li[i] = [e.scale(c_code) for e in Li[i]]
-
-        rank_pos = 0
-        while True:
-            # find the lowest-degree nonzero entry in the remaining block
-            best = None
-            for i in range(rank_pos, m):
-                for j in range(rank_pos, n):
-                    e = S[i][j]
-                    if not e.is_zero() and (best is None or e.degree < best[2]):
-                        best = (i, j, e.degree)
-            if best is None:
+        one, zero = Poly.one(field), Poly.zero(field)
+        B = [
+            list(row) + [one if t == i else zero for t in range(m)]
+            for i, row in enumerate(self.entries)
+        ] + [[one if t == j else zero for t in range(n + m)] for j in range(n)]
+        r = 0
+        while r < min(m, n):
+            # the pivot: a least-degree nonzero entry of the remaining block,
+            # first in row order
+            nonzero = [
+                (B[i][j].degree, i, j) for i in range(r, m) for j in range(r, n) if B[i][j]
+            ]
+            if not nonzero:
                 break
-            bi, bj, _ = best
-            if bi != rank_pos:
-                row_swap(rank_pos, bi)
-            if bj != rank_pos:
-                col_swap(rank_pos, bj)
+            _, pi, pj = min(nonzero)
+            B[r], B[pi] = B[pi], B[r]
+            for row in B:
+                row[r], row[pj] = row[pj], row[r]
+            piv = B[r][r]
             # clear the pivot row and column; restart if a remainder pops up
             dirty = False
-            for i in range(rank_pos + 1, m):
-                if S[i][rank_pos].is_zero():
-                    continue
-                q, r = divmod(S[i][rank_pos], S[rank_pos][rank_pos])
-                row_addmul(i, rank_pos, -q)
-                if not r.is_zero():
-                    dirty = True
-            for j in range(rank_pos + 1, n):
-                if S[rank_pos][j].is_zero():
-                    continue
-                q, r = divmod(S[rank_pos][j], S[rank_pos][rank_pos])
-                col_addmul(j, rank_pos, -q)
-                if not r.is_zero():
-                    dirty = True
+            for i in range(r + 1, m):
+                if B[i][r]:
+                    q, rem = divmod(B[i][r], piv)
+                    q = -q
+                    B[i] = [a + q * b for a, b in zip(B[i], B[r])]
+                    dirty = dirty or bool(rem)
+            for j in range(r + 1, n):
+                if B[r][j]:
+                    q, rem = divmod(B[r][j], piv)
+                    q = -q
+                    for row in B:
+                        row[j] = row[j] + row[r] * q
+                    dirty = dirty or bool(rem)
             if dirty:
                 continue
-            # pivot divides its row and column; check the rest of the block
-            piv = S[rank_pos][rank_pos]
-            offender = None
-            for i in range(rank_pos + 1, m):
-                for j in range(rank_pos + 1, n):
-                    if not (S[i][j] % piv).is_zero():
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # the pivot divides its row and column; the first row of the rest
+            # of the block with an entry it does not divide joins the pivot row
+            offender = next(
+                (i for i in range(r + 1, m) if any(B[i][j] % piv for j in range(r + 1, n))),
+                None,
+            )
             if offender is not None:
-                row_addmul(rank_pos, offender, Poly.one(field))
+                B[r] = [a + b for a, b in zip(B[r], B[offender])]
                 continue
-            row_scale(rank_pos, field.inv_c(piv.lc()))
-            rank_pos += 1
-            if rank_pos == min(m, n):
-                break
-        return PolyMatrix(field, S), PolyMatrix(field, Li), PolyMatrix(field, Ri)
+            c = field.inv_c(piv.lc())
+            B[r] = [e.scale(c) for e in B[r]]
+            r += 1
+        return (
+            PolyMatrix(field, [row[:n] for row in B[:m]]),
+            PolyMatrix(field, [row[n:] for row in B[:m]]),
+            PolyMatrix(field, [row[:n] for row in B[m:]]),
+        )
 
     def _smith_completion(self):
         """(Li, Ri) from one Smith form, with Li * self * Ri = [I 0].

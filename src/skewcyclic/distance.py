@@ -37,11 +37,11 @@ def griesmer_bound(n: int, k: int, delta: int, m: int, q: int) -> int:
     truncation level.
 
     The level-i condition is sum_{l=0}^{k(m+i)-delta-1} ceil(d'/q^l) <= n(m+i)
-    for all integers i >= 0; once q^(k(m+i)-delta-1) >= d' each further level
-    adds k ones on the left and n on the right, so checking one level past
-    that point settles the rest.  Forney indices of maximum m and sum delta
-    have m <= delta <= k*m, so delta = 0 forces m = 0; other data describe
-    no code, and are refused before any level is summed.
+    for all integers i >= 0.  Each term is nondecreasing in d', so the d'
+    that pass are closed downward and d' is found by bisection over [1, S].
+    Forney indices of maximum m and sum delta have m <= delta <= k*m, so
+    delta = 0 forces m = 0; other data describe no code, and are refused
+    before any level is summed.
     """
     if k < 1 or n <= k or delta < 0 or m < 0 or q < 2:
         raise BadParameters("need 1 <= k < n, delta >= 0, m >= 0, q >= 2")
@@ -49,30 +49,32 @@ def griesmer_bound(n: int, k: int, delta: int, m: int, q: int) -> int:
         raise BadParameters(
             "Forney indices of maximum m and sum delta need m <= delta <= k*m"
         )
-    cap = singleton_bound(n, k, delta)
-    for d in range(cap, 0, -1):
-        if _griesmer_ok(n, k, delta, m, q, d):
-            return d
-    return 1
+    lo, hi = 1, singleton_bound(n, k, delta)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _griesmer_ok(n, k, delta, m, q, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def _griesmer_ok(n, k, delta, m, q, d) -> bool:
-    """Whether d passes every level; stops one level past q^top >= d."""
-    settled = False
-    i = 0
-    while True:
-        top = k * (m + i) - delta - 1
-        if top >= 0:
-            lhs, power = 0, 1
-            for _ in range(top + 1):
-                lhs += -(-d // power)
-                power *= q
-            if lhs > n * (m + i):
-                return False
-            if settled:
-                return True
-            settled = power // q >= d
-        i += 1
+    """Whether d passes every level.  Only the terms with q^l < d are
+    summed, as every later term is 1.  Past the first level that has all of
+    them, each level adds k to the sum and n > k to the bound, so that
+    level decides the rest."""
+    head, power = [], 1
+    while power < d:
+        head.append(-(-d // power))
+        power *= q
+    # m <= delta <= k*m, so no level has fewer than 0 terms
+    for i in itertools.count():
+        terms = k * (m + i) - delta
+        if sum(head[:terms]) + max(terms - len(head), 0) > n * (m + i):
+            return False
+        if terms >= len(head):
+            return True
 
 
 class DistanceReport(NamedTuple):

@@ -319,8 +319,7 @@ class Poly:
     """Univariate polynomial over a FieldSpec, coefficients low-to-high.
 
     Stored as a tuple of element codes with no trailing zeros; the zero
-    polynomial is the empty tuple and has degree -inf.  In characteristic 2
-    codes add by XOR and every element is its own negative.
+    polynomial is the empty tuple and has degree -inf.
     """
 
     __slots__ = ("field", "codes")
@@ -379,37 +378,21 @@ class Poly:
 
     def __add__(self, other):
         other = self._checked(other)
-        field = self.field
+        add = self.field._add
         a, b = self.codes, other.codes
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        if field.p == 2:
-            for i, c in enumerate(b):
-                out[i] ^= c
-        else:
-            add = field._add
-            for i, c in enumerate(b):
-                out[i] = add[out[i]][c]
-        return _normalized(field, out)
+        for i, c in enumerate(b):
+            out[i] = add[out[i]][c]
+        return _normalized(self.field, out)
 
     def __neg__(self):
-        if self.field.p == 2:
-            return self
         neg = self.field._neg
         return Poly._trusted(self.field, tuple(neg[c] for c in self.codes))
 
     def __sub__(self, other):
-        other = self._checked(other)
-        field = self.field
-        if field.p == 2:
-            return self + other
-        add, neg = field._add, field._neg
-        a, b = self.codes, other.codes
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = add[out[i]][neg[c]]
-        return _normalized(field, out)
+        return self + -self._checked(other)
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
@@ -531,22 +514,13 @@ def _normalized(field, out: list) -> Poly:
 
 def _accumulate(field, out: list, a, b):
     """out += a * b on code sequences, out long enough to hold the product."""
-    mul = field._mul
-    if field.p == 2:
-        for i, x in enumerate(a):
-            if x:
-                row = mul[x]
-                for j, y in enumerate(b, i):
-                    if y:
-                        out[j] ^= row[y]
-    else:
-        add = field._add
-        for i, x in enumerate(a):
-            if x:
-                row = mul[x]
-                for j, y in enumerate(b, i):
-                    if y:
-                        out[j] = add[out[j]][row[y]]
+    mul, add = field._mul, field._add
+    for i, x in enumerate(a):
+        if x:
+            row = mul[x]
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] = add[out[j]][row[y]]
 
 
 def cross_difference(a: Poly, b: Poly, c: Poly, d: Poly) -> Poly:
@@ -554,12 +528,9 @@ def cross_difference(a: Poly, b: Poly, c: Poly, d: Poly) -> Poly:
     field."""
     field = a.field
     out = [0] * max(len(a.codes) + len(b.codes), len(c.codes) + len(d.codes))
+    neg = field._neg
     _accumulate(field, out, a.codes, b.codes)
-    if field.p == 2:
-        _accumulate(field, out, c.codes, d.codes)
-    else:
-        neg = field._neg
-        _accumulate(field, out, [neg[x] for x in c.codes], d.codes)
+    _accumulate(field, out, [neg[x] for x in c.codes], d.codes)
     return _normalized(field, out)
 
 

@@ -81,7 +81,9 @@ def parse_field(text: str) -> FieldSpec:
         return make_field(p, deg)
     if "a" in m.group(2):
         raise ParseError("modulus coefficients must be prime-field integers")
-    mod_poly = parse_poly(make_field(p, 1), m.group(2), "y")
+    # no code list is sized to a y-exponent above deg
+    prime = make_field(p, 1)
+    mod_poly = Poly(prime, _add_terms(prime, [], _squeezed(m.group(2)), "y", max_exp=deg))
     if mod_poly.degree != deg:
         raise ParseError(f"modulus degree must be {deg} for GF({q})")
     try:
@@ -108,13 +110,16 @@ def parse_element(field: FieldSpec, text: str) -> FieldElement:
     return field.gen ** k
 
 
-def _add_terms(field: FieldSpec, codes: list, text: str, var: str, n=0, negate=False):
+def _add_terms(field: FieldSpec, codes: list, text: str, var: str, n=0, negate=False, max_exp=None):
     """Add the terms of `text`, a literal in `var` with no whitespace and no
     parentheses, into the code list `codes`, negated if `negate`.  With
     n > 0 the exponents fold mod n (x^n = 1) into the n slots of `codes`;
-    otherwise `codes` grows to the highest exponent."""
+    otherwise `codes` grows to the highest exponent.  Terms above `max_exp`,
+    when it is given, are summed apart and must cancel, so no list is sized
+    to them."""
     add, neg, powers = field._add, field._neg, field._exp
     found = False
+    high = {}
     for signs, num, a, k, star, v, e, junk in _TERM_RE.findall(text):
         if junk:
             raise ParseError(f"bad term in {text!r} at {junk!r}")
@@ -131,14 +136,19 @@ def _add_terms(field: FieldSpec, codes: list, text: str, var: str, n=0, negate=F
         if signs.count("-") % 2 != negate:
             c = neg[c]
         i = (_int(e) if e else 1) if v else 0
+        found = True
         if n:
             i %= n
+        elif max_exp is not None and i > max_exp:
+            high[i] = add[high.get(i, 0)][c]
+            continue
         elif i >= len(codes):
             codes += [0] * (i + 1 - len(codes))
         codes[i] = add[codes[i]][c]
-        found = True
     if not found:
         raise ParseError(f"no terms in {text!r}")
+    if any(high.values()):
+        raise ParseError(f"degree of {text!r} in {var} exceeds {max_exp}")
     return codes
 
 

@@ -95,6 +95,15 @@ def test_field_size_cap_exit_2(capsys, field):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("field", ["GF(8):y^10000000+y+1", "GF(8):y^1000000000+y+1"])
+def test_modulus_exponent_above_degree_exit_3(capsys, field):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "factor", "--field", field, "--n", "7")
+    assert code == 3
+    assert "exceeds 3" in err and len(err) < 200
+    assert time.perf_counter() - start < 1.0
+
+
 def test_automorphisms_sigma_does_not_enumerate(monkeypatch, capsys):
     def refuse(ctx):
         raise AssertionError("the group was enumerated")
@@ -442,6 +451,24 @@ def test_bounds_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["singleton"] == 20 and data["griesmer"] == 18
+
+
+@pytest.mark.parametrize("n, k, delta, m, q, singleton, griesmer", [
+    (10, 3, 1000000, 333334, 2, 3333339, 1666696),
+    (1000000, 3, 1000000, 400000, 256, 333333999999, 333333999999),
+])
+def test_bounds_large_parameters_bisect(capsys, n, k, delta, m, q, singleton, griesmer):
+    """The Griesmer bound bisects over [1, S] and sums only the terms with
+    q^l < d, so neither a large S nor a level with 200,000 terms is walked."""
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "bounds", "--n", str(n), "--k", str(k), "--delta", str(delta),
+        "--m", str(m), "--q", str(q),
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert (data["singleton"], data["griesmer"]) == (singleton, griesmer)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bounds_bad_parameters_exit_2(capsys):

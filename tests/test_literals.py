@@ -44,6 +44,8 @@ def test_parse_field_modulus_terms():
     # a coefficient that is 0 mod p does not raise the degree
     assert parse_field("GF(9):3*y^3+y^2+1").modulus == (1, 0, 1)
     assert parse_field("GF(5):y+y^4-y^4").modulus == (0, 1)
+    # terms above the degree are summed apart, with no list sized to them
+    assert parse_field("GF(8):y^3+y+1+y^1000000000-y^1000000000").modulus == (1, 1, 0, 1)
     with pytest.raises(ParseError):
         parse_field("GF(4):2*y^2+y+1")  # degree 1 over F_2
     with pytest.raises(ParseError):
