@@ -213,8 +213,9 @@ def identity_automorphism(ctx: RingContext) -> Automorphism:
     return Automorphism._trusted(ctx, ctx.x, range(1, ctx.r + 1))
 
 
-def _roots_in_component(ctx: RingContext, l: int, m: int):
-    """Roots of pi_l inside K_m = F[x]/(pi_m), as a Frobenius orbit.
+def _roots_in_component(ctx: RingContext, l: int, m: int, count: int = None):
+    """Roots of pi_l inside K_m = F[x]/(pi_m), as a Frobenius orbit, or its
+    first `count` roots when given.
 
     The first root is the earliest one in a scan of K_m residues by
     coefficient-code order; the rest are its q-power iterates.  Valid only
@@ -235,7 +236,7 @@ def _roots_in_component(ctx: RingContext, l: int, m: int):
     else:
         raise AssertionError("equal-degree factors must share roots")
     orbit = [beta]
-    for _ in range(kappa - 1):
+    for _ in range((kappa if count is None else min(count, kappa)) - 1):
         orbit.append(orbit[-1].pow_mod(field.q, pi_m))
     return orbit
 
@@ -257,7 +258,7 @@ def _component_lifts(ctx: RingContext, pairs, roots=None):
     for k, m in pairs:
         parts = [zero] * ctx.r
         packed = []
-        for root in _roots_in_component(ctx, k, m)[:roots]:
+        for root in _roots_in_component(ctx, k, m, roots):
             parts[m - 1] = root
             packed.append(pack(ctx.crt_backward(CrtVector(ctx, tuple(parts))).codes))
         lifts[k, m] = packed

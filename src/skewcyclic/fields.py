@@ -417,24 +417,13 @@ class Poly:
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
         field = self.field
-        rem = list(self.codes)
-        dd, dv = len(rem) - 1, other.degree
-        if dd < dv:
+        dv = len(other.codes) - 1
+        if len(self.codes) <= dv:
             return Poly.zero(field), self
-        inv_lc = field.inv_c(other.lc())
-        mul, add, neg = field._mul, field._add, field._neg
-        # rem += c * pivot clears rem[i]; that entry is never read again
-        pivot = [neg[mul[oc][inv_lc]] for oc in other.codes[:-1]]
-        quot = [0] * (dd - dv + 1)
-        for i in range(dd, dv - 1, -1):
-            c = rem[i]
-            if c:
-                quot[i - dv] = mul[c][inv_lc]
-                row = mul[c]
-                for j, pc in enumerate(pivot, i - dv):
-                    rem[j] = add[rem[j]][row[pc]]
+        scale, neg = field._mul[field.inv_c(other.lc())], field._neg
+        rem = _divide(field, list(self.codes), [neg[scale[c]] for c in other.codes[:-1]])
         # the top quotient coefficient is lc(self) / lc(other), nonzero
-        return Poly._trusted(field, tuple(quot)), _normalized(field, rem[:dv])
+        return Poly._trusted(field, tuple([scale[c] for c in rem[dv:]])), _normalized(field, rem[:dv])
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -512,8 +501,8 @@ def _normalized(field, out: list) -> Poly:
     return Poly._trusted(field, tuple(out))
 
 
-def _accumulate(field, out: list, a, b):
-    """out += a * b on code sequences, out long enough to hold the product."""
+def _accumulate(field, out: list, a, b) -> list:
+    """out += a * b on code sequences, in place (out holds the product)."""
     mul, add = field._mul, field._add
     for i, x in enumerate(a):
         if x:
@@ -521,6 +510,25 @@ def _accumulate(field, out: list, a, b):
             for j, y in enumerate(b, i):
                 if y:
                     out[j] = add[out[j]][row[y]]
+    return out
+
+
+def _divide(field, rem: list, pivot) -> list:
+    """Long division of the code list `rem`, in place, by the divisor d whose
+    row `pivot` holds the codes of -d_i / lc(d), i < deg d: rem[:deg d]
+    becomes the remainder, and rem[deg d + k] lc(d) times the x^k
+    coefficient of the quotient.  Returns rem."""
+    mul, add = field._mul, field._add
+    dv = len(pivot)
+    # rem += c * pivot clears rem[i] but leaves c there, and c is never read
+    # again; the quotient's coefficient is c / lc(d)
+    for i in range(len(rem) - 1, dv - 1, -1):
+        c = rem[i]
+        if c:
+            row = mul[c]
+            for j, pc in enumerate(pivot, i - dv):
+                rem[j] = add[rem[j]][row[pc]]
+    return rem
 
 
 def cross_difference(a: Poly, b: Poly, c: Poly, d: Poly) -> Poly:

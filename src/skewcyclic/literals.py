@@ -8,6 +8,8 @@ automorphisms, and matrices, as used by the CLI and fixture files.
     skew poly:    1+x^2 + z*(x+x^5) + z^2*(1+x^4)
     sigma:        x^5 | sigma:x^5 | perm:(1)(2,3)
     matrix JSON:  {"rows": k, "cols": n, "entries": [["1+z^2", ...], ...]}
+
+A z-exponent in a skew poly or matrix entry is at most MAX_Z_DEGREE.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ from .errors import BadParameters, ParseError, ReducibleModulus
 from .fields import MAX_FIELD_SIZE, FieldSpec, FieldElement, Poly, make_field
 from .ring import RingContext, RingElement
 from .skew import SkewPoly
+
+# z-terms above the cap are summed apart and must cancel; a valid GF(2) n=7
+# generator of z-degree 1000 builds in ~2 s, and the time grows as degree^2
+MAX_Z_DEGREE = 1000
 
 _FIELD_RE = re.compile(r"^GF\((\d+)\)(?::(.+))?$")
 _ELEM_RE = re.compile(r"^(\d+|a(?:\^(\d+))?)$")
@@ -148,7 +154,7 @@ def _add_terms(field: FieldSpec, codes: list, text: str, var: str, n=0, negate=F
     if not found:
         raise ParseError(f"no terms in {text!r}")
     if any(high.values()):
-        raise ParseError(f"degree of {text!r} in {var} exceeds {max_exp}")
+        raise ParseError(f"degree in {var} exceeds {max_exp}, and the terms above it do not cancel")
     return codes
 
 
@@ -182,7 +188,11 @@ def parse_skew(sigma: Automorphism, text: str) -> SkewPoly:
                 _add_terms(ctx.field, codes, signs + (terms or "1"), "x", ctx.n)
     if not parts:
         raise ParseError(f"no terms in {text!r}")
-    coeffs = [RingElement(ctx, parts[j]) if j in parts else ctx.zero for j in range(max(parts) + 1)]
+    # terms above the cap are summed apart and must cancel, as in _add_terms
+    for j in [j for j in parts if j > MAX_Z_DEGREE]:
+        if any(parts.pop(j)):
+            raise ParseError(f"degree in z exceeds {MAX_Z_DEGREE}, and the terms above it do not cancel")
+    coeffs = [RingElement(ctx, parts[j]) if j in parts else ctx.zero for j in range(max(parts, default=-1) + 1)]
     return SkewPoly(sigma, coeffs)
 
 
@@ -236,7 +246,8 @@ def matrix_from_dict(field: FieldSpec, data: dict) -> PolyMatrix:
     if not all(isinstance(e, str) for r in entries for e in r):
         raise ParseError("matrix JSON entries must be polynomial strings")
     return PolyMatrix(
-        field, [[parse_poly(field, e, "z") for e in row] for row in entries]
+        field,
+        [[Poly(field, _add_terms(field, [], _squeezed(e), "z", max_exp=MAX_Z_DEGREE)) for e in row] for row in entries],
     )
 
 

@@ -35,6 +35,22 @@ def accumulate_rows(field: FieldSpec, out: list, coeffs, rows) -> list:
     return out
 
 
+def cyclic_accumulate(field: FieldSpec, out: list, a, b) -> list:
+    """Add a * b mod x^n - 1 into the code list `out` of length n, in place;
+    a and b are code sequences of length at most n."""
+    n = len(out)
+    mul, add = field._mul, field._add
+    for i, x in enumerate(a):
+        if x:
+            row = mul[x]
+            for t, y in enumerate(b, i):
+                if y:
+                    if t >= n:
+                        t -= n
+                    out[t] = add[out[t]][row[y]]
+    return out
+
+
 class RingContext:
     """F[x]/(x^n - 1) with its CRT decomposition precomputed."""
 
@@ -240,21 +256,8 @@ class RingElement:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        # cyclic convolution mod x^n - 1
-        n = self.context.n
-        field = self.context.field
-        mul, add = field._mul, field._add
-        out = [0] * n
-        for i, a in enumerate(self.codes):
-            if a:
-                row = mul[a]
-                for j, b in enumerate(other.codes):
-                    if b:
-                        t = i + j
-                        if t >= n:
-                            t -= n
-                        out[t] = add[out[t]][row[b]]
-        return RingElement(self.context, out)
+        ctx = self.context
+        return RingElement(ctx, cyclic_accumulate(ctx.field, [0] * ctx.n, self.codes, other.codes))
 
     __rmul__ = __mul__
 

@@ -28,8 +28,8 @@ from .errors import (
     NotAUnit,
 )
 from .automorphisms import Automorphism
-from .fields import NEG_INF, Poly, poly_ext_gcd
-from .ring import RingElement
+from .fields import NEG_INF, Poly, _accumulate, _divide, _normalized, poly_ext_gcd
+from .ring import RingElement, accumulate_rows, cyclic_accumulate
 
 
 class SkewPoly:
@@ -129,19 +129,18 @@ class SkewPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return SkewPoly.zero(self.sigma)
-        sigma = self.sigma
-        ctx = self.context
-        # cache sigma^l(f_j) as l runs over the right factor's degrees
-        twisted = list(self.coeffs)
-        out = [ctx.zero for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+        sigma, ctx = self.sigma, self.context
+        field, n, rows = ctx.field, ctx.n, sigma._power_matrix
+        # sigma^l(f_j) as l runs over the right factor's degrees, on code lists
+        twisted = [a.codes for a in self.coeffs]
+        out = [[0] * n for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
         for l, b in enumerate(other.coeffs):
             if l > 0:
-                twisted = [sigma.apply(a) for a in twisted]
+                twisted = [accumulate_rows(field, [0] * n, a, rows) for a in twisted]
             if b:
-                for j, a in enumerate(twisted):
-                    if a:
-                        out[j + l] = out[j + l] + a * b
-        return SkewPoly(sigma, out)
+                for acc, a in zip(out[l:], twisted):
+                    cyclic_accumulate(field, acc, a, b.codes)
+        return SkewPoly(sigma, [RingElement(ctx, c) for c in out])
 
     def __rmul__(self, other):
         # other * self with other a ring constant (or int)
@@ -337,16 +336,20 @@ class SkewPoly:
 def x_multiples(f: SkewPoly, count: int, g: Poly, images) -> list:
     """vec(x^i f mod g) for 0 <= i < count, each as deg g polynomials in z.
     x z^j = z^j sigma^j(x), so the z^j coefficient of x^i f is
-    sigma^j(x)^i f_j, with images[j % len(images)] = sigma^j(x) mod g."""
+    sigma^j(x)^i f_j, with images[j % len(images)] = sigma^j(x) mod g.
+    The f_j stay code lists; each row's polynomials are built once."""
     field, dim = f.context.field, int(g.degree)
-    cur = [c.as_poly() % g for c in f.coeffs]
-    steps = [images[j % len(images)] for j in range(len(cur))]
+    scale, neg = field._mul[field.inv_c(g.lc())], field._neg
+    pivot = [neg[scale[c]] for c in g.codes[:-1]]
+    cur = [list(c.codes) for c in f.coeffs]
+    steps = [images[j % len(images)].codes for j in range(len(cur))]
     rows = []
     for i in range(count):
-        padded = [p.codes + (0,) * (dim - len(p.codes)) for p in cur]
-        rows.append([Poly(field, [c[t] for c in padded]) for t in range(dim)])
-        if i + 1 < count:
-            cur = [(p * s) % g for p, s in zip(cur, steps)]
+        if i:
+            cur = [_accumulate(field, [0] * (dim + len(s) - 1), p, s) for p, s in zip(cur, steps)]
+        for c in cur:
+            del _divide(field, c, pivot)[dim:]
+        rows.append([_normalized(field, [c[t] for c in cur]) for t in range(dim)])
     return rows
 
 

@@ -302,29 +302,52 @@ def identity_units_constant(ctx, degree_cap, restrict_to_unit_constant=False):
         assert units > 0
 
 
-def x_multiples_by_products(f, count):
+def skew_product_by_terms(f, g):
+    """Test-only oracle for SkewPoly.__mul__: the twisted convolution
+    sum_t z^t sum_{j+l=t} sigma^l(f_j) g_l, one RingElement product and sum
+    per term, with sigma^l(f_j) from Automorphism.apply."""
+    from skewcyclic.skew import SkewPoly
+
+    if f.sigma != g.sigma:
+        raise ValueError("operands twisted by different automorphisms")
+    sigma, ctx = f.sigma, f.context
+    if not f.coeffs or not g.coeffs:
+        return SkewPoly.zero(sigma)
+    out = [ctx.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for l, b in enumerate(g.coeffs):
+        for j, a in enumerate(f.coeffs):
+            out[j + l] = out[j + l] + sigma.apply(a, l) * b
+    return SkewPoly(sigma, out)
+
+
+def x_multiples_by_products(f, count, g=None):
     """Test-only oracle: vec(x^i f) for i < count, each x^i f formed by
-    skew multiplication with the constant x."""
+    the term-wise skew product with the constant x.  Given a divisor g of
+    x^n - 1, each coefficient of x^i f is first reduced mod g, and a row
+    keeps its first deg g entries."""
     from skewcyclic.skew import SkewPoly, vector_from_skew
 
-    xs = SkewPoly.constant(f.sigma, f.context.x)
+    ctx = f.context
+    dim = ctx.n if g is None else int(g.degree)
+    xs = SkewPoly.constant(f.sigma, ctx.x)
     rows = []
     for _ in range(count):
-        rows.append(vector_from_skew(f))
-        f = xs * f
+        h = f if g is None else SkewPoly(f.sigma, [ctx.from_poly(c.as_poly() % g) for c in f.coeffs])
+        rows.append(vector_from_skew(h)[:dim])
+        f = skew_product_by_terms(xs, f)
     return rows
 
 
 def generator_rows_by_products(g):
     """Test-only oracle: the generator-matrix rows vec(x^i g^(l)), i < deg
-    pi_l, over the support l, with g^(l) = eps_l g and every product a skew
-    multiplication."""
+    pi_l, over the support l, with g^(l) = eps_l g and every product a
+    term-wise skew product."""
     from skewcyclic.skew import SkewPoly
 
     ctx = g.context
     rows = []
     for l in range(1, ctx.r + 1):
-        comp = SkewPoly.constant(g.sigma, ctx.idempotent(l)) * g
+        comp = skew_product_by_terms(SkewPoly.constant(g.sigma, ctx.idempotent(l)), g)
         if comp:
             rows += x_multiples_by_products(comp, ctx.kappas[l - 1])
     return rows
@@ -401,14 +424,24 @@ def griesmer_bound_by_levels(n, k, delta, m, q, levels=64):
 
 
 def inverse_degree_bound(f) -> int:
-    """Proven bound on deg_z of an inverse: (n-1) * deg_z f.
+    """Proven bound on deg_z of an inverse: the largest (dim_C - 1) * deg_z f
+    over the sigma-cycles C of length > 1, with dim_C the sum of deg pi_k over
+    C; 0 when sigma moves no cycle.
 
-    Right multiplication by f is an F[z]-linear map on F[z]^n whose matrix
-    has entry degrees <= deg_z f; f is a unit iff that matrix is unimodular,
-    and then the inverse's coordinates are entries of the adjugate divided
-    by the constant determinant.
+    The idempotent eps_C of a whole cycle is sigma-fixed, hence central, so
+    an inverse g is the sum of its parts eps_C g, each the inverse of eps_C f
+    in eps_C A[z;sigma].  On a fixed cycle {k} that ring is the domain
+    K_k[z;theta], whose units are constants.  On a moved cycle C it is the
+    free F[z]-module F[z]^dim_C in the basis x^i eps_C, and right
+    multiplication by f has a matrix M_C with entries of degree <= deg_z f.
+    eps_C g f = eps_C reads vec_C(g) M_C = e_1, and for a unit det M_C is a
+    nonzero constant, so vec_C(g) = e_1 adj(M_C) / det M_C: each entry is a
+    (dim_C - 1)-minor of M_C, of degree <= (dim_C - 1) deg_z f.
     """
-    return max((f.context.n - 1) * (len(f.coeffs) - 1), 0)
+    ctx = f.context
+    deg = max(len(f.coeffs) - 1, 0)
+    dims = [sum(ctx.kappas[k - 1] for k in cyc) for cyc in f.sigma.cycles if len(cyc) > 1]
+    return max(((dim - 1) * deg for dim in dims), default=0)
 
 
 def unit_inverse_by_solving(f):

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from skewcyclic import cli
-from skewcyclic.literals import matrix_from_dict, parse_field
+from skewcyclic.literals import MAX_Z_DEGREE, matrix_from_dict, parse_field
 from skewcyclic.verify import load_default_fixtures
 
 
@@ -101,6 +101,30 @@ def test_modulus_exponent_above_degree_exit_3(capsys, field):
     code, _, err = run(capsys, "factor", "--field", field, "--n", "7")
     assert code == 3
     assert "exceeds 3" in err and len(err) < 200
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("exponent", ["100000", "1000000"])
+def test_generator_z_exponent_cap_exit_3(tmp_path, capsys, exponent):
+    path = tmp_path / "recipe.json"
+    desc = {"field": "GF(2)", "n": 7, "sigma": "x", "generator": f"1+x+z^{exponent}"}
+    path.write_text(json.dumps(desc))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "build", "--recipe", str(path))
+    assert code == 3
+    assert f"in z exceeds {MAX_Z_DEGREE}" in err and len(err) < 200
+    assert time.perf_counter() - start < 1.0
+
+
+def test_equivalence_z_exponent_cap_exit_3(tmp_path, capsys):
+    pa = tmp_path / "a.json"
+    pa.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [["1", "1+z^1000000"]]}))
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "equivalence", "--field", "GF(2)", "--matrix-a", str(pa), "--matrix-b", str(pa)
+    )
+    assert code == 3
+    assert f"in z exceeds {MAX_Z_DEGREE}" in err and len(err) < 200
     assert time.perf_counter() - start < 1.0
 
 

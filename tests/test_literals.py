@@ -4,6 +4,7 @@ from skewcyclic.errors import BadParameters, ParseError
 from skewcyclic.skew import SkewPoly
 from skewcyclic.verify import load_default_fixtures
 from skewcyclic.literals import (
+    MAX_Z_DEGREE,
     field_to_str,
     matrix_from_dict,
     matrix_to_dict,
@@ -137,6 +138,22 @@ def test_parse_skew_golden_literals(sig27):
             coeffs.append(parse_ring_element(ctx, term[len(head):-1]))
         assert parse_skew(sig27, text) == SkewPoly(sig27, coeffs)
         assert parse_skew(sig27, f"({const})" + text[len(const):]) == SkewPoly(sig27, coeffs)
+
+
+def test_z_exponent_cap(sig27, F4):
+    """z-exponents up to MAX_Z_DEGREE read as usual; terms above it are
+    summed apart and must cancel, as the y-terms of a field modulus do."""
+    top = MAX_Z_DEGREE
+    assert parse_skew(sig27, f"1+z^{top}*(x)").degree == top
+    assert parse_skew(sig27, f"1+z^{top + 1}*(x)+z^{top + 1}*(x)") == SkewPoly.one(sig27)
+    assert parse_skew(sig27, f"z^{10 ** 9}-z^{10 ** 9}") == SkewPoly.zero(sig27)
+    with pytest.raises(ParseError, match=f"in z exceeds {top}"):
+        parse_skew(sig27, f"1+z^{top + 1}")
+    entries = [[f"1+z^{top}", f"a+z^{top + 1}-z^{top + 1}"]]
+    M = matrix_from_dict(F4, {"rows": 1, "cols": 2, "entries": entries})
+    assert matrix_to_dict(M)["entries"] == [[f"1+z^{top}", "a"]]
+    with pytest.raises(ParseError, match=f"in z exceeds {top}"):
+        matrix_from_dict(F4, {"rows": 1, "cols": 1, "entries": [[f"z^{top + 1}"]]})
 
 
 def test_parse_sigma_forms(ctx27):

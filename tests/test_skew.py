@@ -1,4 +1,7 @@
+import functools
 import itertools
+import math
+import operator
 import random
 
 import pytest
@@ -11,6 +14,7 @@ from helpers import (
     leading_monomial,
     module_determinant,
     module_unit_inverse,
+    skew_product_by_terms,
     unit_inverse_by_solving,
     x_multiples_by_products,
 )
@@ -38,7 +42,7 @@ from skewcyclic.errors import (
     ZeroPolynomial,
 )
 from skewcyclic.literals import parse_field
-from skewcyclic.skew import SkewPoly
+from skewcyclic.skew import SkewPoly, x_multiples
 
 
 def _random_skew(rng, sig, max_deg):
@@ -418,6 +422,68 @@ def test_module_matrix_matches_skew_products(sig45, sig87):
         for f in samples:
             rows = [tuple(row) for row in f.module_matrix()]
             assert rows == x_multiples_by_products(f, n), (sig, f)
+
+
+def _sweep_sigmas(ctx):
+    """The identity, x -> x^t with t the least unit mod n above 1, and the
+    permutation-built sigma that cycles the last degree class of two or more
+    components."""
+    t = next(t for t in range(2, ctx.n + 1) if math.gcd(t, ctx.n) == 1)
+    cls = [c for c in ctx.degree_classes if len(c) > 1][-1]
+    return (
+        identity_automorphism(ctx),
+        Automorphism(ctx, ctx.x ** t),
+        find_automorphism_for_permutation(ctx, permutation_from_cycles(ctx.r, [cls])),
+    )
+
+
+def _mixed_skew(rng, sig, max_deg):
+    """Random f of z-degree <= max_deg whose coefficients are, a third of the
+    time each, zero, a field scalar or a random ring element."""
+    ctx = sig.context
+    q, n = ctx.field.q, ctx.n
+    coeffs = []
+    for _ in range(rng.randrange(max_deg + 1) + 1):
+        kind = rng.randrange(3)
+        if kind == 0:
+            coeffs.append(ctx.zero)
+        elif kind == 1:
+            coeffs.append(ctx.scalar(rng.randrange(q)))
+        else:
+            coeffs.append(ctx.from_codes([rng.randrange(q) for _ in range(n)]))
+    return SkewPoly(sig, coeffs)
+
+
+@pytest.mark.parametrize(
+    "field_text,n", [c for c in SWEEP_CONTEXTS if c != ("GF(2)", 15)], ids=str
+)
+def test_kernels_match_term_oracles_beyond_char_2(field_text, n):
+    """SkewPoly.__mul__ against the term-wise product of helpers, and
+    x_multiples against rows formed by term-wise products with x, over
+    characteristics 2, 3 and 5: for the identity, an x^t and a
+    permutation-built sigma, on the zero polynomial, constants and seeded f
+    with zero coefficients.  x_multiples runs on x^n - 1 (the module matrix)
+    and on g_C for every sigma-cycle C, so the reduction mod g_C is covered."""
+    rng = random.Random(f"{field_text}:{n}")
+    ctx = RingContext(parse_field(field_text), n)
+    for sig in _sweep_sigmas(ctx):
+        samples = [
+            SkewPoly.zero(sig),
+            SkewPoly.one(sig),
+            SkewPoly.constant(sig, ctx.scalar(-1)),
+            SkewPoly.z_power(sig, 2, ctx.x),
+        ] + [_mixed_skew(rng, sig, 3) for _ in range(16)]
+        for f in samples:
+            for g in rng.sample(samples, 4) + [f]:
+                assert f * g == skew_product_by_terms(f, g), (sig, f, g)
+            rows = [tuple(row) for row in x_multiples(f, n, ctx.modulus, sig.x_images)]
+            assert rows == x_multiples_by_products(f, n), (sig, f)
+            for cyc in sig.cycles:
+                g_c = functools.reduce(operator.mul, (ctx.factors[k - 1] for k in cyc))
+                dim = int(g_c.degree)
+                images = tuple(s % g_c for s in sig.x_images)
+                rows = [tuple(row) for row in x_multiples(f, dim, g_c, images)]
+                assert rows == x_multiples_by_products(f, dim, g_c), (sig, f, cyc)
 
 
 def test_unit_decision_sweep_matches_whole_module_oracle(sig45, sig87):
