@@ -19,7 +19,7 @@ from .errors import (
     OverlappingCycles,
 )
 from .ring import RingElement
-from .skew import SkewPoly, unit_product
+from .skew import MAX_Z_DEGREE, SkewPoly, unit_product
 
 
 class _RecipeFields(NamedTuple):
@@ -32,15 +32,18 @@ class _RecipeFields(NamedTuple):
 class MinimalCodeRecipe(_RecipeFields):
     """One minimal code: component l, target Forney index d, unit scalars.
 
-    Checked when made: d >= 0, sigma moves eps_l when d > 0, and exactly d
-    scalars, each a unit of A; int scalars become ring elements, and no
-    scalars means `default_scalars`."""
+    Checked when made: 0 <= d <= MAX_Z_DEGREE (the z-degree of the
+    generator), sigma moves eps_l when d > 0, and exactly d scalars, each a
+    unit of A; int scalars become ring elements, and no scalars means
+    `default_scalars`."""
 
     __slots__ = ()
 
     def __new__(cls, sigma: Automorphism, l: int, d: int, scalars: tuple = ()):
         if d < 0:
             raise BadParameters("Forney index must be >= 0")
+        if d > MAX_Z_DEGREE:
+            raise BadParameters(f"Forney index must be <= MAX_Z_DEGREE = {MAX_Z_DEGREE}")
         if d > 0 and sigma.l_order(l) == 1:
             raise FixedIdempotent(f"sigma fixes eps_{l}: positive complexity is impossible there")
         ctx = sigma.context

@@ -68,9 +68,6 @@ class PolyMatrix:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def row(self, i):
-        return self.entries[i]
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]

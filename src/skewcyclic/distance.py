@@ -3,7 +3,6 @@ the generalized Singleton and Griesmer bounds."""
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 from typing import NamedTuple
@@ -128,9 +127,13 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
     The witness is the one that Dijkstra over every state records, relaxing
     every edge in turn: it keeps the first edge into a state t, in the
     order the search settles states and then in input order, of weight
-    dist[t] - dist[s].  That order reads the final distances alone (see
-    `earlier` below), so the excursion is rebuilt backwards from the zero
-    state without parent pointers.
+    dist[t] - dist[s].  That order reads the final distances alone, so the
+    excursion is rebuilt backwards from the zero state without parent
+    pointers.  At distance w, the heads of edges from lighter states are in
+    the heap when the level starts, and the head of an edge of weight 0
+    joins it when the tail, its zero parent, pops.  So y settles before z
+    iff settle_key(y, w) < settle_key(z, w): walking up y's chain of zero
+    parents, y and each state larger than every one kept before, root first.
     """
     field = G.field
     k, n = G.shape
@@ -259,39 +262,27 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
     def emits(s, a):
         return word_weight(add(out[s], inp_out[a]))
 
-    zero_parents = {}
-
     def zero_parent(y, w):
         """The state whose edge of weight 0 set dist[y] = w, or None when an
         edge from a lighter state did.  At most one state has an edge of
         weight 0 into y: the difference of two would have one into the zero
         state."""
-        if y not in zero_parents:
-            edges = edges_into(y)
-            zero = (s for ds, s, a in edges if ds == w and not add(out[s], inp_out[a]))
-            x = next(zero, None)
-            if x is not None and any(ds + emits(s, a) == w for ds, s, a in edges if ds < w):
-                x = None  # a lighter state reached y first
-            zero_parents[y] = x
-        return zero_parents[y]
+        edges = edges_into(y)
+        zero = (s for ds, s, a in edges if ds == w and not add(out[s], inp_out[a]))
+        x = next(zero, None)
+        if x is not None and any(ds + emits(s, a) == w for ds, s, a in edges if ds < w):
+            return None  # a lighter state reached y first
+        return x
 
-    def earlier(y, z, w):
-        """Whether the search settles y before z, both at distance w.  The
-        states an edge from a lighter state reaches are in the heap when
-        the level starts, and pop in increasing order; the head of an edge
-        of weight 0 joins the heap only when its tail pops."""
-        if y == z:
-            return False
+    def settle_key(y, w):
+        """The settling order of y among the states of distance w."""
+        kept = [y]
         x = zero_parent(y, w)
-        if x is None and y < z:
-            return True
-        x2 = zero_parent(z, w)
-        if x2 is None and z < y:
-            return False
-        if x2 is not None and (x is None or earlier(x, x2, w)):
-            # y is in the heap when z joins it
-            return y == x2 or earlier(y, x2, w) or y < z
-        return not earlier(z, y, w)
+        while x is not None:
+            if x > kept[-1]:
+                kept.append(x)
+            x = zero_parent(x, w)
+        return kept[::-1]
 
     blocks = []
     t, d = 0, best
@@ -304,14 +295,10 @@ def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
         w, s, a = next(tight, (None, None, None))
         if s is None:
             raise AssertionError("no edge into a witness state attains its distance")
-        rivals = [e for e in edges if e[0] == w and e[1] != s]
-        if rivals and zero_parent(s, w) is not None:
-            first_input = {s: a}  # the least input of each state of distance w
-            for _, y, b in rivals:
-                if w + emits(y, b) == d:
-                    first_input.setdefault(y, b)
-            s = functools.reduce(lambda y, z: y if earlier(y, z, w) else z, first_input)
-            a = first_input[s]
+        if any(e[0] == w and e[1] != s for e in edges) and zero_parent(s, w) is not None:
+            # each state's least tight input comes first, and min keeps it
+            level = [e for e in edges if e[0] == w and e[1] != s and w + emits(e[1], e[2]) == d]
+            w, s, a = min([(w, s, a)] + level, key=lambda e: settle_key(e[1], w))
         blocks.append(inputs[a])
         if not s:
             break

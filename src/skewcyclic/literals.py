@@ -26,11 +26,7 @@ from .convolutional import PolyMatrix
 from .errors import BadParameters, ParseError, ReducibleModulus
 from .fields import MAX_FIELD_SIZE, FieldSpec, FieldElement, Poly, make_field
 from .ring import RingContext, RingElement
-from .skew import SkewPoly
-
-# z-terms above the cap are summed apart and must cancel; a valid GF(2) n=7
-# generator of z-degree 1000 builds in ~2 s, and the time grows as degree^2
-MAX_Z_DEGREE = 1000
+from .skew import MAX_Z_DEGREE, SkewPoly
 
 _FIELD_RE = re.compile(r"^GF\((\d+)\)(?::(.+))?$")
 _ELEM_RE = re.compile(r"^(\d+|a(?:\^(\d+))?)$")

@@ -14,7 +14,6 @@ from .errors import (
     BadParameters,
     IndexOutOfRange,
     LengthMismatch,
-    LengthNotCoprime,
     MixedContexts,
     MixedFields,
     NotAUnit,
@@ -55,16 +54,10 @@ class RingContext:
     """F[x]/(x^n - 1) with its CRT decomposition precomputed."""
 
     def __init__(self, field: FieldSpec, n: int):
-        if n < 1:
-            raise BadParameters(f"length must be positive, got {n}")
-        if n % field.p == 0:
-            raise LengthNotCoprime(
-                f"length {n} is not coprime to the field size {field.q}"
-            )
+        self.factors = factor_xn_minus_1(field, n)  # checks n >= 1 and gcd(n, q) = 1
         self.field = field
         self.n = n
         self.modulus = Poly.x_pow_n_minus_1(field, n)
-        self.factors = factor_xn_minus_1(field, n)
         self.r = len(self.factors)
         self.kappas = tuple(int(f.degree) for f in self.factors)
         # partition of {1..r} into runs of equal factor degree

@@ -31,6 +31,10 @@ from .automorphisms import Automorphism
 from .fields import NEG_INF, Poly, _accumulate, _divide, _normalized, poly_ext_gcd
 from .ring import RingElement, accumulate_rows, cyclic_accumulate
 
+# the largest z-degree of a literal or a recipe's Forney index: a valid GF(2)
+# n=7 generator of z-degree 1000 builds in ~2 s, and the time grows as degree^2
+MAX_Z_DEGREE = 1000
+
 
 class SkewPoly:
     """Element of the twisted polynomial ring, right-coefficient form."""

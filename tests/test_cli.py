@@ -116,6 +116,18 @@ def test_generator_z_exponent_cap_exit_3(tmp_path, capsys, exponent):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("d", [MAX_Z_DEGREE + 1, 10 ** 8])
+def test_recipe_forney_index_cap_exit_2(tmp_path, capsys, d):
+    # without scalars the recipe would build d default scalars first
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps({**_GOOD_DESC, "recipe": {"l": 2, "d": d}}))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "build", "--recipe", str(path))
+    assert code == 2
+    assert f"MAX_Z_DEGREE = {MAX_Z_DEGREE}" in err and len(err) < 200
+    assert time.perf_counter() - start < 1.0
+
+
 def test_equivalence_z_exponent_cap_exit_3(tmp_path, capsys):
     pa = tmp_path / "a.json"
     pa.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [["1", "1+z^1000000"]]}))

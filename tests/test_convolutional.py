@@ -377,7 +377,7 @@ def test_right_inverse_and_parity_over_f8(sig87, ctx87):
 
 def test_membership_examples(sig27, poly_g):
     G = generator_matrix(poly_g)
-    u = membership(G, G.row(0))
+    u = membership(G, G.entries[0])
     assert u is not None and [p.to_str("z") for p in u] == ["1", "0", "0"]
     w1 = [Poly.one(G.field)] + [Poly.zero(G.field)] * 6
     assert membership(G, w1) is None
@@ -392,7 +392,7 @@ def test_sigma_cyclicity_of_generated_codes(sig27, sig43, poly_g):
         x = SkewPoly.constant(sig, ctx.x)
         z = SkewPoly.z_power(sig, 1)
         for i in range(G.nrows):
-            row = skew_from_vector(sig, G.row(i))
+            row = skew_from_vector(sig, G.entries[i])
             assert membership(G, vector_from_skew(x * row)) is not None
             assert membership(G, vector_from_skew(z * row)) is not None
 
@@ -406,7 +406,7 @@ def test_strong_equivalence_witnesses(sig43, ctx43):
     P, D = res
     # im G == im (GP P D): verified by definition inside; sanity re-check
     BD = PolyMatrix(G.field, [[row[j] for j in range(3)] for row in (GP * P * D).entries])
-    assert membership(G, BD.row(0)) is not None
+    assert membership(G, BD.entries[0]) is not None
     assert strong_equivalence(G, G) is not None
 
 
@@ -463,8 +463,8 @@ def test_strong_equivalence_random_k_at_least_2(field_text, n, perm, comps):
         P, D = res
         B = Gp * P * D
         assert B.is_right_invertible()
-        assert all(membership(G, B.row(r)) is not None for r in range(G.nrows))
-        assert all(membership(B, G.row(r)) is not None for r in range(G.nrows))
+        assert all(membership(G, B.entries[r]) is not None for r in range(G.nrows))
+        assert all(membership(B, G.entries[r]) is not None for r in range(G.nrows))
 
 
 def test_strong_equivalence_k2_negative_and_determinants(monkeypatch):
@@ -555,8 +555,8 @@ def test_strong_equivalence_golden_f2n7_is_fast():
     res = strong_equivalence(G, Gp)
     assert time.perf_counter() - start < 1.0
     B = Gp * res[0] * res[1]
-    assert all(membership(G, B.row(r)) is not None for r in range(3))
-    assert all(membership(B, G.row(r)) is not None for r in range(3))
+    assert all(membership(G, B.entries[r]) is not None for r in range(3))
+    assert all(membership(B, G.entries[r]) is not None for r in range(3))
 
 
 def test_strong_equivalence_inequivalent_f3n8_is_fast():

@@ -50,7 +50,7 @@ def test_weight_examples(F2, sig27, poly_g):
     one, z = Poly.one(F2), Poly.x(F2)
     assert weight([one + z, Poly.zero(F2), z * z]) == 3
     G = generator_matrix(poly_g)
-    assert weight(G.row(0)) == 12
+    assert weight(G.entries[0]) == 12
 
 
 def test_singleton_examples():
