@@ -6,8 +6,8 @@ over F.  Each automorphism permutes the primitive idempotents; that
 permutation, its cycles, and the per-component orders are kept with it.
 
 Enumerated and permutation-built automorphisms are correct by construction
-(sigma(x) is the sum over k of the CRT lift of a root of pi_k from
-component perm(k)), so nothing is re-checked; only a supplied image of x
+(sigma(x) is the CRT lift of a root of pi_k in component perm(k), for
+each k), so nothing is re-checked; only a supplied image of x
 goes through `Automorphism(ctx, a)`.
 The brute-force enumeration, the `aut-*` goldens and a test that rebuilds
 every enumerated automorphism through that validating path cross-check it.
@@ -241,45 +241,18 @@ def _roots_in_component(ctx: RingContext, l: int, m: int, count: int = None):
     return orbit
 
 
-def _component_lifts(ctx: RingContext, pairs, roots=None):
-    """The one way sigma(x) is built: returns `lifts` and `sigma_x`.
-
-    lifts[k, m], for (k, m) in `pairs`, lists the packed CRT lifts of the
-    Frobenius roots of pi_k in K_m (only the first `roots` of them, when
-    given): each is the element equal to the root in component m and to 0
-    in every other.  As the CRT lift is linear, the automorphism inducing
-    perm with x|_{K_k} -> root^(q^exps[k]) has sigma(x) = sum_k
-    lifts[k, perm[k]][exps[k]], which `sigma_x(terms)` adds up and unpacks.
-    """
-    pack, add, _, _, _ = _word_ops(ctx.field, ctx.n)
-    unpack = _unpacker(ctx.field, ctx.n)
-    zero = Poly.zero(ctx.field)
-    lifts = {}
-    for k, m in pairs:
-        parts = [zero] * ctx.r
-        packed = []
-        for root in _roots_in_component(ctx, k, m, roots):
-            parts[m - 1] = root
-            packed.append(pack(ctx.crt_backward(CrtVector(ctx, tuple(parts))).codes))
-        lifts[k, m] = packed
-
-    def sigma_x(terms) -> RingElement:
-        return RingElement(ctx, unpack(functools.reduce(add, terms)))
-
-    return lifts, sigma_x
-
-
 def enumerate_automorphisms(ctx: RingContext):
     """Every automorphism, built from class-preserving permutations of the
     components plus one Frobenius twist per component.  Raises
     SearchSpaceTooLarge, before any root search, when the group has more
     than MAX_LISTED_AUTOMORPHISMS elements.
 
-    The packed CRT lift of each root of pi_k in each K_m of its degree
-    class is computed once, so each sigma(x) costs r packed adds and one
-    unpack.  A permutation is one tuple from each class's
+    sigma(x) is the CRT lift of one root of pi_k in K_perm(k) per k, so the
+    sum of the lifts of single roots: each root of pi_k in each K_m of its
+    class is lifted and packed once, and each sigma(x) costs r packed adds
+    and one unpack.  A permutation is one tuple from each class's
     `itertools.permutations`, concatenated, as the classes are consecutive
-    runs of 1..r.  Each element's cycles are built on first use.
+    runs of 1..r.  Cycles are built on first use.
     """
     count = automorphism_count(ctx)
     if count > MAX_LISTED_AUTOMORPHISMS:
@@ -287,13 +260,22 @@ def enumerate_automorphisms(ctx: RingContext):
             f"{count} automorphisms exceed MAX_LISTED_AUTOMORPHISMS = "
             f"{MAX_LISTED_AUTOMORPHISMS}"
         )
+    pack, add, _, _, _ = _word_ops(ctx.field, ctx.n)
+    unpack = _unpacker(ctx.field, ctx.n)
     classes = ctx.degree_classes
-    lifts, sigma_x = _component_lifts(ctx, [(k, m) for c in classes for k in c for m in c])
+    lifts = {}  # (k, m) -> the packed lifts of the roots of pi_k in K_m
+    for k, m in ((k, m) for c in classes for k in c for m in c):
+        parts = [Poly.zero(ctx.field)] * ctx.r
+        lifts[k, m] = []
+        for root in _roots_in_component(ctx, k, m):
+            parts[m - 1] = root
+            lifts[k, m].append(pack(ctx.crt_backward(CrtVector(ctx, tuple(parts))).codes))
     out = []
     for images in itertools.product(*(itertools.permutations(c) for c in classes)):
         perm = tuple(itertools.chain.from_iterable(images))
         for terms in itertools.product(*map(lifts.__getitem__, enumerate(perm, start=1))):
-            out.append(Automorphism._trusted(ctx, sigma_x(terms), perm))
+            sigma_x = RingElement(ctx, unpack(functools.reduce(add, terms)))
+            out.append(Automorphism._trusted(ctx, sigma_x, perm))
     return out
 
 
@@ -329,7 +311,9 @@ def enumerate_automorphisms_bruteforce(ctx: RingContext):
 
 def find_automorphism_for_permutation(ctx: RingContext, target) -> Automorphism:
     """First automorphism (lowest Frobenius exponents, lex) inducing the
-    given permutation of 1..r; the permutation must preserve degree classes."""
+    given permutation of 1..r; the permutation must preserve degree classes.
+    sigma(x) is one CRT lift, of the first root of pi_k in K_target(k) for
+    each k: the first element with that permutation in the enumeration."""
     target = tuple(target)
     if sorted(target) != list(range(1, ctx.r + 1)):
         raise ClassViolation(f"{target} is not a permutation of 1..{ctx.r}")
@@ -337,9 +321,10 @@ def find_automorphism_for_permutation(ctx: RingContext, target) -> Automorphism:
         for k in cls:
             if target[k - 1] not in cls:
                 raise ClassViolation(f"permutation moves component {k} out of its degree class")
-    pairs = list(enumerate(target, start=1))
-    lifts, sigma_x = _component_lifts(ctx, pairs, roots=1)
-    return Automorphism._trusted(ctx, sigma_x(lifts[p][0] for p in pairs), target)
+    parts = [None] * ctx.r
+    for k, m in enumerate(target, start=1):
+        parts[m - 1] = _roots_in_component(ctx, k, m, 1)[0]
+    return Automorphism._trusted(ctx, ctx.crt_backward(CrtVector(ctx, tuple(parts))), target)
 
 
 def permutation_from_cycles(r: int, cycles) -> tuple:

@@ -19,7 +19,7 @@ from . import verify
 from .automorphisms import automorphism_count, enumerate_automorphisms
 from .builder import MinimalCodeRecipe, build_minimal_code, orthogonal_sum
 from .convolutional import ConvCode, strong_equivalence
-from .distance import free_distance, griesmer_bound, singleton_bound
+from .distance import DEFAULT_STATE_CAP, free_distance, griesmer_bound, singleton_bound
 from .errors import (
     BadParameters,
     EnumerationCapExceeded,
@@ -364,7 +364,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--field", default=None, help="override the descriptor's field")
         p.add_argument("--n", type=int, default=None, help="override the descriptor's length")
         p.add_argument("--sigma", default=None, help="override the descriptor's automorphism")
-        p.add_argument("--state-cap", type=int, default=2 ** 16)
+        p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
 
     p = sub.add_parser("build", help="build a code from a recipe/descriptor file")
     common(p)

@@ -18,6 +18,9 @@ from .errors import (
 from .fields import NEG_INF, Poly
 from .packed import _repunit, _word_ops
 
+# free_distance refuses a state graph of more than this many states, q^delta
+DEFAULT_STATE_CAP = 2 ** 16
+
 
 def weight(v) -> int:
     """Total number of nonzero field coefficients in a polynomial vector."""
@@ -108,7 +111,7 @@ def _coefficient_tables(G: PolyMatrix, pack):
     return rows, degs
 
 
-def free_distance(G: PolyMatrix, state_cap: int = 2 ** 16) -> DistanceReport:
+def free_distance(G: PolyMatrix, state_cap: int = DEFAULT_STATE_CAP) -> DistanceReport:
     """Exact free distance via shortest nontrivial zero-to-zero path in the
     controller-form state graph of the minimal encoder.
 

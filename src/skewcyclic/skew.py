@@ -459,22 +459,6 @@ def _constant_factors(sigma, c: RingElement):
     return out
 
 
-def _is_single_component_shift(u: SkewPoly):
-    """Detect u = 1 + z^d a eps_l directly; returns (d, a, l) or None."""
-    ctx = u.context
-    diff = u - SkewPoly.one(u.sigma)
-    if not diff:
-        return None
-    nonzero = [(j, c) for j, c in enumerate(diff.coeffs) if c]
-    if len(nonzero) != 1:
-        return None
-    d, c = nonzero[0]
-    supp = [k for k in range(1, ctx.r + 1) if ctx.component(c, k)]
-    if len(supp) != 1:
-        return None
-    return d, c, supp[0]
-
-
 def decompose_into_elementary(u: SkewPoly):
     """Best-effort factorization of a unit into elementary units.
 
@@ -483,19 +467,14 @@ def decompose_into_elementary(u: SkewPoly):
     against a lower component of the same cycle, which strictly decreases
     the total of the component degrees; raises DecompositionNotFound when
     no such cancellation applies (the paper-level existence proof relies on
-    a reduction engine that is out of scope here).
+    a reduction engine that is out of scope here).  The unit 1 comes back
+    as [] and an elementary unit as [u]: the one move cancels it to 1, or
+    it is constant.
     """
     sigma = u.sigma
     ctx = u.context
     if not u.is_unit():
         raise NotAUnit("only units decompose into elementary units")
-    if u == SkewPoly.one(sigma):
-        return []
-    direct = _is_single_component_shift(u)
-    if direct is not None:
-        d, c, l = direct
-        if d == 0 or is_elementary_unit(sigma, d, c, l):
-            return [u]
     applied = []
     cur = u
     for _ in range(MAX_DECOMPOSITION_STEPS):

@@ -1,3 +1,4 @@
+import math
 import random
 from types import SimpleNamespace
 
@@ -206,6 +207,21 @@ def test_enumeration_matches_crt_lift_in_order(field, n):
         assert s.sigma_x.codes == sigma_x.codes
         assert s.perm == perm
         assert s.cycles == cycles
+
+
+@pytest.mark.parametrize("field, n", SWEEP_CONTEXTS)
+def test_find_for_permutation_is_first_enumerated(field, n):
+    """The direct CRT lift for one permutation equals the first element of
+    the packed enumeration with that permutation, for every class-preserving
+    permutation."""
+    ctx = RingContext(parse_field(field), n)
+    first = {}
+    for s in enumerate_automorphisms(ctx):
+        first.setdefault(s.perm, s)
+    assert len(first) == math.prod(math.factorial(len(c)) for c in ctx.degree_classes)
+    for perm, s in first.items():
+        found = find_automorphism_for_permutation(ctx, perm)
+        assert (found.sigma_x.codes, found.perm) == (s.sigma_x.codes, perm)
 
 
 def test_enumerated_cycles_built_on_first_use(ctx27):

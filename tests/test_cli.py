@@ -95,6 +95,12 @@ def test_field_size_cap_exit_2(capsys, field):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("field", ["GF(1)", "GF(0)"])
+def test_field_size_below_two_exit_3(capsys, field):
+    code, out, err = run(capsys, "factor", "--field", field, "--n", "3")
+    assert (code, out, err) == (3, "", "parse error: field size must be >= 2\n")
+
+
 @pytest.mark.parametrize("field", ["GF(8):y^10000000+y+1", "GF(8):y^1000000000+y+1"])
 def test_modulus_exponent_above_degree_exit_3(capsys, field):
     start = time.perf_counter()
@@ -310,6 +316,15 @@ def test_build_expected_mismatch_exit_1(tmp_path, capsys):
     assert "expected-mismatch" in err
 
 
+def test_build_expected_delta_mismatch_exit_1(tmp_path, capsys):
+    desc = {**_GOOD_DESC, "recipe": {"l": 2, "d": 2, "scalars": ["1", "a"]}, "expected": {"delta": 3}}
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(desc))
+    code, out, err = run(capsys, "build", "--recipe", str(path))
+    assert (code, err) == (1, "expected-mismatch: delta = 2, expected 3\n")
+    assert json.loads(out)["parameters"]["delta"] == 2  # the built code is still shown
+
+
 def test_build_fixed_idempotent_exit_4(tmp_path, capsys):
     desc = {
         "field": "GF(4):y^2+y+1",
@@ -347,12 +362,15 @@ _GOOD_DESC = {
         {**_GOOD_DESC, "sigma": 7},
         {**_GOOD_DESC, "field": 4},
         {"field": "GF(4):y^2+y+1", "n": 3, "sigma": "x^2", "l": 2, "d": 1, "scalars": ["1"]},
+        {k: v for k, v in _GOOD_DESC.items() if k != "sigma"},
+        {**_GOOD_DESC, "recipe": {"components": [{"l": 2, "scalars": ["1"]}]}},
     ],
     ids=[
         "top-level-number", "top-level-string", "recipe-not-object",
         "components-not-list", "components-empty", "scalars-not-list",
         "scalar-not-string", "expected-not-object", "generator-not-string",
         "sigma-not-string", "field-not-string", "flat-recipe",
+        "sigma-missing", "component-without-d",
     ],
 )
 def test_build_malformed_descriptor_exit_3(tmp_path, capsys, desc):
@@ -360,7 +378,7 @@ def test_build_malformed_descriptor_exit_3(tmp_path, capsys, desc):
     path.write_text(json.dumps(desc))
     code, _, err = run(capsys, "build", "--recipe", str(path))
     assert code == 3
-    assert err.startswith("parse error:")
+    assert err.startswith("parse error:") and len(err) < 200
 
 
 def test_build_override_zero_length_exit_2(tmp_path, capsys):
@@ -566,8 +584,9 @@ def test_equivalence_missing_matrix_file_exit_3(tmp_path, capsys):
         {"rows": 0, "cols": 0, "entries": []},
         {"rows": 1, "cols": 3, "entries": 5},
         {"rows": 1, "cols": 2, "entries": [[1, 2]]},
+        {"rows": 1, "entries": [["1+z", "a^2+a*z", "a+a^2*z"]]},
     ],
-    ids=["empty", "entries-not-a-list", "entries-not-strings"],
+    ids=["empty", "entries-not-a-list", "entries-not-strings", "cols-missing"],
 )
 def test_equivalence_bad_matrix_exit_3(tmp_path, capsys, matrix):
     a = {"rows": 1, "cols": 3, "entries": [["1+z", "a^2+a*z", "a+a^2*z"]]}
@@ -579,7 +598,34 @@ def test_equivalence_bad_matrix_exit_3(tmp_path, capsys, matrix):
         "--matrix-a", str(pa), "--matrix-b", str(pb),
     )
     assert code == 3
-    assert "matrix JSON" in err
+    assert "matrix JSON" in err and len(err) < 200
+
+
+@pytest.mark.parametrize("field, n", [("GF(2)", 9), ("GF(11)", 2)], ids=["n9", "q11"])
+def test_equivalence_size_cap_exit_2_before_minors(tmp_path, capsys, monkeypatch, field, n):
+    from skewcyclic import linalg
+
+    calls = []
+    for name in ("poly_det", "bareiss"):
+        monkeypatch.setattr(linalg, name, lambda *args, name=name: calls.append(name))
+    pa = tmp_path / "a.json"
+    pa.write_text(json.dumps({"rows": 1, "cols": n, "entries": [["1"] + ["z"] * (n - 1)]}))
+    code, out, err = run(
+        capsys, "equivalence", "--field", field, "--matrix-a", str(pa), "--matrix-b", str(pa)
+    )
+    assert (code, out, calls) == (2, "", [])
+    assert "n <= 8 and q <= 9 required" in err and len(err) < 200
+
+
+def test_equivalence_not_right_invertible_exit_4(tmp_path, capsys):
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [["1", "z"]]}))
+    pb.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [["1+z", "1+z"]]}))
+    code, out, err = run(
+        capsys, "equivalence", "--field", "GF(2)", "--matrix-a", str(pa), "--matrix-b", str(pb)
+    )
+    assert (code, out) == (4, "")
+    assert "NotRightInvertible" in err and len(err) < 200
 
 
 def test_verify_paper_fixtures_missing_key_exit_3(tmp_path, capsys):

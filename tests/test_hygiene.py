@@ -52,6 +52,20 @@ def test_no_unused_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
+def test_no_assert_in_package():
+    """No module of the package holds an assert statement, so running under
+    python -O, which strips them, cannot change what the package checks."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) > 5, PACKAGE
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, "assert statements:\n" + "\n".join(found)
+
+
 def test_cli_import_leaves_heavy_stdlib_unloaded():
     """Importing the CLI loads none of dataclasses, importlib.resources or
     what they pull in.  The interpreter starts without `site` (-S), and only

@@ -678,6 +678,27 @@ def test_decompose_random_units(sig27, sig43):
             assert prod == u
 
 
+def test_decompose_elementary_unit_is_itself(sig27, sig43, sig87):
+    """An elementary unit u = 1 + z^d a eps_l decomposes as [u] by the
+    greedy loop alone: with d = 0 it is its own constant factor, and with
+    o_l not dividing d the one move is (d, -a, l), which leaves 1.  Seeded
+    a over every l, with d = 0 and each d <= 2 o_l + 1 that o_l does not
+    divide."""
+    rng = random.Random(41)
+    for sig in (sig27, sig43, sig87):
+        ctx = sig.context
+        q, n = ctx.field.q, ctx.n
+        for l in range(1, ctx.r + 1):
+            o = sig.l_order(l)
+            for d in [0] + [d for d in range(1, 2 * o + 2) if d % o]:
+                for _ in range(3):
+                    a = ctx.from_codes([rng.randrange(q) for _ in range(n)]) * ctx.idempotent(l)
+                    if not a or not is_elementary_unit(sig, d, a, l):
+                        continue
+                    u = elementary_unit(sig, d, a, l)
+                    assert decompose_into_elementary(u) == [u], (sig, d, a, l)
+
+
 def test_skew_str_roundtrip(sig27, poly_g):
     assert (
         str(poly_g)
