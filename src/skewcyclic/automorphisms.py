@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple
+import operator
 
 from . import linalg
 from .errors import ClassViolation, IndexOutOfRange, NotAnAutomorphism, SearchSpaceTooLarge
@@ -30,15 +30,6 @@ from .ring import CrtVector, RingContext, RingElement, accumulate_rows
 MAX_LISTED_AUTOMORPHISMS = 10 ** 5
 # enumerate_automorphisms_bruteforce refuses larger scans, counted as n * q^n
 MAX_BRUTEFORCE_CANDIDATES = 10 ** 6
-
-
-class UnitBlock(NamedTuple):
-    """A union C of sigma-cycles: eps_C A is F[x]/(g_C), g_C = prod_{k in C} pi_k."""
-
-    modulus: Poly  # g_C
-    dim: int  # deg g_C
-    idempotent: RingElement  # eps_C = sum_{k in C} eps_k
-    x_images: tuple  # sigma^j(x) mod g_C, 0 <= j < order of sigma; () if fixed
 
 
 def _power_rows(context: RingContext, sigma_x: RingElement, count: int) -> tuple:
@@ -127,24 +118,16 @@ class Automorphism:
 
     @functools.cached_property
     def unit_blocks(self):
-        """(moved, fixed), computed on first use and cached: one UnitBlock
-        per cycle of length > 1, and one UnitBlock (with no x_images) for
-        the union of the fixed cycles, or None when there are none.  The
-        idempotent of a whole cycle is sigma-fixed, hence central in
-        A[z;sigma], so units are decided one block at a time."""
+        """(dims, fixed), computed on first use and cached: dims holds
+        dim_C, the sum of deg pi_k over k in C, for each cycle C of length
+        > 1; fixed is g_fix, the product of pi_k over the fixed cycles, or
+        None when there are none.  The idempotent of a whole cycle is
+        sigma-fixed, hence central in A[z;sigma], so a unit's inverse is
+        bounded one cycle at a time."""
         ctx = self.context
-        field = ctx.field
-
-        def block(ks, xs):
-            g = Poly.one(field)
-            for k in ks:
-                g = g * ctx.factors[k - 1]
-            eps = sum((ctx.idempotent(k) for k in ks), ctx.zero)
-            return UnitBlock(g, int(g.degree), eps, tuple(s % g for s in xs))
-
-        moved = tuple(block(c, self.x_images) for c in self.cycles if len(c) > 1)
-        fixed = [c[0] for c in self.cycles if len(c) == 1]
-        return moved, block(fixed, ()) if fixed else None
+        dims = tuple(sum(ctx.kappas[k - 1] for k in c) for c in self.cycles if len(c) > 1)
+        fixed = [ctx.factors[c[0] - 1] for c in self.cycles if len(c) == 1]
+        return dims, functools.reduce(operator.mul, fixed) if fixed else None
 
     def apply(self, a: RingElement, power: int = 1) -> RingElement:
         """sigma^power(a); negative powers go through the map order."""

@@ -552,20 +552,18 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 def poly_ext_gcd(f: Poly, g: Poly):
-    """Return (d, u, v) with u*f + v*g = d, d the monic gcd."""
+    """Return (d, u) with u*f = d mod g, d the monic gcd of f and g."""
     field = f.field
     r0, r1 = f, g
     u0, u1 = Poly.one(field), Poly.zero(field)
-    v0, v1 = Poly.zero(field), Poly.one(field)
     while not r1.is_zero():
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
     if r0.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
     lc_inv = field.inv_c(r0.lc())
-    return r0.scale(lc_inv), u0.scale(lc_inv), v0.scale(lc_inv)
+    return r0.scale(lc_inv), u0.scale(lc_inv)
 
 
 def monic_polys(field: FieldSpec, degree: int):

@@ -72,7 +72,7 @@ class RingContext:
         idems = []
         for pi in self.factors:
             m_k = self.modulus.exact_div(pi)
-            _, u, _ = poly_ext_gcd(m_k, pi)  # u*m_k = 1 mod pi_k
+            _, u = poly_ext_gcd(m_k, pi)  # u*m_k = 1 mod pi_k
             idems.append(self.from_poly(u * m_k))
         self.idempotents = tuple(idems)
         # rows of the linear CRT lift: x^j * eps_k, j < kappa_k, is eps_k rotated
@@ -159,14 +159,13 @@ class RingContext:
         return all(not part.is_zero() for part in self.crt_forward(a).parts)
 
     def inv(self, a: "RingElement") -> "RingElement":
+        """a^-1 from one extended gcd against x^n - 1: u*a = d mod x^n - 1,
+        and a is a unit iff the monic gcd d is 1."""
         self._check(a)
-        parts = []
-        for part, pi in zip(self.crt_forward(a).parts, self.factors):
-            if part.is_zero():
-                raise NotAUnit(f"{a} has a zero component mod {pi}")
-            _, u, _ = poly_ext_gcd(part, pi)
-            parts.append(u % pi)
-        return self.crt_backward(CrtVector(self, tuple(parts)))
+        d, u = poly_ext_gcd(a.as_poly(), self.modulus)
+        if d.degree != 0:
+            raise NotAUnit(f"{a} shares the factor {d} with x^{self.n} - 1")
+        return self.from_poly(u)
 
     def normalize_to_idempotent_sum(self, a: "RingElement"):
         """Return (unit b, support) with b*a = sum of idempotents over the support."""

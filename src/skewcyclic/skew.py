@@ -8,16 +8,15 @@ multiply by the twisted convolution
 equivalently a z = z sigma(a).  When sigma is not the identity the ring
 has zero divisors among the coefficients and therefore units of positive
 z-degree; those units are what the code constructions are built from.
-Reducedness is index arithmetic on the sigma-cycles, and every matrix of
-x-multiples (generator, unit-block and module matrices) comes from
-`x_multiples`.
+Reducedness is index arithmetic on the sigma-cycles, units are decided and
+inverted by one power-series recurrence on code lists, and every matrix of
+x-multiples (generator and module matrices) comes from `x_multiples`.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
 
-from . import linalg
 from .errors import (
     DecompositionNotFound,
     FixedIdempotent,
@@ -28,7 +27,7 @@ from .errors import (
     NotAUnit,
 )
 from .automorphisms import Automorphism
-from .fields import NEG_INF, Poly, _accumulate, _divide, _normalized, poly_ext_gcd
+from .fields import NEG_INF, Poly, _accumulate, _divide, _normalized
 from .ring import RingElement, accumulate_rows, cyclic_accumulate
 
 # the largest z-degree of a literal or a recipe's Forney index: a valid GF(2)
@@ -241,93 +240,87 @@ class SkewPoly:
         ctx = self.context
         return x_multiples(self, ctx.n, ctx.modulus, self.sigma.x_images)
 
-    def _passes_unit_shortcuts(self) -> bool:
-        """The two necessary conditions read off without elimination.
-        Setting z = 0 is a ring map onto A, so a unit's constant term is a
-        unit of A.  On a fixed cycle {k}, eps_k A[z;sigma] is K_k[z;theta],
-        a domain, whose units are constants; so every f_j, j >= 1, vanishes
-        on the fixed block (is 0 mod its modulus)."""
-        if not self.coeffs or not self.context.is_unit(self.coeffs[0]):
-            return False
-        fixed = self.sigma.unit_blocks[1]
-        return fixed is None or not any(
-            c.as_poly() % fixed.modulus for c in self.coeffs[1:]
-        )
+    def _series_inverse(self):
+        """The inverse of f = sum_j z^j f_j as code lists h_0..h_e (None for
+        a zero h_t), or None when f is not a unit.
 
-    def _block_matrix(self, block) -> list:
-        """Right multiplication by f on eps_C A[z;sigma] as a dim_C x dim_C
-        matrix over F[z], in the basis x^i of eps_C A = F[x]/(g_C)."""
-        return x_multiples(self, block.dim, block.modulus, block.x_images)
+        h = sum_t z^t h_t is the right inverse of f as a power series.  The
+        z^t coefficient of f h is sum_{i+j=t} sigma^i(f_j) h_i, so with
+        d = deg_z f
 
-    def is_unit(self) -> bool:
-        """Exact unit test, one sigma-cycle at a time: a unit constant term,
-        vanishing of the z^j coefficients (j >= 1) on the fixed cycles, and
-        for each moved cycle C a nonzero constant determinant of the block
-        matrix (_block_matrix).  The eps_C are central and sum to 1 with
-        eps_fix, so f is a unit iff every block is one."""
-        if not self._passes_unit_shortcuts():
-            return False
-        field = self.context.field
-        return all(
-            linalg.poly_det(field, self._block_matrix(b)).degree == 0
-            for b in self.sigma.unit_blocks[0]
-        )
+            sigma^t(f_0) h_t = delta_{t,0} - sum_{i=max(0,t-d)}^{t-1} sigma^i(f_{t-i}) h_i,
 
-    def unit_inverse(self) -> "SkewPoly":
-        """Two-sided inverse of a unit; NotAUnit for anything else.
-
-        After the checks of _passes_unit_shortcuts the part of f on the
-        fixed block is the constant eps_fix f_0, inverted modulo the block's
-        modulus and lifted back as eps_fix (f_0^-1 mod g_fix).  On a moved
-        cycle C with block matrix M, g f = eps_C is the system
-        M^T vec_C(g) = e_1 over F[z] (eps_C = 1 mod g_C).  One
-        fraction-free elimination of [M^T | e_1] decides and solves it: a
-        unit constant term makes M(0) invertible, so the pivots sit on the
-        diagonal and the last one is d = +-det M; the block is a unit iff d
-        is constant.  Back-substitution gives d vec_C(g), whose entries are
-        minors of [M^T | e_1] (Cramer), by exact divisions, and each
-        coordinate p lifts back to A as eps_C p.
+        and h_t is sigma^t(f_0^-1) times the right side.  Setting z = 0 is a
+        ring map onto A, so a unit's f_0 is a unit of A (RingContext.inv
+        decides).  On a fixed cycle {k}, eps_k A[z;sigma] is the domain
+        K_k[z;theta], whose units are constants, so a unit's f_j (j >= 1)
+        vanish mod g_fix; both shortcuts run first.  Then:
+        - if h_s, ..., h_{s+d-1} vanish, so does every later h_t, whose sum
+          reads only the d previous h_i; h is then a polynomial with f h = 1;
+        - f_0 a unit gives f a left inverse l as a power series too, and
+          l = l (f h) = (l f) h = h, so a polynomial right inverse is the
+          two-sided inverse, and a unit's inverse is h itself;
+        - a unit's inverse has z-degree at most B, the largest
+          (dim_C - 1) d over the moved cycles C (on C, g f = 1 reads
+          vec_C(g) M_C = e_1 for the dim_C x dim_C matrix M_C of right
+          multiplication by f, with entries of degree <= d and a constant
+          determinant, so vec_C(g) = e_1 adj(M_C) / det M_C is made of
+          (dim_C - 1)-minors), and its part on the fixed cycles is constant.
+        So f is a unit iff h_{B+1}, ..., h_{B+d} vanish.  The scan stops at
+        the first run of d zeros (a unit) or at the first nonzero h_t past B
+        (not a unit).  sigma^i(f_j) and sigma^i(-f_0^-1) are twisted one
+        power at a time as the scan reaches them, and repeat with the order
+        of sigma; each product is one cyclic_accumulate on code lists.
         """
         ctx = self.context
-        if not self._passes_unit_shortcuts():
+        dims, fixed = self.sigma.unit_blocks
+        if not self.coeffs:
+            return None
+        if fixed is not None and any(c.as_poly() % fixed for c in self.coeffs[1:]):
+            return None
+        try:
+            f0_inv = ctx.inv(self.coeffs[0])
+        except NotAUnit:
+            return None
+        field, n, d = ctx.field, ctx.n, len(self.coeffs) - 1
+        bound = (max(dims, default=1) - 1) * d
+        rows, order = self.sigma._power_matrix, self.sigma.order
+        # twists[i] = [sigma^i(-f_0^-1), sigma^i(f_1), ..., sigma^i(f_d)], None for 0
+        twists = [[(-f0_inv).codes] + [c.codes if c else None for c in self.coeffs[1:]]]
+        h, run, t = [f0_inv.codes], 0, 0
+        while run < d:
+            t += 1
+            if t < order:
+                twists.append([c and accumulate_rows(field, [0] * n, c, rows) for c in twists[-1]])
+            acc = [0] * n
+            for i in range(max(0, t - d), t):
+                a = twists[i % order][t - i]
+                if a and h[i]:
+                    cyclic_accumulate(field, acc, a, h[i])
+            if any(acc):
+                if t > bound:
+                    return None
+                h.append(cyclic_accumulate(field, [0] * n, twists[t % order][0], acc))
+                run = 0
+            else:
+                h.append(None)
+                run += 1
+        return h[: t - d + 1]
+
+    def is_unit(self) -> bool:
+        """Exact unit test: the power-series inverse of _series_inverse ends
+        within the adjugate bound.  No matrix over F[z] is formed."""
+        return self._series_inverse() is not None
+
+    def unit_inverse(self) -> "SkewPoly":
+        """Two-sided inverse of a unit; NotAUnit for anything else.  The
+        inverse is the power series of _series_inverse, cut where it ends;
+        the product with f is checked on both sides."""
+        h = self._series_inverse()
+        if h is None:
             raise NotAUnit(f"{self} is not a unit")
-        field = ctx.field
-        one, zero = Poly.one(field), Poly.zero(field)
-        blocks, fixed = self.sigma.unit_blocks
-        coeffs = [ctx.zero]
-        if fixed is not None:
-            _, u, _ = poly_ext_gcd(self.coeffs[0].as_poly(), fixed.modulus)
-            coeffs[0] = fixed.idempotent * ctx.from_poly(u)
-        for block in blocks:
-            dim = block.dim
-            M = self._block_matrix(block)
-            _, _, a = linalg.bareiss(
-                field,
-                [[row[c] for row in M] + [one if c == 0 else zero] for c in range(dim)],
-            )
-            if any(a[i][i].is_zero() for i in range(dim)):
-                raise AssertionError("block matrix singular under a unit constant term")
-            d = a[dim - 1][dim - 1]
-            if d.degree != 0:
-                raise NotAUnit(f"{self} is not a unit")
-            # only entries on and right of the diagonal are valid after bareiss
-            y = [None] * dim
-            for i in range(dim - 1, -1, -1):
-                acc = d * a[i][dim]
-                for j in range(i + 1, dim):
-                    acc = acc - a[i][j] * y[j]
-                y[i] = acc.exact_div(a[i][i])
-            p = [c.exact_div(d).codes for c in y]
-            depth = max(len(c) for c in p)
-            padded = [c + (0,) * (depth - len(c)) for c in p]
-            # the z^j coefficient of the inverse on C is sum_i p_i[j] x^i
-            for j, col in enumerate(zip(*padded)):
-                part = block.idempotent * RingElement(ctx, col + (0,) * (ctx.n - dim))
-                if j < len(coeffs):
-                    coeffs[j] = coeffs[j] + part
-                else:
-                    coeffs.append(part)
-        g = SkewPoly(self.sigma, coeffs)
+        ctx = self.context
+        g = SkewPoly(self.sigma, [RingElement(ctx, c) if c else ctx.zero for c in h])
         identity = SkewPoly.one(self.sigma)
         if g * self != identity or self * g != identity:
             raise AssertionError("inverse failed to be two-sided")

@@ -230,18 +230,25 @@ def test_idempotent_generator(sig27, poly_g, poly_v, sig43, ctx43):
 
 def test_idempotent_generator_decides_the_unit_once(poly_g, poly_v, monkeypatch):
     """unit_inverse decides whether v is a unit and inverts it with one
-    fraction-free elimination per moved sigma-cycle and no separate
-    determinant; sigma = x^5 on GF(2) n=7 moves one cycle, {2, 3}."""
-    calls = []
-    bareiss = linalg.bareiss
+    power-series solve, with no elimination and no separate determinant;
+    sigma = x^5 on GF(2) n=7 moves one cycle, {2, 3}."""
+    calls = {"bareiss": 0, "poly_det": 0, "_series_inverse": 0}
 
-    def counting_bareiss(field, rows):
-        calls.append(1)
-        return bareiss(field, rows)
+    def counting(owner, name):
+        original = getattr(owner, name)
 
-    monkeypatch.setattr(linalg, "bareiss", counting_bareiss)
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(linalg, "bareiss")
+    counting(linalg, "poly_det")
+    counting(SkewPoly, "_series_inverse")
     e = idempotent_generator(poly_g, poly_v)
-    assert len(calls) == sum(len(c) > 1 for c in poly_v.sigma.cycles) == 1
+    assert calls == {"bareiss": 0, "poly_det": 0, "_series_inverse": 1}
+    assert sum(len(c) > 1 for c in poly_v.sigma.cycles) == 1
     assert poly_v * e == poly_g
     with pytest.raises(NotAUnit):
         idempotent_generator(poly_g, poly_g)

@@ -10,7 +10,9 @@ from helpers import (
     SWEEP_CONTEXTS,
     Monomial,
     generator_rows_by_products,
+    inverse_degree_bound,
     is_reduced_by_terms,
+    is_unit_by_components,
     leading_monomial,
     module_determinant,
     module_unit_inverse,
@@ -525,6 +527,71 @@ def test_unit_decision_sweep_matches_whole_module_oracle(sig45, sig87):
                 with pytest.raises(NotAUnit):
                     f.unit_inverse()
         assert 0 < units < len(samples)
+
+
+# the solving oracle runs while its unknowns n * (bound + 1) stay this few:
+# GF(2) n=15 at z-degree 3 has 510 and takes ~0.6 s a call
+MAX_SOLVED_UNKNOWNS = 200
+
+
+@pytest.mark.parametrize("field_text,n", SWEEP_CONTEXTS, ids=str)
+def test_unit_series_matches_cycle_and_solving_oracles(field_text, n):
+    """The power-series is_unit and unit_inverse against
+    helpers.is_unit_by_components (one determinant per sigma-cycle) and
+    helpers.unit_inverse_by_solving (one F-linear solve at the proven bound,
+    run while it has at most MAX_SOLVED_UNKNOWNS unknowns), for the
+    identity, an x^t and a permutation-built sigma over characteristics 2,
+    3 and 5, up to z-degree 3.  Samples: 0, 1, a constant idempotent, units
+    u = c * prod over the moved cycles C of unit_product(C, d scalars) for
+    d = 1, 2, 3, a one-coefficient perturbation of each, u * (1 + z a e_C)
+    for every cycle C, random f, and a unit 1 + N with N nilpotent on each
+    cycle of length three or more.  Over GF(4) n=5 and GF(2) n=15, sigma's
+    map order exceeds its longest cycle, and the scan of some unit runs past
+    that order, so the twist table wraps."""
+    rng = random.Random(f"series:{field_text}:{n}")
+    ctx = RingContext(parse_field(field_text), n)
+    wraps = 0
+    for sig in _sweep_sigmas(ctx):
+        one = SkewPoly.one(sig)
+        moved = [min(c) for c in sig.cycles if len(c) > 1]
+        samples = [SkewPoly.zero(sig), one, SkewPoly.constant(sig, ctx.idempotent(1))]
+        for d in (1, 2, 3):
+            u = SkewPoly.constant(sig, _some_units(ctx, rng, 1)[0])
+            for l in moved:
+                u = u * unit_product(sig, l, _some_units(ctx, rng, d))
+            samples += [u, _perturb(rng, u), _mixed_skew(rng, sig, 3)]
+            if u.degree < 3:
+                for cyc in sig.cycles:
+                    e_c = sum((ctx.idempotent(k) for k in cyc), ctx.zero)
+                    a = _some_units(ctx, rng, 1)[0] * e_c
+                    samples.append(u * (one + SkewPoly.z_power(sig, 1, a)))
+        for cyc in sig.cycles:
+            if len(cyc) > 2:
+                # N = z^2 (a eps_l + b eps_Pi^2(l)) has N^3 = 0, so 1 + N is a
+                # unit of z-degree 2 whose inverse 1 - N + N^2 has z-degree 4
+                a, b = _some_units(ctx, rng, 2)
+                c = a * ctx.idempotent(cyc[0]) + b * ctx.idempotent(cyc[2])
+                samples.append(one + SkewPoly.z_power(sig, 2, c))
+        units = 0
+        for f in samples:
+            unit = is_unit_by_components(f)
+            assert f.is_unit() == unit, (sig, f)
+            if unit:
+                got = f.unit_inverse()
+            else:
+                got = None
+                with pytest.raises(NotAUnit):
+                    f.unit_inverse()
+            if n * (inverse_degree_bound(f) + 1) <= MAX_SOLVED_UNKNOWNS:
+                assert got == unit_inverse_by_solving(f), (sig, f)
+            else:
+                assert not unit or got * f == f * got == one, (sig, f)
+            units += unit
+            if unit and sig.order > max(map(len, sig.cycles)):
+                wraps += got.degree + f.degree >= sig.order
+        assert 0 < units < len(samples), sig
+    if (field_text, n) in (("GF(4):y^2+y+1", 5), ("GF(2)", 15)):
+        assert wraps > 0
 
 
 def test_simple_unit_examples(sig43, sig27):
