@@ -1,9 +1,10 @@
 """Polynomial matrices over F[z] and the codes skew polynomials generate.
 
 Covers generator matrices of convolutional codes: complexity (max degree
-of the k-minors), right invertibility via the minor gcd, minimality and
-row degrees, Smith-form based right inverses and parity checks, and the
-generator matrix read off a reduced skew polynomial through vec.
+of the k-minors), minimality and row degrees, one column reduction
+G*R = [L 0] that decides right invertibility and gives right inverses
+and parity checks, and the generator matrix read off a reduced skew
+polynomial through vec.
 """
 
 from __future__ import annotations
@@ -118,11 +119,6 @@ class PolyMatrix:
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)
 
-    def submatrix(self, rows, cols):
-        return PolyMatrix(
-            self.field, [[self.entries[i][j] for j in cols] for i in rows]
-        )
-
     def row_degrees(self):
         out = []
         for row in self.entries:
@@ -143,9 +139,8 @@ class PolyMatrix:
     def k_minors(self):
         """The maximal (k x k) minors, k = nrows, yielded lazily with the
         column sets in lexicographic order; none when nrows > ncols."""
-        rows = range(self.nrows)
         for cols in itertools.combinations(range(self.ncols), self.nrows):
-            yield self.submatrix(rows, cols).det()
+            yield linalg.poly_det(self.field, [[row[j] for j in cols] for row in self.entries])
 
     def complexity(self) -> int:
         """Max degree over the k-minors (the code's total memory)."""
@@ -173,14 +168,86 @@ class PolyMatrix:
         return tuple(sorted(self.row_degrees()))
 
     def is_right_invertible(self) -> bool:
-        """Constant nonzero gcd of the maximal minors (all zero means the
-        rows are dependent); stops at the first minor that makes the gcd
+        """Whether every pivot of the column reduction is a nonzero
         constant.  The matrix is immutable, so the answer is kept."""
         if self._right_invertible is None:
-            self._right_invertible = _constant_gcd(self.k_minors())
+            self._right_invertible = self._column_reduction() is not None
         return self._right_invertible
 
-    # -- Smith form and consequences -------------------------------------------
+    # -- column reduction, its consequences, and the Smith form ----------------
+
+    def _column_reduction(self, complete=False):
+        """Reduce self (k x n) to [L 0] = self*R by column operations, L
+        lower triangular and R unimodular.  Row i is reduced on columns
+        i..n-1: the first least-degree nonzero entry is the pivot, the
+        others are reduced modulo it until one is left, which moves to
+        column i.  A constant pivot still clears its row, for the rows
+        below; the last row has none unless complete, so a running gcd of
+        its entries decides it.  None unless every pivot is a nonzero
+        constant, that is, unless self is right invertible.  Else, when
+        complete, the rows of R: I_n is stacked under self, and each pivot
+        also clears its row left of the diagonal and is scaled to 1, so
+        self*R = [I 0].  Else [].
+
+        Stage i raises each row below it by at most D_i, the largest degree
+        of row i when it starts: a column reduced by a pivot of degree m
+        stays within D_i - m of its start, and pivot degrees fall.  So
+        D_i <= 2^i d, d the largest row degree, R[:, k:] has degree at most
+        (2^k - 1) d, and R[:, :k] at most (2^(k+1) - 2) d.
+        """
+        k, n = self.shape
+        B = [list(row) for row in self.entries]
+        if complete:
+            B += [list(row) for row in PolyMatrix.identity(self.field, n).entries]
+        for i, top in enumerate(B[:k]):
+            if i == k - 1 and not complete:
+                gcds = itertools.accumulate((a for a in top[i:] if a), poly_gcd)
+                return [] if any(g.degree == 0 for g in gcds) else None
+            while True:
+                live = [j for j in range(i, n) if top[j]]
+                if not live:
+                    return None
+                p = min(live, key=lambda j: top[j].degree)
+                others = [j for j in live if j != p]
+                if complete and top[p].degree == 0:
+                    others += [j for j in range(i) if top[j]]
+                if not others:
+                    break
+                for j in others:
+                    q, top[j] = divmod(top[j], top[p])
+                    q = -q
+                    for row in B[i + 1:]:
+                        if row[p]:
+                            row[j] = row[j] + q * row[p]
+            for row in B:
+                row[i], row[p] = row[p], row[i]
+            if top[i].degree:
+                return None
+            c = self.field.inv_c(top[i].lc())
+            for row in B[i:]:
+                row[i] = row[i].scale(c)
+        return B[k:]
+
+    def right_inverse(self) -> "PolyMatrix":
+        """Gtilde with self * Gtilde = I: the first k columns of R."""
+        gt = self._completion(slice(None, self.nrows))
+        if self * gt != PolyMatrix.identity(self.field, self.nrows):
+            raise AssertionError("column-reduction right inverse failed its check")
+        return gt
+
+    def parity_check(self) -> "PolyMatrix":
+        """H (n x (n-k)) with self * H = 0: the last n-k columns of R."""
+        H = self._completion(slice(self.nrows, None))
+        if not (self * H).is_zero():
+            raise AssertionError("column-reduction parity check failed its check")
+        return H
+
+    def _completion(self, cols):
+        """R[:, cols] for the unimodular R with self * R = [I 0]."""
+        R = self._column_reduction(complete=True)
+        if R is None:
+            raise NotRightInvertible("a pivot of the column reduction is not a nonzero constant")
+        return PolyMatrix(self.field, [row[cols] for row in R])
 
     def smith_form(self):
         """(S, Linv, Rinv) with Linv*self*Rinv = S, Linv and Rinv unimodular,
@@ -245,42 +312,6 @@ class PolyMatrix:
             PolyMatrix(field, [row[n:] for row in B[:m]]),
             PolyMatrix(field, [row[:n] for row in B[m:]]),
         )
-
-    def _smith_completion(self):
-        """(Li, Ri) from one Smith form, with Li * self * Ri = [I 0].
-
-        smith_form makes each nonzero invariant factor monic, so a right
-        invertible k x n matrix (k <= n, constant invariant factors) has
-        S = [I 0]; any other S raises NotRightInvertible.
-        """
-        k, n = self.shape
-        if k > n:
-            raise NotRightInvertible("more rows than columns")
-        S, Li, Ri = self.smith_form()
-        one = Poly.one(self.field)
-        if any(S[i, i] != one for i in range(k)):
-            raise NotRightInvertible("invariant factors are not all 1")
-        return Li, Ri
-
-    def right_inverse(self) -> "PolyMatrix":
-        """Gtilde with self * Gtilde = I, via the Smith form."""
-        k, n = self.shape
-        Li, Ri = self._smith_completion()
-        # Li * self * Ri = [I 0], so self * Ri[:, :k] = Li^-1
-        gt = Ri.submatrix(range(n), range(k)) * Li
-        if self * gt != PolyMatrix.identity(self.field, k):
-            raise AssertionError("Smith-form right inverse failed its check")
-        return gt
-
-    def parity_check(self) -> "PolyMatrix":
-        """H (n x (n-k)) with self * H = 0: the last n-k columns of the
-        unimodular Smith-form completion."""
-        k, n = self.shape
-        _, Ri = self._smith_completion()
-        H = Ri.submatrix(range(n), range(k, n))
-        if not (self * H).is_zero():
-            raise AssertionError("Smith-form parity check failed its check")
-        return H
 
     def to_strings(self):
         return [[e.to_str("z") for e in row] for row in self.entries]
@@ -400,10 +431,9 @@ def strong_equivalence(G: PolyMatrix, Gp: PolyMatrix):
             f"n <= {EQUIVALENCE_MAX_N} and q <= {EQUIVALENCE_MAX_Q} required"
         )
     gt = G.right_inverse()
-    gp_minors = tuple(Gp.k_minors())
-    if not _constant_gcd(gp_minors):
+    if not Gp.is_right_invertible():
         raise NotRightInvertible("both matrices must be right invertible")
-    perms = _minor_preserving_permutations(n, k, G.k_minors(), gp_minors)
+    perms = _minor_preserving_permutations(n, k, G.k_minors(), Gp.k_minors())
     # Q = I - Gtilde*G annihilates exactly im G (row vectors w with w*Q = 0)
     Q = PolyMatrix.identity(field, n) - (gt * G)
     # z-coefficients of Gp[r][i] * Q[j][c] by (r, c), formed when a
@@ -459,19 +489,6 @@ def strong_equivalence(G: PolyMatrix, Gp: PolyMatrix):
         )
         return P, D
     return None
-
-
-def _constant_gcd(minors) -> bool:
-    """Whether the nonzero polynomials among `minors` have a constant gcd
-    (False when all are zero); stops at the first that makes it constant."""
-    g = None
-    for m in minors:
-        if m.is_zero():
-            continue
-        g = m if g is None else poly_gcd(g, m)
-        if g.degree == 0:
-            return True
-    return False
 
 
 def _minor_preserving_permutations(n, k, g_minors, gp_minors):

@@ -141,7 +141,7 @@ def free_distance(G: PolyMatrix, state_cap: int = DEFAULT_STATE_CAP) -> Distance
     field = G.field
     k, n = G.shape
     q = field.q
-    # the cap precedes the minors and gcds below; a zero row (degree -inf) first
+    # the cap precedes the column reduction below; a zero row (degree -inf) first
     row_degrees = G.row_degrees()
     if NEG_INF in row_degrees:
         raise NotRightInvertible("free distance needs a right-invertible matrix")

@@ -30,7 +30,7 @@ from skewcyclic.errors import (
     StateCapExceeded,
     ZeroPolynomial,
 )
-from skewcyclic.fields import NEG_INF, FieldSpec, Poly, monic_polys
+from skewcyclic.fields import NEG_INF, FieldSpec, Poly, monic_polys, poly_gcd
 from skewcyclic.literals import parse_element
 from skewcyclic.packed import _word_ops
 from skewcyclic.ring import CrtVector
@@ -513,6 +513,21 @@ def min_weight_by_enumeration(G, D: int) -> int:
     return best
 
 
+def right_invertible_by_minors(G: PolyMatrix) -> bool:
+    """Test-only oracle for PolyMatrix.is_right_invertible: the gcd of the
+    maximal minors is a nonzero constant (all zero, as when k > n, means
+    not right invertible); stops at the first minor that makes it
+    constant."""
+    g = None
+    for m in G.k_minors():
+        if m.is_zero():
+            continue
+        g = m if g is None else poly_gcd(g, m)
+        if g.degree == 0:
+            return True
+    return False
+
+
 def free_distance_by_edges(G, state_cap: int = 2 ** 16):
     """Test-only reference for distance.free_distance: Dijkstra over every
     state (free_distance searches classes of scalar multiples), relaxing
@@ -527,12 +542,12 @@ def free_distance_by_edges(G, state_cap: int = 2 ** 16):
     field = G.field
     k, n = G.shape
     q = field.q
-    # the cap precedes the minors and gcds below; a zero row (degree -inf) first
+    # the cap precedes the minor gcd below; a zero row (degree -inf) first
     row_degrees = G.row_degrees()
     if NEG_INF in row_degrees:
         raise NotRightInvertible("free distance needs a right-invertible matrix")
     _check_cap(q, sum(row_degrees), state_cap, StateCapExceeded, "q^delta")
-    if not G.is_right_invertible():
+    if not right_invertible_by_minors(G):
         raise NotRightInvertible("free distance needs a right-invertible matrix")
     if not G.is_minimal():
         raise NotMinimal("state realization needs a minimal generator matrix")
@@ -623,7 +638,7 @@ def strong_equivalence_by_permutations(G: PolyMatrix, Gp: PolyMatrix):
             f"n <= {EQUIVALENCE_MAX_N} and q <= {EQUIVALENCE_MAX_Q} required"
         )
     gt = G.right_inverse()
-    if not Gp.is_right_invertible():
+    if not right_invertible_by_minors(Gp):
         raise NotRightInvertible("both matrices must be right invertible")
     # Q = I - Gtilde*G annihilates exactly im G (row vectors w with w*Q = 0)
     Q = PolyMatrix.identity(field, n) - (gt * G)

@@ -393,24 +393,23 @@ def test_build_override_zero_length_exit_2(tmp_path, capsys):
 
 
 def test_build_with_distance_decides_right_invertibility_once(tmp_path, capsys, monkeypatch):
-    """build --with-distance takes exactly the determinants of
-    ConvCode.from_reduced on the same generator: the free-distance search
-    reads the build's right-invertibility answer instead of taking the
-    minors again."""
-    from skewcyclic import linalg
-    from skewcyclic.convolutional import ConvCode
+    """build --with-distance runs exactly one column reduction, as
+    ConvCode.from_reduced on the same generator does: the free-distance
+    search reads the build's right-invertibility answer instead of
+    deciding it again."""
+    from skewcyclic.convolutional import ConvCode, PolyMatrix
     from skewcyclic.literals import parse_sigma
     from skewcyclic.ring import RingContext
     from skewcyclic.skew import unit_product
 
     calls = []
-    det = linalg.poly_det
+    reduction = PolyMatrix._column_reduction
 
-    def counting_det(field, rows):
+    def counting_reduction(self, *args, **kwargs):
         calls.append(1)
-        return det(field, rows)
+        return reduction(self, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "poly_det", counting_det)
+    monkeypatch.setattr(PolyMatrix, "_column_reduction", counting_reduction)
     desc = {"field": "GF(2)", "n": 7, "sigma": "x^5", "recipe": {"l": 2, "d": 2}}
     path = tmp_path / "recipe.json"
     path.write_text(json.dumps(desc))
@@ -423,7 +422,7 @@ def test_build_with_distance_decides_right_invertibility_once(tmp_path, capsys, 
     g = unit_product(sigma, 2, [ctx.one, ctx.one]).component(2)
     del calls[:]
     ConvCode.from_reduced(g)
-    assert built == len(calls) > 0
+    assert built == len(calls) == 1
 
 
 def test_build_multi_component(tmp_path, capsys):

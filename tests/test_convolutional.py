@@ -4,7 +4,11 @@ import time
 
 import pytest
 
-from helpers import generator_rows_by_products, strong_equivalence_by_permutations
+from helpers import (
+    generator_rows_by_products,
+    right_invertible_by_minors,
+    strong_equivalence_by_permutations,
+)
 from skewcyclic import (
     ConvCode,
     MinimalCodeRecipe,
@@ -116,19 +120,24 @@ def test_generator_matrix_rows_match_skew_products():
 def test_minors_computed_once(poly_g, monkeypatch):
     """Build plus distance on the (7,3,6) golden: right invertibility is
     decided once (the build asks, the distance search reads the kept
-    answer) and stops at the first constant minor gcd, and minimality and
-    delta take no minors at all."""
-    calls = []
-    det = linalg.poly_det
+    answer) by one column reduction, and minimality and delta take no
+    minors at all."""
+    calls = {"_column_reduction": 0, "poly_det": 0}
 
-    def counting_det(field, rows):
-        calls.append(1)
-        return det(field, rows)
+    def counting(owner, name):
+        inner = getattr(owner, name)
 
-    monkeypatch.setattr(linalg, "poly_det", counting_det)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(PolyMatrix, "_column_reduction")
+    counting(linalg, "poly_det")
     code = ConvCode.from_reduced(poly_g)
     assert free_distance(code.generator).distance == 12
-    assert len(calls) == 4  # the minors of the one right-invertibility check
+    assert calls == {"_column_reduction": 1, "poly_det": 0}
 
 
 def test_generator_matrix_block_code(sig27):
@@ -286,20 +295,29 @@ def _smith_pin_matrices():
             yield PolyMatrix(field, rows)
 
 
-SMITH_PIN_SHA256 = "5a1fec8ccda4550f0beeb1189885a49ad2cde8e3db8aa8cd0d7698e451746456"
+SMITH_PIN_SHA256 = "faf90990cd0a09e01bd685fd759d5c41995cd6686f3b7c7f595e90ee4b2d0e6c"
+COMPLETION_PIN_SHA256 = "6426314359929b8ef45486b58da5048f14b58483df990faf775389dd6839ec1a"
 
 
 def test_smith_outputs_pinned():
-    """Every Smith form, right inverse and parity check of the seeded
-    matrices, byte for byte: the elimination order fixes the unimodular
-    factors, not just their properties."""
-    out = []
-    for M in _smith_pin_matrices():
-        out.append([X.to_strings() for X in M.smith_form()])
-        if M.nrows <= M.ncols and M.is_right_invertible():
-            out.append([M.right_inverse().to_strings(), M.parity_check().to_strings()])
+    """Every Smith form of the seeded matrices, byte for byte: the
+    elimination order fixes the unimodular factors, not just their
+    properties."""
+    out = [[X.to_strings() for X in M.smith_form()] for M in _smith_pin_matrices()]
     digest = hashlib.sha256(repr(out).encode()).hexdigest()
     assert digest == SMITH_PIN_SHA256
+
+
+def test_completion_outputs_pinned():
+    """Every right inverse and parity check of the right-invertible seeded
+    matrices, byte for byte: the column reduction's order fixes R."""
+    out = [
+        [M.right_inverse().to_strings(), M.parity_check().to_strings()]
+        for M in _smith_pin_matrices()
+        if M.is_right_invertible()
+    ]
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == COMPLETION_PIN_SHA256
 
 
 def test_rank_and_det_agree_random(F4):
@@ -330,8 +348,8 @@ def test_rank_and_det_agree_random(F4):
 
 def test_minimality_and_right_invertibility_random(F2, F4):
     """The leading-coefficient minimality test against its definition,
-    complexity == sum of row degrees (rank-deficient: not minimal), and the
-    early-exit right invertibility against the gcd of every maximal minor."""
+    complexity == sum of row degrees (rank-deficient: not minimal), and
+    right invertibility against the gcd of every maximal minor."""
     rng = random.Random(67)
     for field in (F2, make_field(3, 1), F4, make_field(5, 1)):
         q = field.q
@@ -359,6 +377,56 @@ def test_minimality_and_right_invertibility_random(F2, F4):
                 if not minor.is_zero():
                     g = minor if g is None else poly_gcd(g, minor)
             assert M.is_right_invertible() == (g is not None and g.degree == 0)
+
+
+def test_column_reduction_matches_minor_gcd():
+    """The column reduction against the minor-gcd oracle over GF(2), GF(3)
+    and GF(5): k <= 3, n <= 5, entries of degree <= 2, with zero rows,
+    dependent rows and k > n among them, and [[1, 1], [1, 1]], whose
+    constant first pivot must still clear its row.  Each right-invertible
+    G has G * right_inverse = I and G * H = 0 for its parity check H, and
+    H^T is right invertible by the oracle."""
+    rng = random.Random(71)
+    seen = {"zero row": 0, "dependent": 0, "k > n": 0, "RI": 0, "not RI": 0}
+    for field in (make_field(2, 1), make_field(3, 1), make_field(5, 1)):
+        q, one = field.q, Poly.one(field)
+        cases = [PolyMatrix(field, [[one, one], [one, one]])]
+        for _ in range(400):
+            k, n = rng.randrange(1, 4), rng.randrange(1, 6)
+            rows = [
+                [
+                    Poly(field, [rng.randrange(q) for _ in range(rng.randrange(1, 4))])
+                    if rng.random() < 0.7
+                    else Poly.zero(field)
+                    for _ in range(n)
+                ]
+                for _ in range(k)
+            ]
+            shape = rng.random()
+            if k > 1 and shape < 0.1:
+                rows[-1] = [Poly.zero(field)] * n
+                seen["zero row"] += 1
+            elif k > 1 and shape < 0.3:
+                c = Poly(field, [rng.randrange(q) for _ in range(rng.randrange(1, 3))])
+                rows[-1] = [c * a + b for a, b in zip(rows[0], rows[-2])]
+                seen["dependent"] += 1
+            seen["k > n"] += k > n
+            cases.append(PolyMatrix(field, rows))
+        for G in cases:
+            ri = G.is_right_invertible()
+            assert ri == right_invertible_by_minors(G), G.to_strings()
+            seen["RI" if ri else "not RI"] += 1
+            if not ri:
+                with pytest.raises(NotRightInvertible):
+                    G.parity_check()
+                continue
+            k, n = G.shape
+            assert G * G.right_inverse() == PolyMatrix.identity(field, k)
+            H = G.parity_check()
+            assert H.shape == (n, n - k) and (G * H).is_zero()
+            if k < n:
+                assert right_invertible_by_minors(_transpose(H))
+    assert min(seen.values()) >= 50, seen
 
 
 def test_right_inverse_and_parity_over_f8(sig87, ctx87):
@@ -468,10 +536,10 @@ def test_strong_equivalence_random_k_at_least_2(field_text, n, perm, comps):
 
 
 def test_strong_equivalence_k2_negative_and_determinants(monkeypatch):
-    """(5,2,4)/GF(4): each matrix's 10 maximal minors are taken once (they
-    decide Gp's right invertibility and prune the permutations; G is
-    decided by its Smith form), plus 1 determinant for the witness, so an
-    equivalent pair takes 21 determinants and 1 nullspace.  A code of
+    """(5,2,4)/GF(4): each matrix's 10 maximal minors are taken once, to
+    prune the permutations (the column reduction decides both matrices),
+    plus 1 determinant for the witness, so an equivalent pair takes 21
+    determinants and 1 nullspace.  A code of
     another free distance (the (5,2,2) code, 8 against 12) is not
     equivalent, and its minors rule out every permutation at the first
     column: no nullspace at all, where a search over all 5! permutations

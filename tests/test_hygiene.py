@@ -66,6 +66,47 @@ def test_no_assert_in_package():
     assert not found, "assert statements:\n" + "\n".join(found)
 
 
+def _calls_in_functions(tree, names):
+    """(innermost enclosing function or None, name, line) for every call of
+    a function or method named in `names`."""
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in names:
+                    yield func, name, child.lineno
+            yield from visit(child, func)
+
+    return visit(tree, None)
+
+
+def test_one_procedure_decides_right_invertibility():
+    """No module of the package calls smith_form, and k_minors is called
+    only where the minors are the answer: from complexity (their largest
+    degree) and strong_equivalence (its permutation key).  Right
+    invertibility, right inverses and parity checks all come from the one
+    column reduction."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) > 5, PACKAGE
+    calls = [
+        (path.name, func, name, line)
+        for path in sources
+        for func, name, line in _calls_in_functions(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path)),
+            {"smith_form", "k_minors"},
+        )
+    ]
+    smith = [c for c in calls if c[2] == "smith_form"]
+    assert not smith, f"smith_form called: {smith}"
+    callers = {func for _, func, name, _ in calls if name == "k_minors"}
+    assert callers == {"complexity", "strong_equivalence"}, calls
+
+
 def test_cli_import_leaves_heavy_stdlib_unloaded():
     """Importing the CLI loads none of dataclasses, importlib.resources or
     what they pull in.  The interpreter starts without `site` (-S), and only
