@@ -387,10 +387,9 @@ class ConvCode(NamedTuple):
         return (self.n, self.k, self.delta)
 
 
-# strong_equivalence enumerates n! permutations and up to q^nullity diagonals
+# strong_equivalence enumerates n! permutations and up to (q-1)^n diagonals
 EQUIVALENCE_MAX_N = 8
 EQUIVALENCE_MAX_Q = 9
-EQUIVALENCE_MAX_NULLITY = 14
 
 
 def strong_equivalence(G: PolyMatrix, Gp: PolyMatrix):
@@ -464,8 +463,6 @@ def strong_equivalence(G: PolyMatrix, Gp: PolyMatrix):
                 continue
         else:
             basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        if len(basis) > EQUIVALENCE_MAX_NULLITY:
-            raise SearchSpaceTooLarge("nullspace too large to enumerate")
         found = _nonvanishing_combination(field, basis)
         if found is None:
             continue
@@ -528,15 +525,18 @@ def _minor_preserving_permutations(n, k, g_minors, gp_minors):
 
 
 def _nonvanishing_combination(field, basis):
-    """A vector in the span of basis with every coordinate nonzero, or None."""
+    """A vector in the span of basis with every coordinate nonzero, or None.
+
+    Each basis vector is 1 on its own free column and 0 on the others, so a
+    hit has no zero coefficient: scanning the nonzero ones in product order
+    finds the first hit of the scan over all q^len(basis) combinations."""
     n = len(basis[0])
-    for combo in itertools.product(range(field.q), repeat=len(basis)):
-        if not any(combo):
-            continue
+    if not all(any(col) for col in zip(*basis)):  # a coordinate 0 in every combination
+        return None
+    for combo in itertools.product(range(1, field.q), repeat=len(basis)):
         v = [0] * n
         for c, b in zip(combo, basis):
-            if c:
-                v = [field.add_c(x, field.mul_c(c, y)) for x, y in zip(v, b)]
+            v = [field.add_c(x, field.mul_c(c, y)) for x, y in zip(v, b)]
         if all(v):
             return v
     return None

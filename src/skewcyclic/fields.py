@@ -7,6 +7,8 @@ handled here are deliberately small: q <= MAX_FIELD_SIZE = 256.  Sums are
 taken digit by digit (coefficient by coefficient mod p); the product a*b
 is the F_p-linear combination sum_i b_i * (a*y^i) of the images of the
 basis 1, y, ..., y^(deg-1), with a*y a shift reduced by the modulus.
+The one polynomial factored, x^n - 1, has each cyclotomic part Phi_m split
+at degree ord_m(q), with trial division and q-cyclotomic cosets as oracles.
 """
 
 from __future__ import annotations
@@ -584,27 +586,6 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def _distinct_degree(f: Poly):
-    """Split a squarefree monic f into (d, product-of-degree-d-factors) parts."""
-    field = f.field
-    out = []
-    g = f
-    h = Poly.x(field)
-    d = 0
-    while g.degree >= 1:
-        d += 1
-        if 2 * d > g.degree:
-            out.append((int(g.degree), g))
-            break
-        h = h.pow_mod(field.q, g)
-        c = poly_gcd(g, h - Poly.x(field))
-        if c.degree >= 1:
-            out.append((d, c))
-            g = g.exact_div(c)
-            h = h % g
-    return out
-
-
 def _equal_degree_split(f: Poly, d: int, rng: random.Random):
     """Split a product of distinct irreducibles, all of degree d."""
     if f.degree == d:
@@ -635,9 +616,14 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random):
 def factor_xn_minus_1(field: FieldSpec, n: int):
     """Ordered irreducible factorization of x^n - 1 over the field.
 
-    Requires n >= 1 and gcd(n, q) = 1 so the polynomial is squarefree.  Factors come
-    back sorted by degree, ties broken by coefficient lex order with
-    0 < 1 < a < a^2 < ...; this order fixes the component indices 1..r.
+    Requires n >= 1 and gcd(n, q) = 1 so the polynomial is squarefree.  It
+    is the product of the cyclotomic parts Phi_m = (x^m - 1) / prod Phi_e
+    (m | n, e | m, e < m), and each Phi_m, a product of distinct irreducibles
+    of degree ord_m(q) (Lidl-Niederreiter, Finite Fields, Thm 2.47), is split
+    at that degree by Cantor-Zassenhaus.  Trial division and q-cyclotomic
+    cosets are the oracles in the tests.  Factors come back sorted by
+    degree, ties broken by coefficient lex order with 0 < 1 < a < a^2 < ...;
+    this order fixes the component indices 1..r.
     """
     if n < 1:
         raise BadParameters(f"length must be positive, got {n}")
@@ -646,8 +632,15 @@ def factor_xn_minus_1(field: FieldSpec, n: int):
     f = Poly.x_pow_n_minus_1(field, n)
     rng = random.Random(0xC0DE)
     factors = []
-    for d, part in _distinct_degree(f):
-        factors.extend(_equal_degree_split(part, d, rng))
+    parts = {}  # m -> Phi_m, for the divisors m of n so far
+    for m in (m for m in range(1, n + 1) if n % m == 0):
+        part = Poly.x_pow_n_minus_1(field, m)
+        for e in parts:
+            if m % e == 0:
+                part = part.exact_div(parts[e])
+        parts[m] = part
+        order = next(d for d in itertools.count(1) if pow(field.q, d, m) == 1 % m)
+        factors.extend(_equal_degree_split(part, order, rng))
     factors.sort(key=Poly.lex_key)
     prod = Poly.one(field)
     for g in factors:

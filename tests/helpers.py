@@ -10,7 +10,6 @@ from skewcyclic import linalg
 from skewcyclic.automorphisms import Automorphism, _roots_in_component
 from skewcyclic.convolutional import (
     EQUIVALENCE_MAX_N,
-    EQUIVALENCE_MAX_NULLITY,
     EQUIVALENCE_MAX_Q,
     PolyMatrix,
     _nonvanishing_combination,
@@ -496,6 +495,23 @@ def factor_squarefree_trial(f: Poly):
     return sorted(factors, key=Poly.lex_key)
 
 
+def cyclotomic_coset_sizes(q: int, n: int):
+    """Sorted sizes of the q-cyclotomic cosets {i, iq, iq^2, ...} mod n
+    (test oracle for the factor degrees of x^n - 1, gcd(n, q) = 1)."""
+    seen = set()
+    sizes = []
+    for i in range(n):
+        if i in seen:
+            continue
+        j, size = i, 0
+        while j not in seen:
+            seen.add(j)
+            j = j * q % n
+            size += 1
+        sizes.append(size)
+    return sorted(sizes)
+
+
 def min_weight_by_enumeration(G, D: int) -> int:
     """Min weight of uG over every nonzero message u with deg u <= D (test
     oracle): each u is built as a 1 x k PolyMatrix and multiplied out, with
@@ -664,8 +680,6 @@ def strong_equivalence_by_permutations(G: PolyMatrix, Gp: PolyMatrix):
                 continue
         else:
             basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        if len(basis) > EQUIVALENCE_MAX_NULLITY:
-            raise SearchSpaceTooLarge("nullspace too large to enumerate")
         found = _nonvanishing_combination(field, basis)
         if found is None:
             continue
@@ -688,6 +702,20 @@ def strong_equivalence_by_permutations(G: PolyMatrix, Gp: PolyMatrix):
             ],
         )
         return P, D
+    return None
+
+
+def nonvanishing_combination_by_scan(field, basis):
+    """Test-only oracle for convolutional._nonvanishing_combination: the
+    first combination, over all q^len(basis) coefficient vectors in
+    itertools.product order, whose every coordinate is nonzero."""
+    n = len(basis[0])
+    for combo in itertools.product(range(field.q), repeat=len(basis)):
+        v = [0] * n
+        for c, b in zip(combo, basis):
+            v = [field.add_c(x, field.mul_c(c, y)) for x, y in zip(v, b)]
+        if all(v):
+            return v
     return None
 
 

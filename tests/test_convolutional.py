@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     generator_rows_by_products,
+    nonvanishing_combination_by_scan,
     right_invertible_by_minors,
     strong_equivalence_by_permutations,
 )
@@ -25,6 +26,7 @@ from skewcyclic import (
     vector_from_skew,
 )
 from skewcyclic import linalg, make_field
+from skewcyclic.convolutional import _nonvanishing_combination
 from skewcyclic.errors import (
     BadParameters,
     LengthMismatch,
@@ -637,6 +639,52 @@ def test_strong_equivalence_inequivalent_f3n8_is_fast():
     start = time.perf_counter()
     assert strong_equivalence(G, other) is None
     assert time.perf_counter() - start < 1.0
+
+
+def test_strong_equivalence_identity_f9n8_is_fast():
+    """The 8 x 8 identity over GF(9) against a permuted, rescaled copy:
+    every permutation passes the one maximal minor and Q = 0, so the
+    diagonal is scanned on the identity basis.  The scan over all 9^8
+    combinations first hits the all-ones one after 4.8 million others
+    (over a minute); the scan over nonzero coefficients hits it first."""
+    field = parse_field("GF(9):y^2+1")
+    G = PolyMatrix.identity(field, 8)
+    Gp = _permuted_rescaled(G, [3, 7, 0, 5, 1, 6, 2, 4], [1, 2, 3, 4, 5, 6, 7, 8])
+    start = time.perf_counter()
+    res = strong_equivalence(G, Gp)
+    assert time.perf_counter() - start < 1.0
+    assert res == (G, G)
+
+
+@pytest.mark.parametrize("field_text", [
+    "GF(2)", "GF(3)", "GF(4):y^2+y+1", "GF(5)", "GF(7)", "GF(8):y^3+y+1", "GF(9):y^2+1",
+])
+def test_nonvanishing_combination_matches_full_scan(field_text):
+    """The scan over nonzero coefficients returns the first hit of the
+    scan over all q^nu coefficient vectors, on nullspace bases of random
+    sparse systems and on identity bases.  All three outcomes occur: None
+    (a coordinate forced to 0), the sum of the basis, and, for q > 2, a
+    later combination."""
+    field = parse_field(field_text)
+    q = field.q
+    rng = random.Random(f"nonvanishing {field_text}")
+    outcomes = set()
+    for _ in range(120):
+        n = rng.randrange(1, 7)
+        eqs = [
+            [rng.randrange(1, q) if rng.random() < 0.4 else 0 for _ in range(n)]
+            for _ in range(rng.randrange(1, n + 1))
+        ]
+        basis = linalg.nullspace(field, eqs) or [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        if q ** len(basis) > 20000:
+            continue
+        found = _nonvanishing_combination(field, basis)
+        assert found == nonvanishing_combination_by_scan(field, basis)
+        total = [0] * n
+        for b in basis:
+            total = [field.add_c(x, y) for x, y in zip(total, b)]
+        outcomes.add("none" if found is None else "sum" if found == total else "later")
+    assert len(outcomes) == (2 if q == 2 else 3)
 
 
 def _one_by(field, rows, cols):

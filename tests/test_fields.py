@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import random
 import time
 
 import pytest
 
-from helpers import factor_squarefree_trial, field_tables_by_residues
+from helpers import cyclotomic_coset_sizes, factor_squarefree_trial, field_tables_by_residues
 from skewcyclic import make_field, poly_gcd, factor_xn_minus_1
 from skewcyclic.errors import (
     BadParameters,
@@ -149,6 +150,67 @@ def test_factor_properties_and_oracle(spec, n):
     assert list(fs) == factor_squarefree_trial(target)
 
 
+# (p, deg): the fields whose tables are checked against residue arithmetic
+# and whose factors of x^n - 1 are pinned
+PINNED_FIELDS = [
+    (2, 1), (3, 1), (5, 1), (7, 1), (251, 1),
+    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2),
+    (2, 7), (2, 8), (3, 4), (3, 5), (5, 3), (11, 2), (13, 2),
+]
+
+
+# (p, deg) of every field with q <= MAX_FIELD_SIZE
+PRIME_POWERS = [
+    (p, deg)
+    for p in range(2, MAX_FIELD_SIZE + 1)
+    if all(p % r for r in range(2, p))
+    for deg in range(1, MAX_FIELD_SIZE.bit_length())
+    if p ** deg <= MAX_FIELD_SIZE
+]
+
+
+def test_factor_degrees_are_cyclotomic_coset_sizes():
+    """Over every field with q <= 256 (default modulus) and every n <= 15
+    coprime to q: the factor degrees are the sizes of the q-cyclotomic
+    cosets mod n and every factor is monic.  Where trial division is cheap
+    (q^d <= 256 for the largest degree d), the factors are the trial ones."""
+    assert len(PRIME_POWERS) == 70
+    trial_cells = 0
+    for p, deg in PRIME_POWERS:
+        field = make_field(p, deg)
+        for n in range(1, 16):
+            if n % p == 0:
+                continue
+            fs = factor_xn_minus_1(field, n)
+            sizes = cyclotomic_coset_sizes(field.q, n)
+            assert sorted(int(f.degree) for f in fs) == sizes, (field.q, n)
+            assert all(f.lc() == 1 for f in fs)
+            if field.q ** sizes[-1] <= 256:
+                trial_cells += 1
+                assert list(fs) == factor_squarefree_trial(Poly.x_pow_n_minus_1(field, n))
+    assert trial_cells == 371
+
+
+FACTOR_PIN_SHA256 = "73b3f47cf3701bb3067deac210f117415f6a61af7ee5083201517f651e6fb73c"
+
+
+def test_factor_outputs_pinned():
+    """The factor codes of x^n - 1, byte for byte: every n <= 24 coprime to
+    q over the pinned fields, and GF(2) n = 255, GF(3) n = 242.  The monic
+    irreducible factors are unique and their order is fixed by the sort, so
+    these bytes do not depend on how x^n - 1 is split."""
+    out = []
+    for p, deg in PINNED_FIELDS:
+        field = make_field(p, deg)
+        for n in range(1, 25):
+            if n % p:
+                out.append((field.q, n, [f.codes for f in factor_xn_minus_1(field, n)]))
+    for p, n in ((2, 255), (3, 242)):
+        out.append((p, n, [f.codes for f in factor_xn_minus_1(make_field(p, 1), n)]))
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == FACTOR_PIN_SHA256
+
+
 def test_poly_gcd_examples(F2, F4):
     x = Poly.x(F4)
     one = Poly.one(F4)
@@ -189,11 +251,7 @@ def test_element_display(F4, F8):
     assert str(F8.gen ** 5) == "a^5"
 
 
-@pytest.mark.parametrize("p,deg", [
-    (2, 1), (3, 1), (5, 1), (7, 1), (251, 1),
-    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2),
-    (2, 7), (2, 8), (3, 4), (3, 5), (5, 3), (11, 2), (13, 2),
-])
+@pytest.mark.parametrize("p,deg", PINNED_FIELDS)
 def test_tables_match_residue_arithmetic(p, deg):
     """The digit-wise sums and the a*y^i products give the tables of Poly
     residue arithmetic mod the modulus: for every monic irreducible modulus
