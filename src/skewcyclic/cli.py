@@ -149,14 +149,28 @@ def _json_typed(value, kind, what):
     return value
 
 
+def _json_int(value, what):
+    """A JSON integer; floats, bools and numeric strings are refused."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _build_from_descriptor(desc: dict):
     try:
         field = parse_field(desc["field"])
-        n = int(desc["n"])
+        n = desc["n"]
         sigma_text = desc["sigma"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"descriptor needs field, n, sigma: {exc}") from exc
-    _json_typed(desc.get("expected") or {}, dict, "expected")
+    _json_int(n, "n")
+    expected = _json_typed(desc.get("expected") or {}, dict, "expected")
+    for key in ("k", "delta", "distance"):
+        if key in expected:
+            _json_int(expected[key], f"expected {key}")
+    if "forney" in expected:
+        for d in _json_typed(expected["forney"], list, "expected forney"):
+            _json_int(d, "expected forney index")
     ctx = RingContext(field, n)
     sigma = parse_sigma(ctx, sigma_text)
     if "generator" in desc:
@@ -172,9 +186,10 @@ def _build_from_descriptor(desc: dict):
     codes = []
     for comp in components:
         try:
-            l, d = int(comp["l"]), int(comp["d"])
-        except (KeyError, TypeError, ValueError) as exc:
+            l, d = comp["l"], comp["d"]
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"recipe component needs l and d: {exc}") from exc
+        l, d = _json_int(l, "recipe l"), _json_int(d, "recipe d")
         scalars = tuple(
             parse_ring_element(ctx, s)
             for s in _json_typed(comp.get("scalars", []), list, "scalars")

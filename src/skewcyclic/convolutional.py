@@ -347,7 +347,7 @@ def generator_matrix(g: SkewPoly) -> PolyMatrix:
         raise NotReduced("generator matrix formula needs a reduced polynomial")
     rows = []
     for l, comp in g.components().items():
-        rows += x_multiples(comp, ctx.kappas[l - 1], ctx.modulus, g.sigma.x_images)
+        rows += x_multiples(comp, ctx.kappas[l - 1])
     return PolyMatrix(ctx.field, rows)
 
 
@@ -396,30 +396,30 @@ def strong_equivalence(G: PolyMatrix, Gp: PolyMatrix):
     """Search for (P, D) with im G = im(Gp * P * D); None if inequivalent.
 
     P runs over the column permutations that the maximal minors allow.
-    If B = Gp*P*D spans im G, then B = T*G with det T a nonzero constant
-    (see below), so by Cauchy-Binet (here B[:, S] = T * G[:, S]) the minor
-    of B on a k-set S of columns is det T times the minor of G on S.  It
-    is also, up to sign, the product of the entries of D on S times the
-    minor of Gp on perm(S).  So the monic minor of G on S equals the monic
-    minor of Gp on perm(S), for every S.  Permutations are generated depth
-    first in itertools.permutations order, and a prefix is dropped at the
-    first set S that closes at its last position and disagrees.  A dropped
-    permutation has no valid D, so the answer is the one a search over
-    all n! permutations finds first.
+    If B = Gp*P*D spans im G, then B = T*G and G = T'*B for k x k T and
+    T', and T'*T = I as G has full row rank, so det T is a nonzero
+    constant.  By Cauchy-Binet (here B[:, S] = T * G[:, S]) the minor of
+    B on a k-set S of columns is det T times the minor of G on S.  It is
+    also, up to sign, the product of the entries of D on S times the minor
+    of Gp on perm(S).  So the monic minor of G on S equals the monic minor
+    of Gp on perm(S), for every S.  Permutations are generated depth first
+    in itertools.permutations order, and a prefix is dropped at the first
+    set S that closes at its last position and disagrees.  A dropped
+    permutation has no valid D, so the answer is the one a search over all
+    n! permutations finds first.
 
-    For each remaining P the diagonal D is not enumerated directly:
-    membership of the rows of Gp*P*D in im G is linear in the diagonal
-    entries, so candidates come from a nullspace over F, and the first one
-    with all entries nonzero is checked.
+    For each remaining P the diagonal D is not enumerated directly: a row
+    vector w lies in im G iff w*H = 0, H = G.parity_check() (G is right
+    invertible; Forney 1970), so membership of the rows of Gp*P*D in im G
+    is linear in the diagonal entries.  Candidates come from a nullspace
+    over F, in reduced echelon form, which depends only on the solution
+    space, and the first one with all entries nonzero is the answer.
 
-    The witness is checked with T = B*Gtilde, B = Gp*P*D: T*G == B and
-    det T a nonzero constant, one k x k determinant.  Why this decides
-    im B = im G: B is a column permutation and nonzero rescaling of Gp, so
-    each maximal minor of B is a nonzero constant times a minor of Gp, and
-    B is right invertible.  B = T*G with T square, and T*(G*Btilde) = I, so
-    T is right invertible, hence unimodular, and im B = im G.  Every
-    nullspace candidate has rows of B in im G, that is T*G == B, so the
-    check never fails and the first candidate is the answer.
+    The witness is checked by B*H == 0, B = Gp*P*D: the rows of B lie in
+    im G.  B is a column permutation and nonzero rescaling of Gp, which is
+    right invertible, so B is right invertible and im B is a direct
+    summand of rank k inside the direct summand im G of rank k; the two
+    are equal.  Every nullspace candidate passes, so the check never fails.
     """
     field = G.field
     if G.shape != Gp.shape:
@@ -429,13 +429,11 @@ def strong_equivalence(G: PolyMatrix, Gp: PolyMatrix):
         raise SearchSpaceTooLarge(
             f"n <= {EQUIVALENCE_MAX_N} and q <= {EQUIVALENCE_MAX_Q} required"
         )
-    gt = G.right_inverse()
+    H = G.parity_check()
     if not Gp.is_right_invertible():
         raise NotRightInvertible("both matrices must be right invertible")
     perms = _minor_preserving_permutations(n, k, G.k_minors(), Gp.k_minors())
-    # Q = I - Gtilde*G annihilates exactly im G (row vectors w with w*Q = 0)
-    Q = PolyMatrix.identity(field, n) - (gt * G)
-    # z-coefficients of Gp[r][i] * Q[j][c] by (r, c), formed when a
+    # z-coefficients of Gp[r][i] * H[j][c] by (r, c), formed when a
     # remaining permutation first sends position j to column i
     prods = {}
     one = Poly.one(field)
@@ -446,14 +444,14 @@ def strong_equivalence(G: PolyMatrix, Gp: PolyMatrix):
             block = prods.get((i, j))
             if block is None:
                 block = prods[i, j] = [
-                    [(row[i] * q).codes for q in Q.entries[j]] for row in Gp.entries
+                    [(row[i] * h).codes for h in H.entries[j]] for row in Gp.entries
                 ]
             blocks.append(block)
         # rows of B*diag(d) lie in im G, B = Gp*P: for all r, c:
-        # sum_j Gp[r][perm[j]] Q[j][c] d_j = 0, coefficient by coefficient in z
+        # sum_j Gp[r][perm[j]] H[j][c] d_j = 0, coefficient by coefficient in z
         eqs = []
         for r in range(k):
-            for c in range(n):
+            for c in range(n - k):
                 cols = [block[r][c] for block in blocks]
                 for t in range(max(len(p) for p in cols)):
                     eqs.append([p[t] if t < len(p) else 0 for p in cols])
@@ -470,8 +468,7 @@ def strong_equivalence(G: PolyMatrix, Gp: PolyMatrix):
             field,
             [[row[p].scale(d) for p, d in zip(perm, found)] for row in Gp.entries],
         )
-        T = B * gt
-        if T * G != B or T.det().degree != 0:
+        if not (B * H).is_zero():
             raise AssertionError("equivalence candidate failed its check")
         P = PolyMatrix(
             field,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import operator
 import struct
-import sys
 
 
 def _repunit(count: int, width: int) -> int:
@@ -112,8 +111,9 @@ def _unpacker(field, n: int):
     """`unpack`, the inverse of `_word_ops(field, n)`'s `pack` on one-block
     words: a packed word back to the tuple of its n field codes.
 
-    Each W-bit symbol is one machine integer of W/8 bytes, so the word's
-    bytes, read as integers of that width, list the symbols in order.
+    Each W-bit symbol is one integer of W/8 bytes, so the word's bytes in
+    little-endian order, read as little-endian integers of that width,
+    list the symbols in order on any host.
     """
     pack, _, _, S, _ = _word_ops(field, n)
     size = S // 8  # S = n*W bits, W a power-of-two number of bytes
@@ -124,10 +124,10 @@ def _unpacker(field, n: int):
             return tuple(map(symbol, x.to_bytes(size, "little")))
 
     else:
-        typecode = next(t for t in "HILQ" if struct.calcsize(t) * n == size)
+        # standard sizes under "<": H, I and Q take 2, 4 and 8 bytes
+        layout = struct.Struct("<%d%s" % (n, {2: "H", 4: "I", 8: "Q"}[size // n]))
 
         def unpack(x: int) -> tuple:
-            raw = memoryview(x.to_bytes(size, sys.byteorder))
-            return tuple(map(symbol, raw.cast(typecode)))
+            return tuple(map(symbol, layout.unpack(x.to_bytes(size, "little"))))
 
     return unpack

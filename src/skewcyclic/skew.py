@@ -10,7 +10,8 @@ has zero divisors among the coefficients and therefore units of positive
 z-degree; those units are what the code constructions are built from.
 Reducedness is index arithmetic on the sigma-cycles, units are decided and
 inverted by one power-series recurrence on code lists, and every matrix of
-x-multiples (generator and module matrices) comes from `x_multiples`.
+x-multiples (generator and module matrices) comes from `x_multiples`, one
+cyclic convolution in A per coefficient and row.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     NotAUnit,
 )
 from .automorphisms import Automorphism
-from .fields import NEG_INF, Poly, _accumulate, _divide, _normalized
+from .fields import NEG_INF, Poly, _normalized
 from .ring import RingElement, accumulate_rows, cyclic_accumulate
 
 # the largest z-degree of a literal or a recipe's Forney index: a valid GF(2)
@@ -237,8 +238,7 @@ class SkewPoly:
         """Right multiplication by f as an n x n matrix over F[z]: row i is
         vec(x^i f).  No unit decision uses it: it is the whole-module oracle
         of the tests, and perfbench spans it by name."""
-        ctx = self.context
-        return x_multiples(self, ctx.n, ctx.modulus, self.sigma.x_images)
+        return x_multiples(self, self.context.n)
 
     def _series_inverse(self):
         """The inverse of f = sum_j z^j f_j as code lists h_0..h_e (None for
@@ -330,23 +330,21 @@ class SkewPoly:
 # -- bridge between F[z]^n and the skew ring ----------------------------------
 
 
-def x_multiples(f: SkewPoly, count: int, g: Poly, images) -> list:
-    """vec(x^i f mod g) for 0 <= i < count, each as deg g polynomials in z.
+def x_multiples(f: SkewPoly, count: int) -> list:
+    """vec(x^i f) for 0 <= i < count, each as n polynomials in z.
     x z^j = z^j sigma^j(x), so the z^j coefficient of x^i f is
-    sigma^j(x)^i f_j, with images[j % len(images)] = sigma^j(x) mod g.
-    The f_j stay code lists; each row's polynomials are built once."""
-    field, dim = f.context.field, int(g.degree)
-    scale, neg = field._mul[field.inv_c(g.lc())], field._neg
-    pivot = [neg[scale[c]] for c in g.codes[:-1]]
-    cur = [list(c.codes) for c in f.coeffs]
+    sigma^j(x)^i f_j in A: each row multiplies the f_j of the row before
+    by sigma^j(x), one cyclic_accumulate each.  The f_j stay code lists;
+    each row's polynomials are built once."""
+    ctx, images = f.context, f.sigma.x_images
+    field, n = ctx.field, ctx.n
+    cur = [c.codes for c in f.coeffs]
     steps = [images[j % len(images)].codes for j in range(len(cur))]
     rows = []
     for i in range(count):
         if i:
-            cur = [_accumulate(field, [0] * (dim + len(s) - 1), p, s) for p, s in zip(cur, steps)]
-        for c in cur:
-            del _divide(field, c, pivot)[dim:]
-        rows.append([_normalized(field, [c[t] for c in cur]) for t in range(dim)])
+            cur = [cyclic_accumulate(field, [0] * n, s, p) for p, s in zip(cur, steps)]
+        rows.append([_normalized(field, [c[t] for c in cur]) for t in range(n)])
     return rows
 
 

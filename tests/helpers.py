@@ -319,20 +319,15 @@ def skew_product_by_terms(f, g):
     return SkewPoly(sigma, out)
 
 
-def x_multiples_by_products(f, count, g=None):
+def x_multiples_by_products(f, count):
     """Test-only oracle: vec(x^i f) for i < count, each x^i f formed by
-    the term-wise skew product with the constant x.  Given a divisor g of
-    x^n - 1, each coefficient of x^i f is first reduced mod g, and a row
-    keeps its first deg g entries."""
+    the term-wise skew product with the constant x."""
     from skewcyclic.skew import SkewPoly, vector_from_skew
 
-    ctx = f.context
-    dim = ctx.n if g is None else int(g.degree)
-    xs = SkewPoly.constant(f.sigma, ctx.x)
+    xs = SkewPoly.constant(f.sigma, f.context.x)
     rows = []
     for _ in range(count):
-        h = f if g is None else SkewPoly(f.sigma, [ctx.from_poly(c.as_poly() % g) for c in f.coeffs])
-        rows.append(vector_from_skew(h)[:dim])
+        rows.append(vector_from_skew(f))
         f = skew_product_by_terms(xs, f)
     return rows
 

@@ -364,6 +364,19 @@ _GOOD_DESC = {
         {"field": "GF(4):y^2+y+1", "n": 3, "sigma": "x^2", "l": 2, "d": 1, "scalars": ["1"]},
         {k: v for k, v in _GOOD_DESC.items() if k != "sigma"},
         {**_GOOD_DESC, "recipe": {"components": [{"l": 2, "scalars": ["1"]}]}},
+        {**_GOOD_DESC, "n": 3.9},
+        {**_GOOD_DESC, "n": "3"},
+        {**_GOOD_DESC, "n": True},
+        {**_GOOD_DESC, "recipe": {"l": 2.7, "d": 1, "scalars": ["1"]}},
+        {**_GOOD_DESC, "recipe": {"l": 2, "d": 1.9, "scalars": ["1"]}},
+        {**_GOOD_DESC, "recipe": {"l": 2, "d": True, "scalars": ["1"]}},
+        {**_GOOD_DESC, "expected": {"k": 2.0}},
+        {**_GOOD_DESC, "expected": {"delta": "2"}},
+        {**_GOOD_DESC, "expected": {"distance": None}},
+        {**_GOOD_DESC, "expected": {"forney": 3}},
+        {**_GOOD_DESC, "expected": {"forney": None}},
+        {**_GOOD_DESC, "expected": {"forney": [1, "a"]}},
+        {**_GOOD_DESC, "expected": {"forney": [False, 1]}},
     ],
     ids=[
         "top-level-number", "top-level-string", "recipe-not-object",
@@ -371,12 +384,25 @@ _GOOD_DESC = {
         "scalar-not-string", "expected-not-object", "generator-not-string",
         "sigma-not-string", "field-not-string", "flat-recipe",
         "sigma-missing", "component-without-d",
+        "n-float", "n-string", "n-bool", "l-float", "d-float", "d-bool",
+        "expected-k-float", "expected-delta-string", "expected-distance-null",
+        "forney-number", "forney-null", "forney-string-entry", "forney-bool-entry",
     ],
 )
 def test_build_malformed_descriptor_exit_3(tmp_path, capsys, desc):
     path = tmp_path / "recipe.json"
     path.write_text(json.dumps(desc))
     code, _, err = run(capsys, "build", "--recipe", str(path))
+    assert code == 3
+    assert err.startswith("parse error:") and len(err) < 200
+
+
+def test_distance_malformed_expected_forney_exit_3(tmp_path, capsys):
+    """distance reads the expected block as build does: a Forney list
+    with a non-integer entry is a parse error, not a traceback."""
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps({**_GOOD_DESC, "expected": {"forney": [1, "a"]}}))
+    code, _, err = run(capsys, "distance", "--recipe", str(path))
     assert code == 3
     assert err.startswith("parse error:") and len(err) < 200
 

@@ -516,9 +516,9 @@ def _permuted_rescaled(G, perm, scales):
 )
 def test_strong_equivalence_random_k_at_least_2(field_text, n, perm, comps):
     """A random column permutation and nonzero rescaling of G is found, and
-    the witness passes the definition (checked independently of the single
-    determinant strong_equivalence uses): B = Gp*P*D is right invertible
-    and each matrix's rows are codewords of the other."""
+    the witness passes the definition (checked independently of the parity
+    check strong_equivalence uses): B = Gp*P*D is right invertible and
+    each matrix's rows are codewords of the other."""
     G = _code(field_text, n, perm, comps).generator
     assert G.nrows >= 2
     q = G.field.q
@@ -539,9 +539,9 @@ def test_strong_equivalence_random_k_at_least_2(field_text, n, perm, comps):
 
 def test_strong_equivalence_k2_negative_and_determinants(monkeypatch):
     """(5,2,4)/GF(4): each matrix's 10 maximal minors are taken once, to
-    prune the permutations (the column reduction decides both matrices),
-    plus 1 determinant for the witness, so an equivalent pair takes 21
-    determinants and 1 nullspace.  A code of
+    prune the permutations (the column reduction decides both matrices,
+    and the witness is checked against the parity check), so an equivalent
+    pair takes 20 determinants and 1 nullspace.  A code of
     another free distance (the (5,2,2) code, 8 against 12) is not
     equivalent, and its minors rule out every permutation at the first
     column: no nullspace at all, where a search over all 5! permutations
@@ -567,7 +567,7 @@ def test_strong_equivalence_k2_negative_and_determinants(monkeypatch):
     assert calls == {"poly_det": 20, "nullspace": 0}
     calls.update(poly_det=0, nullspace=0)
     assert strong_equivalence(G, Gp) is not None
-    assert calls == {"poly_det": 21, "nullspace": 1}
+    assert calls == {"poly_det": 20, "nullspace": 1}
 
 
 # (field, n, sigma, (component, Forney index) of each minimal code).  At
@@ -643,10 +643,11 @@ def test_strong_equivalence_inequivalent_f3n8_is_fast():
 
 def test_strong_equivalence_identity_f9n8_is_fast():
     """The 8 x 8 identity over GF(9) against a permuted, rescaled copy:
-    every permutation passes the one maximal minor and Q = 0, so the
-    diagonal is scanned on the identity basis.  The scan over all 9^8
-    combinations first hits the all-ones one after 4.8 million others
-    (over a minute); the scan over nonzero coefficients hits it first."""
+    every permutation passes the one maximal minor and the parity check
+    has no columns, so the diagonal is scanned on the identity basis.  The
+    scan over all 9^8 combinations first hits the all-ones one after 4.8
+    million others (over a minute); the scan over nonzero coefficients
+    hits it first."""
     field = parse_field("GF(9):y^2+1")
     G = PolyMatrix.identity(field, 8)
     Gp = _permuted_rescaled(G, [3, 7, 0, 5, 1, 6, 2, 4], [1, 2, 3, 4, 5, 6, 7, 8])

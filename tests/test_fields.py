@@ -191,6 +191,28 @@ def test_factor_degrees_are_cyclotomic_coset_sizes():
     assert trial_cells == 371
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_factor_matches_sympy_over_prime_fields(p):
+    """factor_xn_minus_1 against sympy, an oracle outside the package, for
+    every n <= 40 coprime to p: the same monic irreducible factors, each
+    once.  sympy prints coefficients mod p symmetrically, so they are read
+    mod p; a prime field's codes are the residues."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    field = make_field(p, 1)
+    cells = 0
+    for n in range(1, 41):
+        if n % p == 0:
+            continue
+        lc, parts = sympy.Poly(x ** n - 1, x, modulus=p).factor_list()
+        assert int(lc) % p == 1 and all(m == 1 for _, m in parts), (p, n)
+        expected = sorted(tuple(int(c) % p for c in reversed(f.all_coeffs())) for f, _ in parts)
+        assert sorted(f.codes for f in factor_xn_minus_1(field, n)) == expected, (p, n)
+        cells += 1
+    assert cells == 40 - 40 // p
+
+
 FACTOR_PIN_SHA256 = "73b3f47cf3701bb3067deac210f117415f6a61af7ee5083201517f651e6fb73c"
 
 
