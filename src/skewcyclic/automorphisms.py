@@ -118,16 +118,25 @@ class Automorphism:
 
     @functools.cached_property
     def unit_blocks(self):
-        """(dims, fixed), computed on first use and cached: dims holds
-        dim_C, the sum of deg pi_k over k in C, for each cycle C of length
-        > 1; fixed is g_fix, the product of pi_k over the fixed cycles, or
+        """(moved, fixed), computed on first use and cached.  For g_C the
+        product of pi_k over the k in a cycle C, the `fields._divide` row of
+        g_C holds the codes of -g_i, i < deg g_C, and a code list a has
+        eps_C a = 0 iff a mod g_C is 0.  moved holds the rows of the cycles
+        of length > 1, shortest first, so a row's length is dim_C = deg g_C;
+        fixed is the row of g_fix, the product over the fixed cycles, or
         None when there are none.  The idempotent of a whole cycle is
         sigma-fixed, hence central in A[z;sigma], so a unit's inverse is
         bounded one cycle at a time."""
         ctx = self.context
-        dims = tuple(sum(ctx.kappas[k - 1] for k in c) for c in self.cycles if len(c) > 1)
-        fixed = [ctx.factors[c[0] - 1] for c in self.cycles if len(c) == 1]
-        return dims, functools.reduce(operator.mul, fixed) if fixed else None
+        neg = ctx.field._neg
+
+        def pivot(cycles):
+            g = functools.reduce(operator.mul, (ctx.factors[k - 1] for c in cycles for k in c))
+            return tuple(neg[c] for c in g.codes[:-1])
+
+        moved = sorted((pivot([c]) for c in self.cycles if len(c) > 1), key=len)
+        fixed = [c for c in self.cycles if len(c) == 1]
+        return tuple(moved), pivot(fixed) if fixed else None
 
     def apply(self, a: RingElement, power: int = 1) -> RingElement:
         """sigma^power(a); negative powers go through the map order."""

@@ -156,6 +156,14 @@ def _json_int(value, what):
     return value
 
 
+def _expected(desc: dict) -> dict:
+    """The descriptor's expected block: {} when the key is absent, and a
+    ParseError for any value that is not an object, falsy ones included."""
+    if "expected" not in desc:
+        return {}
+    return _json_typed(desc["expected"], dict, "expected")
+
+
 def _build_from_descriptor(desc: dict):
     try:
         field = parse_field(desc["field"])
@@ -164,7 +172,7 @@ def _build_from_descriptor(desc: dict):
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"descriptor needs field, n, sigma: {exc}") from exc
     _json_int(n, "n")
-    expected = _json_typed(desc.get("expected") or {}, dict, "expected")
+    expected = _expected(desc)
     for key in ("k", "delta", "distance"):
         if key in expected:
             _json_int(expected[key], f"expected {key}")
@@ -220,7 +228,7 @@ def _checked(payload, table, desc, code, report) -> Outcome:
     """The outcome of build or distance: exit 1 and one stderr line for each
     value that differs from the descriptor's expected block, else exit 0.
     Both callers compute the report whenever the block expects a distance."""
-    expected = desc.get("expected") or {}
+    expected = _expected(desc)
     problems = []
     if "k" in expected and code.k != expected["k"]:
         problems.append(f"k = {code.k}, expected {expected['k']}")
@@ -247,7 +255,7 @@ def cmd_build(args) -> Outcome:
     desc = _apply_overrides(_load_json(args.recipe, "descriptor"), args)
     code = _build_from_descriptor(desc)
     report = None
-    expected = desc.get("expected") or {}
+    expected = _expected(desc)
     if args.with_distance or "distance" in expected:
         report = free_distance(code.generator, args.state_cap)
     payload = _code_payload(desc, code, report)

@@ -554,18 +554,30 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 def poly_ext_gcd(f: Poly, g: Poly):
-    """Return (d, u) with u*f = d mod g, d the monic gcd of f and g."""
+    """Return (d, u) with u*f = d mod g, d the monic gcd of f and g.
+
+    Euclid on code lists: each step divides r0 by r1 in place (`_divide`)
+    and forms u0 - q*u1 by one `_accumulate`; only d and u become Poly."""
     field = f.field
-    r0, r1 = f, g
-    u0, u1 = Poly.one(field), Poly.zero(field)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-    if r0.is_zero():
+    mul, neg = field._mul, field._neg
+    r0, r1 = list(f.codes), list(g.codes)
+    u0, u1 = [1], []
+    while r1:
+        dv = len(r1) - 1
+        scale = mul[field.inv_c(r1[-1])]
+        rem = _divide(field, r0, [neg[scale[c]] for c in r1[:-1]])
+        # rem[dv:] is lc(r1) times the quotient q, empty when deg r0 < deg r1
+        u = u0 + [0] * (len(rem) - dv + len(u1) - 1 - len(u0))
+        _accumulate(field, u, [neg[scale[c]] for c in rem[dv:]], u1)
+        r = rem[:dv]
+        while r and not r[-1]:
+            r.pop()
+        r0, r1, u0, u1 = r1, r, u1, u
+    if not r0:
         raise BothZero("gcd(0, 0) is undefined")
-    lc_inv = field.inv_c(r0.lc())
-    return r0.scale(lc_inv), u0.scale(lc_inv)
+    scale = mul[field.inv_c(r0[-1])]
+    d = Poly._trusted(field, tuple(scale[c] for c in r0))
+    return d, _normalized(field, [scale[c] for c in u0])
 
 
 def monic_polys(field: FieldSpec, degree: int):

@@ -73,7 +73,7 @@ class RingContext:
         for pi in self.factors:
             m_k = self.modulus.exact_div(pi)
             _, u = poly_ext_gcd(m_k, pi)  # u*m_k = 1 mod pi_k
-            idems.append(self.from_poly(u * m_k))
+            idems.append(RingElement(self, cyclic_accumulate(field, [0] * n, u.codes, m_k.codes)))
         self.idempotents = tuple(idems)
         # rows of the linear CRT lift: x^j * eps_k, j < kappa_k, is eps_k rotated
         self._lift_rows = tuple(

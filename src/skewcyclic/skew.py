@@ -16,6 +16,7 @@ cyclic convolution in A per coefficient and row.
 
 from __future__ import annotations
 
+from itertools import islice
 from types import MappingProxyType
 
 from .errors import (
@@ -28,12 +29,23 @@ from .errors import (
     NotAUnit,
 )
 from .automorphisms import Automorphism
-from .fields import NEG_INF, Poly, _normalized
+from .fields import NEG_INF, Poly, _divide, _normalized
 from .ring import RingElement, accumulate_rows, cyclic_accumulate
 
 # the largest z-degree of a literal or a recipe's Forney index: a valid GF(2)
 # n=7 generator of z-degree 1000 builds in ~2 s, and the time grows as degree^2
 MAX_Z_DEGREE = 1000
+
+
+def _twists(sigma: Automorphism, codes: list):
+    """codes, sigma(codes), ..., sigma^(order-1)(codes), each twisted from the
+    one before as the caller draws it: codes is a list of code lists (None
+    for a zero entry).  sigma^order = 1, so a caller reads power l at
+    l % sigma.order and never twists the same list twice."""
+    field, n, rows = sigma.context.field, sigma.context.n, sigma._power_matrix
+    for _ in range(sigma.order):
+        yield codes
+        codes = [c and accumulate_rows(field, [0] * n, c, rows) for c in codes]
 
 
 class SkewPoly:
@@ -134,16 +146,16 @@ class SkewPoly:
         if not self.coeffs or not other.coeffs:
             return SkewPoly.zero(self.sigma)
         sigma, ctx = self.sigma, self.context
-        field, n, rows = ctx.field, ctx.n, sigma._power_matrix
-        # sigma^l(f_j) as l runs over the right factor's degrees, on code lists
-        twisted = [a.codes for a in self.coeffs]
+        field, n, order = ctx.field, ctx.n, sigma.order
+        # sigma^l(f_j) for l below the right factor's length and the map order
+        left = [a.codes if a else None for a in self.coeffs]
+        twists = list(islice(_twists(sigma, left), len(other.coeffs)))
         out = [[0] * n for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
         for l, b in enumerate(other.coeffs):
-            if l > 0:
-                twisted = [accumulate_rows(field, [0] * n, a, rows) for a in twisted]
             if b:
-                for acc, a in zip(out[l:], twisted):
-                    cyclic_accumulate(field, acc, a, b.codes)
+                for acc, a in zip(out[l:], twists[l % order]):
+                    if a:
+                        cyclic_accumulate(field, acc, a, b.codes)
         return SkewPoly(sigma, [RingElement(ctx, c) for c in out])
 
     def __rmul__(self, other):
@@ -246,52 +258,69 @@ class SkewPoly:
 
         h = sum_t z^t h_t is the right inverse of f as a power series.  The
         z^t coefficient of f h is sum_{i+j=t} sigma^i(f_j) h_i, so with
-        d = deg_z f
+        d = deg_z f and, for t >= 1,
 
-            sigma^t(f_0) h_t = delta_{t,0} - sum_{i=max(0,t-d)}^{t-1} sigma^i(f_{t-i}) h_i,
+            acc_t = sum_{i=max(0,t-d)}^{t-1} sigma^i(f_{t-i}) h_i,
 
-        and h_t is sigma^t(f_0^-1) times the right side.  Setting z = 0 is a
-        ring map onto A, so a unit's f_0 is a unit of A (RingContext.inv
-        decides).  On a fixed cycle {k}, eps_k A[z;sigma] is the domain
-        K_k[z;theta], whose units are constants, so a unit's f_j (j >= 1)
-        vanish mod g_fix; both shortcuts run first.  Then:
-        - if h_s, ..., h_{s+d-1} vanish, so does every later h_t, whose sum
-          reads only the d previous h_i; h is then a polynomial with f h = 1;
+        h_t = sigma^t(-f_0^-1) acc_t.  Setting z = 0 is a ring map onto A,
+        so a unit's f_0 is a unit of A (RingContext.inv decides).
+        - If h_s, ..., h_{s+d-1} vanish, so does every later h_t, whose sum
+          reads only the d previous h_i; h is then a polynomial with f h = 1.
         - f_0 a unit gives f a left inverse l as a power series too, and
           l = l (f h) = (l f) h = h, so a polynomial right inverse is the
-          two-sided inverse, and a unit's inverse is h itself;
-        - a unit's inverse has z-degree at most B, the largest
-          (dim_C - 1) d over the moved cycles C (on C, g f = 1 reads
-          vec_C(g) M_C = e_1 for the dim_C x dim_C matrix M_C of right
-          multiplication by f, with entries of degree <= d and a constant
-          determinant, so vec_C(g) = e_1 adj(M_C) / det M_C is made of
-          (dim_C - 1)-minors), and its part on the fixed cycles is constant.
-        So f is a unit iff h_{B+1}, ..., h_{B+d} vanish.  The scan stops at
-        the first run of d zeros (a unit) or at the first nonzero h_t past B
-        (not a unit).  sigma^i(f_j) and sigma^i(-f_0^-1) are twisted one
-        power at a time as the scan reaches them, and repeat with the order
-        of sigma; each product is one cyclic_accumulate on code lists.
+          two-sided inverse, and a unit's inverse is h itself.
+        - For a sigma-cycle C, eps_C, the sum of the eps_k over k in C, is
+          fixed by sigma, so it commutes with z and with A: it is central,
+          and A[z;sigma] is the product of the rings eps_C A[z;sigma].  f is
+          a unit iff every eps_C f is one, and eps_C h is then the inverse
+          of eps_C f in eps_C A[z;sigma].
+        - On a fixed cycle {k} that ring is the domain K_k[z;theta], whose
+          units are constants, so a unit's f_j (j >= 1) vanish mod g_fix;
+          this shortcut runs first, and after it every acc_t is 0 mod g_fix.
+        - On a moved cycle C that ring is the free F[z]-module of rank
+          dim_C = deg g_C in the basis x^i eps_C, and right multiplication
+          by f has a dim_C x dim_C matrix M_C with entries of degree <= d.
+          eps_C g f = eps_C reads vec_C(g) M_C = e_1, and for a unit det M_C
+          is a nonzero constant, so vec_C(g) = e_1 adj(M_C) / det M_C is
+          made of (dim_C - 1)-minors: eps_C h_t = 0 for t > B_C =
+          (dim_C - 1) d.
+        - sigma^t(-f_0^-1) is a unit of A, so eps_C h_t = 0 iff
+          eps_C acc_t = 0, that is iff acc_t mod g_C = 0.
+        So the scan stops at the first run of d zero steps (a unit), or at
+        the first acc_t, t > B_C, that is nonzero mod g_C (not a unit; past
+        the largest B_C a nonzero acc_t decides with no division).  The
+        cycles are tested shortest first, and a unit whose acc_t vanish past
+        the smallest B_C divides nothing.  sigma^i(f_j) and
+        sigma^i(-f_0^-1) come from _twists as the scan reaches them, and
+        repeat with the order of sigma; each product is one
+        cyclic_accumulate on code lists.
         """
         ctx = self.context
-        dims, fixed = self.sigma.unit_blocks
+        moved, fixed = self.sigma.unit_blocks
         if not self.coeffs:
             return None
-        if fixed is not None and any(c.as_poly() % fixed for c in self.coeffs[1:]):
+        field, n, d = ctx.field, ctx.n, len(self.coeffs) - 1
+        if fixed is not None and any(
+            any(_divide(field, list(c.codes), fixed)[: len(fixed)]) for c in self.coeffs[1:]
+        ):
             return None
         try:
             f0_inv = ctx.inv(self.coeffs[0])
         except NotAUnit:
             return None
-        field, n, d = ctx.field, ctx.n, len(self.coeffs) - 1
-        bound = (max(dims, default=1) - 1) * d
-        rows, order = self.sigma._power_matrix, self.sigma.order
+        # B_C for the moved cycles, shortest first, beside their division rows
+        bounds = [((len(row) - 1) * d, row) for row in moved]
+        bound = bounds[-1][0] if bounds else 0
+        order = self.sigma.order
         # twists[i] = [sigma^i(-f_0^-1), sigma^i(f_1), ..., sigma^i(f_d)], None for 0
-        twists = [[(-f0_inv).codes] + [c.codes if c else None for c in self.coeffs[1:]]]
+        tail = [c.codes if c else None for c in self.coeffs[1:]]
+        draw = _twists(self.sigma, [(-f0_inv).codes] + tail)
+        twists = [next(draw)]
         h, run, t = [f0_inv.codes], 0, 0
         while run < d:
             t += 1
             if t < order:
-                twists.append([c and accumulate_rows(field, [0] * n, c, rows) for c in twists[-1]])
+                twists.append(next(draw))
             acc = [0] * n
             for i in range(max(0, t - d), t):
                 a = twists[i % order][t - i]
@@ -300,6 +329,11 @@ class SkewPoly:
             if any(acc):
                 if t > bound:
                     return None
+                for b, row in bounds:
+                    if b >= t:
+                        break
+                    if any(_divide(field, list(acc), row)[: len(row)]):
+                        return None
                 h.append(cyclic_accumulate(field, [0] * n, twists[t % order][0], acc))
                 run = 0
             else:
@@ -309,7 +343,8 @@ class SkewPoly:
 
     def is_unit(self) -> bool:
         """Exact unit test: the power-series inverse of _series_inverse ends
-        within the adjugate bound.  No matrix over F[z] is formed."""
+        within each sigma-cycle's adjugate bound.  No matrix over F[z] is
+        formed."""
         return self._series_inverse() is not None
 
     def unit_inverse(self) -> "SkewPoly":

@@ -22,6 +22,7 @@ from skewcyclic.distance import (
     weight,
 )
 from skewcyclic.errors import (
+    BothZero,
     NotMinimal,
     NotRightInvertible,
     ParseError,
@@ -467,6 +468,22 @@ def unit_inverse_by_solving(f):
     return SkewPoly(
         f.sigma, [ctx.from_codes(sol[l * n : (l + 1) * n]) for l in range(D + 1)]
     )
+
+
+def poly_ext_gcd_by_polys(f: Poly, g: Poly):
+    """Test-only oracle for fields.poly_ext_gcd: the same Euclid on Poly
+    objects, (d, u) with u*f = d mod g, d the monic gcd of f and g."""
+    field = f.field
+    r0, r1 = f, g
+    u0, u1 = Poly.one(field), Poly.zero(field)
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+    if r0.is_zero():
+        raise BothZero("gcd(0, 0) is undefined")
+    lc_inv = field.inv_c(r0.lc())
+    return r0.scale(lc_inv), u0.scale(lc_inv)
 
 
 def factor_squarefree_trial(f: Poly):

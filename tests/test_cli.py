@@ -358,6 +358,11 @@ _GOOD_DESC = {
         {**_GOOD_DESC, "recipe": {"l": 2, "d": 1, "scalars": 5}},
         {**_GOOD_DESC, "recipe": {"l": 2, "d": 1, "scalars": [1]}},
         {**_GOOD_DESC, "expected": 5},
+        {**_GOOD_DESC, "expected": 0},
+        {**_GOOD_DESC, "expected": []},
+        {**_GOOD_DESC, "expected": ""},
+        {**_GOOD_DESC, "expected": False},
+        {**_GOOD_DESC, "expected": None},
         {**_GOOD_DESC, "generator": 5},
         {**_GOOD_DESC, "sigma": 7},
         {**_GOOD_DESC, "field": 4},
@@ -381,7 +386,9 @@ _GOOD_DESC = {
     ids=[
         "top-level-number", "top-level-string", "recipe-not-object",
         "components-not-list", "components-empty", "scalars-not-list",
-        "scalar-not-string", "expected-not-object", "generator-not-string",
+        "scalar-not-string", "expected-not-object", "expected-zero",
+        "expected-empty-list", "expected-empty-string", "expected-false",
+        "expected-null", "generator-not-string",
         "sigma-not-string", "field-not-string", "flat-recipe",
         "sigma-missing", "component-without-d",
         "n-float", "n-string", "n-bool", "l-float", "d-float", "d-bool",

@@ -5,7 +5,12 @@ import time
 
 import pytest
 
-from helpers import cyclotomic_coset_sizes, factor_squarefree_trial, field_tables_by_residues
+from helpers import (
+    cyclotomic_coset_sizes,
+    factor_squarefree_trial,
+    field_tables_by_residues,
+    poly_ext_gcd_by_polys,
+)
 from skewcyclic import make_field, poly_gcd, factor_xn_minus_1
 from skewcyclic.errors import (
     BadParameters,
@@ -23,6 +28,7 @@ from skewcyclic.fields import (
     cross_difference,
     is_irreducible,
     monic_polys,
+    poly_ext_gcd,
 )
 
 
@@ -245,6 +251,40 @@ def test_poly_gcd_examples(F2, F4):
     assert poly_gcd(f2a, f2b) == Poly.one(F2)
     with pytest.raises(BothZero):
         poly_gcd(Poly.zero(F2), Poly.zero(F2))
+
+
+@pytest.mark.parametrize("p,deg", PINNED_FIELDS)
+def test_ext_gcd_matches_poly_euclid(p, deg):
+    """The code-list poly_ext_gcd returns the (d, u) of the same Euclid on
+    Poly objects (helpers.poly_ext_gcd_by_polys), on random pairs: coprime
+    and not (a common factor of degree 1-3 multiplied in), either degree
+    the larger, f = 0 and g = 0; gcd(0, 0) raises BothZero on both."""
+    field = make_field(p, deg)
+    rng = random.Random(f"ext-gcd:{p}:{deg}")
+
+    def rand(lo, hi):
+        return Poly(field, [rng.randrange(field.q) for _ in range(rng.randint(lo, hi))] + [1])
+
+    zero = Poly.zero(field)
+    pairs = [(zero, rand(0, 4)), (rand(0, 4), zero), (rand(5, 8), rand(0, 4))]
+    for _ in range(30):
+        f, g = rand(0, 6), rand(0, 6)
+        if rng.random() < 0.4:
+            c = rand(1, 3)
+            f, g = f * c, g * c
+        pairs.append((f.scale(rng.randrange(1, field.q)), g.scale(rng.randrange(1, field.q))))
+    shared = 0
+    for f, g in pairs:
+        d, u = poly_ext_gcd(f, g)
+        assert (d, u) == poly_ext_gcd_by_polys(f, g), (f, g)
+        assert d.lc() == 1 and (f % d).is_zero() and (g % d).is_zero()
+        if not g.is_zero():
+            assert ((u * f - d) % g).is_zero()
+        shared += d.degree > 0
+    assert shared > 0
+    for ext_gcd in (poly_ext_gcd, poly_ext_gcd_by_polys):
+        with pytest.raises(BothZero):
+            ext_gcd(zero, zero)
 
 
 def test_poly_divmod_roundtrip(F4):

@@ -107,6 +107,20 @@ def test_one_procedure_decides_right_invertibility():
     assert callers == {"complexity", "strong_equivalence"}, calls
 
 
+def test_unit_series_on_code_lists_with_one_twist_helper():
+    """SkewPoly._series_inverse builds no Poly (no as_poly, no Poly call).
+    It and SkewPoly.__mul__ draw sigma^l of their coefficients from
+    skew._twists, the only place in skew.py that applies sigma to a code
+    list (accumulate_rows over sigma's matrix)."""
+    path = PACKAGE / "skew.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = list(_calls_in_functions(tree, {"as_poly", "Poly", "_twists", "accumulate_rows"}))
+    series = {name for func, name, _ in calls if func == "_series_inverse"}
+    assert series == {"_twists"}, calls
+    assert {func for func, name, _ in calls if name == "_twists"} == {"__mul__", "_series_inverse"}
+    assert {func for func, name, _ in calls if name == "accumulate_rows"} == {"_twists"}
+
+
 def test_cli_import_leaves_heavy_stdlib_unloaded():
     """Importing the CLI loads none of dataclasses, importlib.resources or
     what they pull in.  The interpreter starts without `site` (-S), and only

@@ -586,6 +586,66 @@ def test_unit_series_matches_cycle_and_solving_oracles(field_text, n):
         assert wraps > 0
 
 
+@pytest.mark.parametrize(
+    "field_text,n,cycles",
+    [
+        ("GF(3)", 8, [(1, 2), (3, 4, 5)]),
+        ("GF(8):y^3+y+1", 7, [(1, 2), (3, 4, 5)]),
+        ("GF(5)", 4, [(1, 2), (3, 4)]),
+        ("GF(9):y^2+1", 4, [(1, 2), (3, 4)]),
+    ],
+    ids=str,
+)
+def test_unit_decision_fails_on_each_moved_cycle(field_text, n, cycles):
+    """_series_inverse bounds each moved sigma-cycle C by its own
+    B_C = (dim_C - 1) d.  For units u = c * prod over the moved cycles of
+    unit_product(C, d scalars), d = 1, 2, 3, and for the non-units
+    u * (1 + z a e_C), which fail on one moved cycle C each, in turn, the
+    decision and the inverse agree with helpers.is_unit_by_components (one
+    determinant per cycle), and a unit's inverse is two-sided."""
+    rng = random.Random(f"cycles:{field_text}:{n}")
+    sig = _sigma_by_cycles(parse_field(field_text), n, cycles)
+    ctx = sig.context
+    one = SkewPoly.one(sig)
+    moved = [c for c in sig.cycles if len(c) > 1]
+    assert len(moved) == 2
+    for d in (1, 2, 3):
+        u = SkewPoly.constant(sig, _some_units(ctx, rng, 1)[0])
+        for cyc in moved:
+            u = u * unit_product(sig, cyc[0], _some_units(ctx, rng, d))
+        assert is_unit_by_components(u) and u.is_unit(), u
+        inverse = u.unit_inverse()
+        assert inverse * u == u * inverse == one
+        for cyc in moved:
+            e_c = sum((ctx.idempotent(k) for k in cyc), ctx.zero)
+            f = u * (one + SkewPoly.z_power(sig, 1, _some_units(ctx, rng, 1)[0] * e_c))
+            assert not is_unit_by_components(f), (cyc, f)
+            assert not f.is_unit(), (cyc, f)
+            with pytest.raises(NotAUnit):
+                f.unit_inverse()
+
+
+def test_unit_inverse_above_a_smaller_cycle_bound():
+    """Over GF(3) n=8 with sigma = (1,2)(3,4,5), N = z^2 (a eps_3 + b eps_5)
+    has N^3 = 0 and N^2 = z^4 sigma^2(a) b eps_5 != 0, so 1 + N is a unit
+    whose inverse 1 - N + N^2 has z-degree 4.  That is above
+    B_(1,2) = (2 - 1) * 2 = 2, so the scan tests the (1,2) projection on a
+    unit, and it must pass; on (3,4,5) the bound is (6 - 1) * 2 = 10."""
+    sig = _sigma_by_cycles(make_field(3, 1), 8, [(1, 2), (3, 4, 5)])
+    ctx = sig.context
+    moved, _ = sig.unit_blocks
+    assert [len(row) for row in moved] == [2, 6]
+    a, b = ctx.element([1, 2, 0, 1]), ctx.element([2, 0, 1, 1])
+    assert ctx.is_unit(a) and ctx.is_unit(b)
+    N = SkewPoly.z_power(sig, 2, a * ctx.idempotent(3) + b * ctx.idempotent(5))
+    one = SkewPoly.one(sig)
+    f = one + N
+    inverse = one - N + N * N
+    assert inverse.degree == 4 > (len(moved[0]) - 1) * f.degree
+    assert is_unit_by_components(f) and f.is_unit()
+    assert f.unit_inverse() == inverse == unit_inverse_by_solving(f)
+
+
 def test_simple_unit_examples(sig43, sig27):
     ctx = sig43.context
     u = simple_unit(sig43, ctx.one, 1, 2)
