@@ -33,9 +33,9 @@ class MinimalCodeRecipe(_RecipeFields):
     """One minimal code: component l, target Forney index d, unit scalars.
 
     Checked when made: 0 <= d <= MAX_Z_DEGREE (the z-degree of the
-    generator), sigma moves eps_l when d > 0, and exactly d scalars, each a
-    unit of A; int scalars become ring elements, and no scalars means
-    `default_scalars`."""
+    generator), l in 1..r, sigma moves eps_l when d > 0, and exactly d
+    scalars, each a unit of A; int scalars become ring elements, and no
+    scalars means `default_scalars`."""
 
     __slots__ = ()
 
@@ -44,7 +44,7 @@ class MinimalCodeRecipe(_RecipeFields):
             raise BadParameters("Forney index must be >= 0")
         if d > MAX_Z_DEGREE:
             raise BadParameters(f"Forney index must be <= MAX_Z_DEGREE = {MAX_Z_DEGREE}")
-        if d > 0 and sigma.l_order(l) == 1:
+        if sigma.l_order(l) == 1 and d > 0:  # l_order checks l in 1..r
             raise FixedIdempotent(f"sigma fixes eps_{l}: positive complexity is impossible there")
         ctx = sigma.context
         scalars = tuple(

@@ -8,6 +8,7 @@ remainder isomorphism onto prod F[x]/(pi_k).  Component indices are
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 from .errors import (
@@ -61,13 +62,8 @@ class RingContext:
         self.r = len(self.factors)
         self.kappas = tuple(int(f.degree) for f in self.factors)
         # partition of {1..r} into runs of equal factor degree
-        classes = []
-        for k, kappa in enumerate(self.kappas, start=1):
-            if classes and self.kappas[classes[-1][0] - 1] == kappa:
-                classes[-1].append(k)
-            else:
-                classes.append([k])
-        self.degree_classes = tuple(tuple(c) for c in classes)
+        runs = itertools.groupby(range(1, self.r + 1), key=lambda k: self.kappas[k - 1])
+        self.degree_classes = tuple(tuple(run) for _, run in runs)
         # eps_k = u*m_k with cofactor m_k = (x^n-1)/pi_k, u its inverse mod pi_k
         idems = []
         for pi in self.factors:
@@ -128,8 +124,6 @@ class RingContext:
 
     def elements(self):
         """All q^n ring elements (use only at desk scale)."""
-        import itertools
-
         for codes in itertools.product(range(self.field.q), repeat=self.n):
             yield RingElement(self, codes)
 
@@ -154,18 +148,25 @@ class RingContext:
     def component(self, a: "RingElement", k: int) -> "RingElement":
         return self.idempotent(k) * self._check(a)
 
+    def _inverse_codes(self, a: "RingElement"):
+        """The codes of a^-1, or None when a is no unit, from one extended gcd:
+        u*a = d mod x^n - 1 with d the monic gcd, a is a unit iff d = 1, and
+        then deg u < n."""
+        d, u = poly_ext_gcd(self._check(a).as_poly(), self.modulus)
+        if d.degree != 0:
+            return None
+        return u.codes + (0,) * (self.n - len(u.codes))
+
     def is_unit(self, a: "RingElement") -> bool:
-        self._check(a)
-        return all(not part.is_zero() for part in self.crt_forward(a).parts)
+        """By the extended gcd of `inv`: true iff inv(a) does not raise."""
+        return self._inverse_codes(a) is not None
 
     def inv(self, a: "RingElement") -> "RingElement":
-        """a^-1 from one extended gcd against x^n - 1: u*a = d mod x^n - 1,
-        and a is a unit iff the monic gcd d is 1."""
-        self._check(a)
-        d, u = poly_ext_gcd(a.as_poly(), self.modulus)
-        if d.degree != 0:
-            raise NotAUnit(f"{a} shares the factor {d} with x^{self.n} - 1")
-        return self.from_poly(u)
+        """a^-1 by `_inverse_codes`; NotAUnit when a is no unit."""
+        codes = self._inverse_codes(a)
+        if codes is None:
+            raise NotAUnit(f"{a} shares a factor with x^{self.n} - 1")
+        return RingElement(self, codes)
 
     def normalize_to_idempotent_sum(self, a: "RingElement"):
         """Return (unit b, support) with b*a = sum of idempotents over the support."""

@@ -20,6 +20,7 @@ from itertools import islice
 from types import MappingProxyType
 
 from .errors import (
+    BadParameters,
     DecompositionNotFound,
     FixedIdempotent,
     IndexOutOfRange,
@@ -78,6 +79,9 @@ class SkewPoly:
 
     @classmethod
     def z_power(cls, sigma, d: int, coeff: RingElement = None):
+        """z^d coeff (coeff 1 when omitted); BadParameters for d < 0."""
+        if d < 0:
+            raise BadParameters(f"negative z-power {d}")
         ctx = sigma.context
         coeff = ctx.one if coeff is None else ctx._check(coeff)
         return cls(sigma, (ctx.zero,) * d + (coeff,))
@@ -263,7 +267,7 @@ class SkewPoly:
             acc_t = sum_{i=max(0,t-d)}^{t-1} sigma^i(f_{t-i}) h_i,
 
         h_t = sigma^t(-f_0^-1) acc_t.  Setting z = 0 is a ring map onto A,
-        so a unit's f_0 is a unit of A (RingContext.inv decides).
+        so a unit's f_0 is a unit of A (RingContext._inverse_codes decides).
         - If h_s, ..., h_{s+d-1} vanish, so does every later h_t, whose sum
           reads only the d previous h_i; h is then a polynomial with f h = 1.
         - f_0 a unit gives f a left inverse l as a power series too, and
@@ -304,9 +308,8 @@ class SkewPoly:
             any(_divide(field, list(c.codes), fixed)[: len(fixed)]) for c in self.coeffs[1:]
         ):
             return None
-        try:
-            f0_inv = ctx.inv(self.coeffs[0])
-        except NotAUnit:
+        f0_inv = ctx._inverse_codes(self.coeffs[0])
+        if f0_inv is None:
             return None
         # B_C for the moved cycles, shortest first, beside their division rows
         bounds = [((len(row) - 1) * d, row) for row in moved]
@@ -314,9 +317,9 @@ class SkewPoly:
         order = self.sigma.order
         # twists[i] = [sigma^i(-f_0^-1), sigma^i(f_1), ..., sigma^i(f_d)], None for 0
         tail = [c.codes if c else None for c in self.coeffs[1:]]
-        draw = _twists(self.sigma, [(-f0_inv).codes] + tail)
+        draw = _twists(self.sigma, [[field._neg[c] for c in f0_inv]] + tail)
         twists = [next(draw)]
-        h, run, t = [f0_inv.codes], 0, 0
+        h, run, t = [f0_inv], 0, 0
         while run < d:
             t += 1
             if t < order:
@@ -420,7 +423,9 @@ def elementary_unit(sigma: Automorphism, d: int, a: RingElement, l: int) -> Skew
 
 def is_elementary_unit(sigma: Automorphism, d: int, a: RingElement, l: int) -> bool:
     """Unit criterion: a^(l) != -eps_l if d = 0; a^(l) = 0 or o_l does not
-    divide d if d > 0."""
+    divide d if d > 0.  BadParameters for d < 0."""
+    if d < 0:
+        raise BadParameters(f"negative z-power {d}")
     ctx = sigma.context
     al = ctx.component(a, l)
     if d == 0:

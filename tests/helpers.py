@@ -30,7 +30,7 @@ from skewcyclic.errors import (
     StateCapExceeded,
     ZeroPolynomial,
 )
-from skewcyclic.fields import NEG_INF, FieldSpec, Poly, monic_polys, poly_gcd
+from skewcyclic.fields import NEG_INF, FieldElement, FieldSpec, Poly, monic_polys, poly_gcd
 from skewcyclic.literals import parse_element
 from skewcyclic.packed import _word_ops
 from skewcyclic.ring import CrtVector
@@ -50,6 +50,15 @@ SWEEP_CONTEXTS = (
     ("GF(9):y^2+1", 4),
     ("GF(8):y^3+y+1", 7),
 )
+
+
+# (p, deg): the fields whose tables are checked against residue arithmetic
+# and whose factors of x^n - 1 are pinned
+PINNED_FIELDS = [
+    (2, 1), (3, 1), (5, 1), (7, 1), (251, 1),
+    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2),
+    (2, 7), (2, 8), (3, 4), (3, 5), (5, 3), (11, 2), (13, 2),
+]
 
 
 def crt_round_trip(ctx, samples, seed):
@@ -108,6 +117,32 @@ def automorphisms_by_crt_lift(ctx):
             sigma_x = ctx.crt_backward(CrtVector(ctx, tuple(parts)))
             out.append((sigma_x, perm, _cycles_by_walk(perm)))
     return out
+
+
+def automorphism_perm_by_rank(ctx, a):
+    """The permutation x -> a induces on the primitive idempotents, or None
+    when it is no automorphism, by the full criterion: a^n = 1, the powers
+    1, a, ..., a^(n-1) of rank n over F, and the primitive idempotents
+    permuted.  Each image is the polynomial eps_k(a), evaluated in A."""
+    n = ctx.n
+    if a ** n != ctx.one:
+        return None
+    powers = [a ** i for i in range(n)]
+    if linalg.rank(ctx.field, [p.codes for p in powers]) != n:
+        return None
+    by_codes = {e.codes: k for k, e in enumerate(ctx.idempotents, start=1)}
+    perm = []
+    for e in ctx.idempotents:
+        terms = (p * FieldElement(ctx.field, c) for p, c in zip(powers, e.codes) if c)
+        perm.append(by_codes.get(sum(terms, ctx.zero).codes))
+    if None in perm or len(set(perm)) != ctx.r:
+        return None
+    return tuple(perm)
+
+
+def is_unit_by_crt_residues(ctx, a):
+    """a is a unit of A iff no residue a mod pi_k vanishes."""
+    return all(not part.is_zero() for part in ctx.crt_forward(a).parts)
 
 
 def all_element_codes(ctx):

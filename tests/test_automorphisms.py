@@ -23,7 +23,7 @@ from skewcyclic.errors import (
 )
 from skewcyclic.literals import parse_field
 
-from helpers import SWEEP_CONTEXTS, automorphisms_by_crt_lift
+from helpers import SWEEP_CONTEXTS, automorphism_perm_by_rank, automorphisms_by_crt_lift
 
 
 def test_x5_induces_transposition(ctx27, sig27):
@@ -66,6 +66,60 @@ def test_rejects_non_automorphism(ctx27):
     # a^n = 1 but powers dependent: a = 1
     with pytest.raises(NotAnAutomorphism):
         Automorphism(ctx27, ctx27.one)
+
+
+@pytest.mark.parametrize(
+    "field, n",
+    [("GF(2)", 7), ("GF(4):y^2+y+1", 3), ("GF(3)", 4), ("GF(5)", 4), ("GF(4):y^2+y+1", 5)],
+)
+def test_validation_agrees_with_rank_oracle(field, n):
+    """Over every a in A, Automorphism(A, a) succeeds iff the full criterion
+    (a^n = 1, powers of rank n, idempotents permuted) accepts a, with the
+    same permutation; otherwise it raises NotAnAutomorphism.  The accepted
+    images are the whole group."""
+    ctx = RingContext(parse_field(field), n)
+    accepted = 0
+    for a in ctx.elements():
+        want = automorphism_perm_by_rank(ctx, a)
+        try:
+            got = Automorphism(ctx, a).perm
+        except NotAnAutomorphism:
+            got = None
+        assert got == want, a
+        accepted += got is not None
+    assert accepted == automorphism_count(ctx)
+
+
+def test_rejection_names_primitive_idempotents(ctx27):
+    """a = 1 has a^n = 1 but sends every eps_k to 0 or 1."""
+    with pytest.raises(NotAnAutomorphism, match="maps to no primitive idempotent"):
+        Automorphism(ctx27, ctx27.one)
+
+
+def test_apply_reduces_every_power_mod_order(monkeypatch, ctx27, ctx87, sig87):
+    """apply(a, p) equals apply(a, p % order) for huge powers of either
+    sign, and maps a code list fewer than order times (the counting wrapper
+    stops a run that reaches order maps)."""
+    sigmas = enumerate_automorphisms(ctx27) + [sig87]
+    assert {s.order for s in sigmas} == {1, 2, 3, 6}
+    calls = []
+    once = Automorphism._apply_once
+
+    def counted(self, codes):
+        calls.append(1)
+        if len(calls) >= self.order:
+            raise AssertionError(f"{self} mapped {len(calls)} times")
+        return once(self, codes)
+
+    for s in sigmas:
+        a = s.context.from_codes([(3 * i + 1) % s.context.field.q for i in range(s.context.n)])
+        for p in (10 ** 18, 10 ** 18 + 1, -(10 ** 18 + 1)):
+            want = s.apply(a, p % s.order)
+            monkeypatch.setattr(Automorphism, "_apply_once", counted)
+            calls.clear()
+            assert s.apply(a, p) == want, (s, p)
+            assert len(calls) == p % s.order < s.order, (s, p)
+            monkeypatch.setattr(Automorphism, "_apply_once", once)
 
 
 def test_sigma_equiv_classes(ctx27, sig27, ctx87, sig87):

@@ -23,6 +23,7 @@ from skewcyclic.errors import (
     BadParameters,
     ComponentMismatch,
     FixedIdempotent,
+    IndexOutOfRange,
     NonUnitScalar,
     NotAUnit,
     OverlappingCycles,
@@ -51,6 +52,14 @@ def test_minimal_code_block_case(sig43, ctx43):
 def test_minimal_code_rejects_fixed_idempotent(sig43):
     with pytest.raises(FixedIdempotent):
         MinimalCodeRecipe(sig43, 1, 1)
+
+
+@pytest.mark.parametrize("l", [0, 4, 99])
+@pytest.mark.parametrize("d", [0, 1])
+def test_minimal_code_recipe_checks_component_index(sig43, l, d):
+    """l outside 1..r is refused when the recipe is made, for d = 0 too."""
+    with pytest.raises(IndexOutOfRange, match=rf"^component index {l} not in 1\.\.3$"):
+        MinimalCodeRecipe(sig43, l, d)
 
 
 def test_minimal_code_recipe_checks_and_scalars(sig43, ctx43):

@@ -339,6 +339,17 @@ def test_build_fixed_idempotent_exit_4(tmp_path, capsys):
     assert "FixedIdempotent" in err
 
 
+@pytest.mark.parametrize("d", [0, 1])
+def test_build_component_index_out_of_range_exit_4(tmp_path, capsys, d):
+    """A recipe component index past r exits 4 with the index named, for
+    d = 0 too, where no scalar or cycle order is read."""
+    desc = {"field": "GF(4):y^2+y+1", "n": 3, "sigma": "x^2", "recipe": {"l": 99, "d": d}}
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(desc))
+    code, out, err = run(capsys, "build", "--recipe", str(path))
+    assert (code, out, err) == (4, "", "IndexOutOfRange: component index 99 not in 1..3\n")
+
+
 _GOOD_DESC = {
     "field": "GF(4):y^2+y+1",
     "n": 3,

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from helpers import (
+    PINNED_FIELDS,
     cyclotomic_coset_sizes,
     factor_squarefree_trial,
     field_tables_by_residues,
@@ -154,15 +155,6 @@ def test_factor_properties_and_oracle(spec, n):
         assert poly_gcd(f, g) == Poly.one(field)
     # independent oracle: trial division in lex order
     assert list(fs) == factor_squarefree_trial(target)
-
-
-# (p, deg): the fields whose tables are checked against residue arithmetic
-# and whose factors of x^n - 1 are pinned
-PINNED_FIELDS = [
-    (2, 1), (3, 1), (5, 1), (7, 1), (251, 1),
-    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2),
-    (2, 7), (2, 8), (3, 4), (3, 5), (5, 3), (11, 2), (13, 2),
-]
 
 
 # (p, deg) of every field with q <= MAX_FIELD_SIZE

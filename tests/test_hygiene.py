@@ -121,6 +121,53 @@ def test_unit_series_on_code_lists_with_one_twist_helper():
     assert {func for func, name, _ in calls if name == "accumulate_rows"} == {"_twists"}
 
 
+def test_automorphisms_reference_no_linalg():
+    """Automorphism validation needs no rank: the permuted primitive
+    idempotents imply bijectivity, so automorphisms.py neither imports nor
+    names linalg."""
+    path = PACKAGE / "automorphisms.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "linalg")
+        or (isinstance(node, ast.Attribute) and node.attr == "linalg")
+        or (isinstance(node, ast.alias) and "linalg" in node.name.split("."))
+        or (isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "").split("."))
+    ]
+    assert not found, f"linalg referenced at lines {found}"
+
+
+def _method_calls(path, cls):
+    """{method name: names it calls} for the methods of class `cls`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (node,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls]
+    return {
+        method.name: {
+            call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+            for call in ast.walk(method)
+            if isinstance(call, ast.Call)
+        }
+        for method in node.body
+        if isinstance(method, ast.FunctionDef)
+    }
+
+
+def test_units_of_a_by_one_euclid():
+    """RingContext.is_unit and RingContext.inv, and the unit series of the
+    skew ring, reach poly_ext_gcd through one helper and never through the
+    CRT residues; only that helper and the idempotent set-up call it."""
+    ring = _method_calls(PACKAGE / "ring.py", "RingContext")
+    callers = {m for m, names in ring.items() if "poly_ext_gcd" in names}
+    helpers = callers - {"__init__"}
+    assert len(helpers) == 1, callers
+    (helper,) = helpers
+    skew = _method_calls(PACKAGE / "skew.py", "SkewPoly")
+    for calls in (ring["is_unit"], ring["inv"], skew["_series_inverse"]):
+        assert helper in calls, calls
+        assert not {"poly_ext_gcd", "crt_forward", "inv"} & calls, calls
+
+
 def test_cli_import_leaves_heavy_stdlib_unloaded():
     """Importing the CLI loads none of dataclasses, importlib.resources or
     what they pull in.  The interpreter starts without `site` (-S), and only

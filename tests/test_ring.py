@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from skewcyclic import RingContext
+from skewcyclic import RingContext, make_field
 from skewcyclic.errors import (
     BadParameters,
     IndexOutOfRange,
@@ -17,7 +17,7 @@ from skewcyclic.fields import Poly, factor_xn_minus_1
 from skewcyclic.literals import parse_field
 from skewcyclic.ring import CrtVector
 
-from helpers import SWEEP_CONTEXTS, crt_round_trip
+from helpers import PINNED_FIELDS, SWEEP_CONTEXTS, crt_round_trip, is_unit_by_crt_residues
 
 
 def test_context_rejects_noncoprime(F2):
@@ -145,6 +145,31 @@ def test_unit_examples(ctx27):
     assert ctx27.inv(a) * a == ctx27.one
     with pytest.raises(NotAUnit):
         ctx27.inv(ctx27.idempotent(2))
+
+
+@pytest.mark.parametrize("p,deg", PINNED_FIELDS)
+def test_is_unit_agrees_with_crt_residues_and_inv(p, deg):
+    """is_unit(a) holds iff no CRT residue of a vanishes, iff inv(a) does
+    not raise, and inv(a) * a = 1 then: for three lengths per field, on
+    random elements, 0, 1, each idempotent and each cofactor (x^n-1)/pi_k."""
+    field = make_field(p, deg)
+    rng = random.Random(f"is-unit:{p}:{deg}")
+    non_units = 0
+    for n in [n for n in (1, 5, 7, 8) if n % p][:3]:
+        ctx = RingContext(field, n)
+        elements = [ctx.zero, ctx.one, *ctx.idempotents]
+        elements += [ctx.from_poly(ctx.modulus.exact_div(pi)) for pi in ctx.factors]
+        elements += [ctx.from_codes([rng.randrange(field.q) for _ in range(n)]) for _ in range(6)]
+        for a in elements:
+            unit = ctx.is_unit(a)
+            assert unit == is_unit_by_crt_residues(ctx, a), (ctx, a)
+            if unit:
+                assert ctx.inv(a) * a == ctx.one, (ctx, a)
+            else:
+                non_units += 1
+                with pytest.raises(NotAUnit):
+                    ctx.inv(a)
+    assert non_units > 0
 
 
 @pytest.mark.parametrize("ctx_name", ["ctx27", "ctx43", "ctx45"])

@@ -35,6 +35,7 @@ from skewcyclic import (
     unit_product,
 )
 from skewcyclic.errors import (
+    BadParameters,
     FixedIdempotent,
     MixedAlgebras,
     NonUnitScalar,
@@ -681,6 +682,22 @@ def test_elementary_unit_criterion(sig43, sig27):
     a0 = ctx.idempotent(1)
     assert is_elementary_unit(sig43, 2, a0, 2)
     assert elementary_unit(sig43, 2, a0, 2).is_unit()
+
+
+@pytest.mark.parametrize("d", [-1, -3])
+def test_negative_z_power_refused(sig27, d):
+    """z^d with d < 0 is not in A[z;sigma]: z_power, elementary_unit,
+    is_elementary_unit and elementary_unit_inverse raise BadParameters
+    rather than read it as the constant 1."""
+    ctx = sig27.context
+    with pytest.raises(BadParameters, match="negative z-power"):
+        SkewPoly.z_power(sig27, d)
+    with pytest.raises(BadParameters, match="negative z-power"):
+        SkewPoly.z_power(sig27, d, ctx.x)
+    for check in (elementary_unit, is_elementary_unit, elementary_unit_inverse):
+        with pytest.raises(BadParameters, match="negative z-power"):
+            check(sig27, d, ctx.one, 2)
+    assert SkewPoly.z_power(sig27, 0, ctx.x) == SkewPoly.constant(sig27, ctx.x)
 
 
 def test_elementary_criterion_matches_unit_test_exhaustive(sig43):
