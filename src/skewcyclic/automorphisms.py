@@ -20,10 +20,16 @@ import itertools
 import math
 import operator
 
-from .errors import ClassViolation, IndexOutOfRange, NotAnAutomorphism, SearchSpaceTooLarge
+from .errors import (
+    BadParameters,
+    ClassViolation,
+    IndexOutOfRange,
+    NotAnAutomorphism,
+    SearchSpaceTooLarge,
+)
 from .fields import Poly
 from .packed import _unpacker, _word_ops
-from .ring import CrtVector, RingContext, RingElement, accumulate_rows
+from .ring import CrtVector, RingContext, RingElement, accumulate_rows, sparse_row
 
 # enumerate_automorphisms refuses larger groups (GF(2), n = 31 has 11,250,000)
 MAX_LISTED_AUTOMORPHISMS = 10 ** 5
@@ -31,14 +37,12 @@ MAX_LISTED_AUTOMORPHISMS = 10 ** 5
 MAX_BRUTEFORCE_CANDIDATES = 10 ** 6
 
 
-def _power_rows(context: RingContext, sigma_x: RingElement, count: int) -> tuple:
-    """Coefficient codes of sigma(x)^i = sigma(x^i) for 0 <= i < count."""
-    rows = []
-    power = context.one
-    for _ in range(count):
-        rows.append(power.codes)
-        power = power * sigma_x
-    return tuple(rows)
+def _powers(context: RingContext, sigma_x: RingElement, count: int) -> list:
+    """sigma(x)^i = sigma(x^i) for 0 <= i < count."""
+    powers = [context.one]
+    for _ in range(count - 1):
+        powers.append(powers[-1] * sigma_x)
+    return powers
 
 
 class Automorphism:
@@ -52,10 +56,10 @@ class Automorphism:
         an ideal without eps_k.  So phi is injective on A = sum K_k: bijective."""
         context._check(sigma_x)
         n = context.n
-        rows = _power_rows(context, sigma_x, n + 1)
-        if rows[n] != context.one.codes:
+        powers = _powers(context, sigma_x, n + 1)
+        if powers.pop() != context.one:
             raise NotAnAutomorphism(f"({sigma_x})^{n} != 1")
-        rows = rows[:n]
+        rows = tuple(sparse_row(p.codes) for p in powers)
         by_codes = {e.codes: k for k, e in enumerate(context.idempotents, start=1)}
         perm = tuple(
             by_codes.get(tuple(accumulate_rows(context.field, [0] * n, e.codes, rows)))
@@ -86,8 +90,10 @@ class Automorphism:
 
     @functools.cached_property
     def _power_matrix(self) -> tuple:
-        """Row i holds the codes of sigma(x^i); built on first use."""
-        return _power_rows(self.context, self.sigma_x, self.context.n)
+        """Row i is the sparse row (`ring.sparse_row`) of sigma(x^i), the
+        layout accumulate_rows applies sigma through; built on first use."""
+        powers = _powers(self.context, self.sigma_x, self.context.n)
+        return tuple(sparse_row(p.codes) for p in powers)
 
     @functools.cached_property
     def _cycle_of(self) -> dict:
@@ -212,13 +218,14 @@ def _roots_in_component(ctx: RingContext, l: int, m: int, count: int = None):
     field = ctx.field
     pi_l, pi_m = ctx.factors[l - 1], ctx.factors[m - 1]
     kappa = int(pi_m.degree)
+    one = sparse_row((1,))
     for codes in itertools.product(range(field.q), repeat=kappa):
         beta = Poly(field, codes)
         # pi_l(beta) mod pi_m, from the powers beta^i mod pi_m, i <= kappa
-        power, powers = beta, [(1,), beta.codes]
+        power, powers = beta, [one, sparse_row(beta.codes)]
         for _ in range(kappa - 1):
             power = power * beta % pi_m
-            powers.append(power.codes)
+            powers.append(sparse_row(power.codes))
         if not any(accumulate_rows(field, [0] * kappa, pi_l.codes, powers)):
             break
     else:
@@ -313,9 +320,17 @@ def find_automorphism_for_permutation(ctx: RingContext, target) -> Automorphism:
 
 
 def permutation_from_cycles(r: int, cycles) -> tuple:
-    """Expand a cycle list like [(2,3)] into a 1-based permutation tuple."""
+    """Expand a list of disjoint cycles like [(2,3)] into a 1-based
+    permutation tuple of 1..r.  IndexOutOfRange for an index outside 1..r,
+    BadParameters for an index named twice."""
     perm = list(range(1, r + 1))
+    seen = set()
     for cyc in cycles:
         for i, src in enumerate(cyc):
+            if not 1 <= src <= r:
+                raise IndexOutOfRange(f"permutation index {src} not in 1..{r}")
+            if src in seen:
+                raise BadParameters(f"permutation index {src} appears twice")
+            seen.add(src)
             perm[src - 1] = cyc[(i + 1) % len(cyc)]
     return tuple(perm)

@@ -445,6 +445,9 @@ class Poly:
         return self.scale(self.field.inv_c(self.lc()))
 
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
+        """self^e mod `mod` by square and multiply; BadParameters for e < 0."""
+        if e < 0:
+            raise BadParameters(f"negative exponent {e}")
         result = Poly.one(self.field)
         base = self % mod
         while e > 0:

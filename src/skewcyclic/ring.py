@@ -9,6 +9,7 @@ remainder isomorphism onto prod F[x]/(pi_k).  Component indices are
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -23,15 +24,21 @@ from .errors import (
 from .fields import FieldSpec, FieldElement, Poly, factor_xn_minus_1, poly_ext_gcd
 
 
+def sparse_row(codes) -> tuple:
+    """The (index, code) pairs of the nonzero entries of a code sequence."""
+    return tuple(filter(itemgetter(1), enumerate(codes)))
+
+
 def accumulate_rows(field: FieldSpec, out: list, coeffs, rows) -> list:
-    """Add sum_i coeffs[i] * rows[i] into the code list `out`, in place."""
+    """Add sum_i coeffs[i] * rows[i] into the code list `out`, in place.
+    Each row is a tuple of (index, code) pairs, one per nonzero entry, as
+    `sparse_row` makes it: row i adds coeffs[i] * code at slot index."""
     mul, add = field._mul, field._add
     for c, row in zip(coeffs, rows):
         if c:
             mc = mul[c]
-            for j, m in enumerate(row):
-                if m:
-                    out[j] = add[out[j]][mc[m]]
+            for j, m in row:
+                out[j] = add[out[j]][mc[m]]
     return out
 
 
@@ -71,11 +78,6 @@ class RingContext:
             _, u = poly_ext_gcd(m_k, pi)  # u*m_k = 1 mod pi_k
             idems.append(RingElement(self, cyclic_accumulate(field, [0] * n, u.codes, m_k.codes)))
         self.idempotents = tuple(idems)
-        # rows of the linear CRT lift: x^j * eps_k, j < kappa_k, is eps_k rotated
-        self._lift_rows = tuple(
-            tuple(e.codes[-j:] + e.codes[:-j] if j else e.codes for j in range(kappa))
-            for e, kappa in zip(self.idempotents, self.kappas)
-        )
 
     # -- element constructors --------------------------------------------
 
@@ -135,14 +137,15 @@ class RingContext:
         return CrtVector(self, tuple(poly % pi for pi in self.factors))
 
     def crt_backward(self, v: "CrtVector") -> "RingElement":
-        """sum_k eps_k * part_k, as a linear combination of the rows x^j * eps_k."""
+        """sum_k eps_k * part_k, one cyclic product per component; a part of
+        degree >= kappa_k is reduced mod pi_k first, as eps_k * pi_k = 0."""
         if v.context is not self and v.context != self:
             raise MixedContexts("CRT vector from a different ring")
         out = [0] * self.n
-        for part, pi, rows in zip(v.parts, self.factors, self._lift_rows):
-            if len(part.codes) > len(rows):
+        for part, pi, e in zip(v.parts, self.factors, self.idempotents):
+            if part.degree >= pi.degree:
                 part = part % pi
-            accumulate_rows(self.field, out, part.codes, rows)
+            cyclic_accumulate(self.field, out, part.codes, e.codes)
         return RingElement(self, out)
 
     def component(self, a: "RingElement", k: int) -> "RingElement":

@@ -42,7 +42,9 @@ def _twists(sigma: Automorphism, codes: list):
     """codes, sigma(codes), ..., sigma^(order-1)(codes), each twisted from the
     one before as the caller draws it: codes is a list of code lists (None
     for a zero entry).  sigma^order = 1, so a caller reads power l at
-    l % sigma.order and never twists the same list twice."""
+    l % sigma.order and never twists the same list twice.  Each twist is
+    accumulate_rows over the sparse rows sigma(x^i) of sigma._power_matrix,
+    one pair per nonzero entry: a single pair per row for sigma(x) = x^t."""
     field, n, rows = sigma.context.field, sigma.context.n, sigma._power_matrix
     for _ in range(sigma.order):
         yield codes
@@ -412,12 +414,21 @@ def skew_from_vector(sigma, polys) -> SkewPoly:
 
 
 # -- elementary and simple units ---------------------------------------------
+# each scalar a below is a ring element of sigma's context, or an int or field
+# element that _ring_scalar turns into the constant of A it names (simple_unit
+# through elementary_unit)
+
+
+def _ring_scalar(ctx, a) -> RingElement:
+    """a as an element of A: a ring element is checked to lie in ctx, an int
+    or a field element becomes the constant ctx.scalar(a)."""
+    return ctx._check(a) if isinstance(a, RingElement) else ctx.scalar(a)
 
 
 def elementary_unit(sigma: Automorphism, d: int, a: RingElement, l: int) -> SkewPoly:
     """u = 1 + z^d a eps_l (no validity check; see is_elementary_unit)."""
     ctx = sigma.context
-    coeff = ctx._check(a) * ctx.idempotent(l)
+    coeff = _ring_scalar(ctx, a) * ctx.idempotent(l)
     return SkewPoly.one(sigma) + SkewPoly.z_power(sigma, d, coeff)
 
 
@@ -427,21 +438,21 @@ def is_elementary_unit(sigma: Automorphism, d: int, a: RingElement, l: int) -> b
     if d < 0:
         raise BadParameters(f"negative z-power {d}")
     ctx = sigma.context
-    al = ctx.component(a, l)
+    al = ctx.component(_ring_scalar(ctx, a), l)
     if d == 0:
         return al != -ctx.idempotent(l)
     return (not al) or d % sigma.l_order(l) != 0
 
 
 def elementary_unit_inverse(sigma: Automorphism, d: int, a: RingElement, l: int) -> SkewPoly:
+    ctx = sigma.context
+    a = _ring_scalar(ctx, a)
     if not is_elementary_unit(sigma, d, a, l):
         raise NotAUnit(f"1 + z^{d} a eps_{l} fails the elementary-unit criterion")
     if d > 0:
         return elementary_unit(sigma, d, -a, l)
     # degree zero: invert in A (1 - a eps_l is not the inverse in general)
-    return SkewPoly.constant(
-        sigma, sigma.context.inv(sigma.context.one + a * sigma.context.idempotent(l))
-    )
+    return SkewPoly.constant(sigma, ctx.inv(ctx.one + a * ctx.idempotent(l)))
 
 
 def simple_unit(sigma: Automorphism, a: RingElement, i: int, l: int) -> SkewPoly:
@@ -455,7 +466,7 @@ def simple_unit(sigma: Automorphism, a: RingElement, i: int, l: int) -> SkewPoly
 def unit_product(sigma: Automorphism, l: int, scalars) -> SkewPoly:
     """u_{a_1}(1) * ... * u_{a_d}(d); component l keeps full degree d."""
     ctx = sigma.context
-    scalars = [s if isinstance(s, RingElement) else ctx.scalar(s) for s in scalars]
+    scalars = [_ring_scalar(ctx, s) for s in scalars]
     if scalars and sigma.l_order(l) == 1:
         raise FixedIdempotent(f"sigma fixes eps_{l}")
     u = SkewPoly.one(sigma)

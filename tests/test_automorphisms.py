@@ -16,12 +16,14 @@ from skewcyclic import (
     permutation_from_cycles,
 )
 from skewcyclic.errors import (
+    BadParameters,
     ClassViolation,
     IndexOutOfRange,
     NotAnAutomorphism,
     SearchSpaceTooLarge,
 )
 from skewcyclic.literals import parse_field
+from skewcyclic.skew import SkewPoly
 
 from helpers import SWEEP_CONTEXTS, automorphism_perm_by_rank, automorphisms_by_crt_lift
 
@@ -304,3 +306,81 @@ def test_construction_does_not_validate(monkeypatch, ctx27):
     assert len(enumerate_automorphisms(ctx27)) == 18
     assert find_automorphism_for_permutation(ctx27, (1, 3, 2)).perm == (1, 3, 2)
     assert identity_automorphism(ctx27).perm == (1, 2, 3)
+
+
+def test_permutation_from_cycles_expands_disjoint_cycles():
+    assert permutation_from_cycles(5, [(2, 3), (1, 5, 4)]) == (5, 3, 2, 1, 4)
+    assert permutation_from_cycles(3, [(2,)]) == (1, 2, 3)
+    assert permutation_from_cycles(3, []) == (1, 2, 3)
+
+
+def test_permutation_from_cycles_refuses_shared_index():
+    """Cycles that share an index are no permutation: (1,2)(2,3) read as
+    (2, 3, 2) before."""
+    with pytest.raises(BadParameters, match="index 2 appears twice"):
+        permutation_from_cycles(3, [(1, 2), (2, 3)])
+
+
+def test_permutation_from_cycles_refuses_index_repeated_in_a_cycle():
+    """(1,1) named 1 twice and read as the identity before."""
+    with pytest.raises(BadParameters, match="index 1 appears twice"):
+        permutation_from_cycles(3, [(1, 1)])
+
+
+@pytest.mark.parametrize("cycles", [[(1, 5)], [(0, 1)], [(-1, 2)]], ids=str)
+def test_permutation_from_cycles_refuses_out_of_range_index(cycles):
+    """An index outside 1..r raised a bare IndexError (5) or wrapped around
+    the list (0, -1) before."""
+    with pytest.raises(IndexOutOfRange, match=r"not in 1\.\.3"):
+        permutation_from_cycles(3, cycles)
+
+
+def _horner(a, y):
+    """a(y) for a in A = F[x]/(x^n - 1), by Horner's rule in RingElement
+    products: the image of a under the algebra map x -> y."""
+    ctx = a.context
+    out = ctx.zero
+    for c in reversed(a.codes):
+        out = out * y + ctx.from_codes((c,) + (0,) * (ctx.n - 1))
+    return out
+
+
+def _oracle_sigmas(ctx, rng):
+    """One monomial sigma(x) = x^t (t > 1 a seeded unit mod n), through the
+    validating constructor, and one sigma built from the permutation that
+    rotates every degree class of size > 1."""
+    ts = [t for t in range(2, ctx.n) if math.gcd(t, ctx.n) == 1]
+    monomial = Automorphism(ctx, ctx.element([0] * rng.choice(ts) + [1]))
+    cycles = [cls for cls in ctx.degree_classes if len(cls) > 1]
+    built = find_automorphism_for_permutation(ctx, permutation_from_cycles(ctx.r, cycles))
+    return monomial, built
+
+
+@pytest.mark.parametrize("field, n", SWEEP_CONTEXTS)
+def test_sigma_matches_horner_oracle(field, n):
+    """sigma^p(a) against Horner's evaluation of a at sigma^p(x), for every
+    p below the map order, where sigma^p(x) is itself Horner-evaluated from
+    sigma^(p-1)(x): no row of sigma's matrix is read.  And a z = z sigma(a)
+    in A[z;sigma], where the product twists a through skew._twists.  The
+    term-wise product oracle of the skew tests goes through `apply`, so this
+    is the independent check of the rows sigma is applied through."""
+    ctx = RingContext(parse_field(field), n)
+    rng = random.Random(7 * n + ctx.field.q)
+    for sig in _oracle_sigmas(ctx, rng):
+        images = [ctx.x]
+        while True:
+            y = _horner(images[-1], sig.sigma_x)
+            if y == ctx.x:
+                break
+            images.append(y)
+        # the oracle's order is pinned first, so a faulty row fails on a value
+        # below rather than looping in x_images; sigma's own order is read last
+        sig.__dict__["order"] = len(images)
+        z = SkewPoly.z_power(sig, 1)
+        for _ in range(20):
+            a = ctx.from_codes([rng.randrange(ctx.field.q) for _ in range(n)])
+            for p, y in enumerate(images):
+                assert sig.apply(a, p) == _horner(a, y), (sig, a, p)
+            twisted = SkewPoly.constant(sig, _horner(a, images[1 % len(images)]))
+            assert SkewPoly.constant(sig, a) * z == z * twisted, (sig, a)
+        assert Automorphism(ctx, sig.sigma_x).order == len(images)

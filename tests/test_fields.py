@@ -486,3 +486,15 @@ def test_element_subtraction_and_truth(spec):
         assert x - x == field.zero and field.zero - x == -x
         for y in elements:
             assert (x - y) + y == x
+
+
+@pytest.mark.parametrize("e", [-1, -5])
+def test_pow_mod_refuses_negative_exponent(e):
+    """A negative power has no meaning for a polynomial that may not be
+    invertible mod the modulus: BadParameters, not the constant 1."""
+    F3 = make_field(3, 1)
+    f, mod = Poly(F3, [1, 1]), Poly(F3, [1, 0, 1])
+    with pytest.raises(BadParameters, match="negative exponent"):
+        f.pow_mod(e, mod)
+    assert f.pow_mod(0, mod) == Poly.one(F3)
+    assert f.pow_mod(5, mod) == f * f * f * f * f % mod

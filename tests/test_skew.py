@@ -856,3 +856,28 @@ def test_left_scalar_multiplication_and_hash():
         assert 3 * f == SkewPoly.zero(sig)
         copy = SkewPoly(sig, list(f.coeffs) + [ctx.zero])
         assert copy == f and hash(copy) == hash(f)
+
+
+def test_int_scalars_match_ring_constants(sig27, sig87):
+    """An int scalar names the constant of A it embeds to: elementary_unit,
+    is_elementary_unit, elementary_unit_inverse, simple_unit and
+    unit_product give the same results for the int and for that ring
+    element (the first four raised AttributeError on an int before)."""
+    for sig in (sig27, sig87):
+        ctx = sig.context
+        l = next(k for cyc in sig.cycles if len(cyc) > 1 for k in cyc)
+        for s in (0, 1, 2, 3):
+            a = ctx.scalar(s)
+            for d in (0, 1, 2):
+                assert elementary_unit(sig, d, s, l) == elementary_unit(sig, d, a, l)
+                ok = is_elementary_unit(sig, d, s, l)
+                assert ok == is_elementary_unit(sig, d, a, l)
+                if ok:
+                    assert elementary_unit_inverse(sig, d, s, l) == elementary_unit_inverse(
+                        sig, d, a, l
+                    )
+                else:
+                    with pytest.raises(NotAUnit):
+                        elementary_unit_inverse(sig, d, s, l)
+            assert simple_unit(sig, s, 1, l) == simple_unit(sig, a, 1, l)
+        assert unit_product(sig, l, [1, 1]) == unit_product(sig, l, [ctx.one, ctx.one])
