@@ -27,7 +27,7 @@ from .errors import (
     NotAnAutomorphism,
     SearchSpaceTooLarge,
 )
-from .fields import Poly
+from .fields import Poly, _accumulate, _divide
 from .packed import _unpacker, _word_ops
 from .ring import CrtVector, RingContext, RingElement, accumulate_rows, sparse_row
 
@@ -213,24 +213,26 @@ def _roots_in_component(ctx: RingContext, l: int, m: int, count: int = None):
 
     The first root is the earliest one in a scan of K_m residues by
     coefficient-code order; the rest are its q-power iterates.  Valid only
-    for deg pi_l == deg pi_m.
+    for deg pi_l == deg pi_m.  pi_l(beta) is found by Horner's rule on
+    code lists, reduced mod the monic pi_m (`fields._divide`) at each step.
     """
     field = ctx.field
+    add, neg = field._add, field._neg
     pi_l, pi_m = ctx.factors[l - 1], ctx.factors[m - 1]
     kappa = int(pi_m.degree)
-    one = sparse_row((1,))
+    pivot = [neg[c] for c in pi_m.codes[:-1]]
+    top = pi_l.codes[::-1]
     for codes in itertools.product(range(field.q), repeat=kappa):
-        beta = Poly(field, codes)
-        # pi_l(beta) mod pi_m, from the powers beta^i mod pi_m, i <= kappa
-        power, powers = beta, [one, sparse_row(beta.codes)]
-        for _ in range(kappa - 1):
-            power = power * beta % pi_m
-            powers.append(sparse_row(power.codes))
-        if not any(accumulate_rows(field, [0] * kappa, pi_l.codes, powers)):
+        value = [top[0]]
+        for c in top[1:]:
+            acc = _accumulate(field, [0] * (len(value) + kappa - 1), value, codes)
+            acc[0] = add[acc[0]][c]
+            value = _divide(field, acc, pivot)[:kappa]
+        if not any(value):
             break
     else:
         raise AssertionError("equal-degree factors must share roots")
-    orbit = [beta]
+    orbit = [Poly(field, codes)]
     for _ in range((kappa if count is None else min(count, kappa)) - 1):
         orbit.append(orbit[-1].pow_mod(field.q, pi_m))
     return orbit

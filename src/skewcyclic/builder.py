@@ -18,8 +18,7 @@ from .errors import (
     NonUnitScalar,
     OverlappingCycles,
 )
-from .ring import RingElement
-from .skew import MAX_Z_DEGREE, SkewPoly, unit_product
+from .skew import MAX_Z_DEGREE, SkewPoly, _ring_scalar, unit_product
 
 
 class _RecipeFields(NamedTuple):
@@ -34,8 +33,9 @@ class MinimalCodeRecipe(_RecipeFields):
 
     Checked when made: 0 <= d <= MAX_Z_DEGREE (the z-degree of the
     generator), l in 1..r, sigma moves eps_l when d > 0, and exactly d
-    scalars, each a unit of A; int scalars become ring elements, and no
-    scalars means `default_scalars`."""
+    scalars, each a unit of A; int and field scalars become ring elements
+    (skew._ring_scalar, which refuses a ring element of another context),
+    and no scalars means `default_scalars`."""
 
     __slots__ = ()
 
@@ -47,10 +47,7 @@ class MinimalCodeRecipe(_RecipeFields):
         if sigma.l_order(l) == 1 and d > 0:  # l_order checks l in 1..r
             raise FixedIdempotent(f"sigma fixes eps_{l}: positive complexity is impossible there")
         ctx = sigma.context
-        scalars = tuple(
-            s if isinstance(s, RingElement) else ctx.scalar(s)
-            for s in scalars or default_scalars(ctx, d)
-        )
+        scalars = tuple(_ring_scalar(ctx, s) for s in scalars or default_scalars(ctx, d))
         if len(scalars) != d:
             raise BadParameters(f"need exactly {d} scalars")
         for s in scalars:
@@ -123,13 +120,13 @@ def idempotent_generator(g: SkewPoly, u: SkewPoly) -> SkewPoly:
     """e = u^{-1} g; idempotent, generating the same left ideal as g.
 
     u must be a unit (unit_inverse decides, raising NotAUnit) agreeing
-    with g on g's support."""
+    with g on g's support S.  Then g = eps_S u, eps_S the sum of the eps_l
+    over l in S (component l is eps_l u), so
+    e^2 = u^{-1} eps_S u u^{-1} eps_S u = u^{-1} eps_S u = e, and e is
+    returned unchecked; test_idempotent_generator forms e*e."""
     u_inv = u.unit_inverse()
     _check_components(g, u)
-    e = u_inv * g
-    if e * e != e:
-        raise AssertionError("u^-1 g failed to be idempotent")
-    return e
+    return u_inv * g
 
 
 def orthogonal_sum(codes) -> ConvCode:

@@ -23,7 +23,7 @@ from .automorphisms import (
     permutation_from_cycles,
 )
 from .convolutional import PolyMatrix
-from .errors import BadParameters, ParseError, ReducibleModulus
+from .errors import BadParameters, IndexOutOfRange, ParseError, ReducibleModulus
 from .fields import MAX_FIELD_SIZE, FieldSpec, FieldElement, Poly, make_field
 from .ring import RingContext, RingElement
 from .skew import MAX_Z_DEGREE, SkewPoly
@@ -203,19 +203,11 @@ def parse_sigma(ctx: RingContext, text: str) -> Automorphism:
         body = text[len("perm:") :].strip()
         if not re.fullmatch(r"(\([\d,\s]*\))+", body):
             raise ParseError(f"bad permutation literal {body!r}")
-        cycles = []
-        seen = set()
-        for grp in _PERM_RE.findall(body):
-            items = [_int(t) for t in grp.replace(",", " ").split()]
-            for k in items:
-                if not 1 <= k <= ctx.r:
-                    raise ParseError(f"permutation index {k} not in 1..{ctx.r}")
-                if k in seen:
-                    raise ParseError(f"permutation index {k} appears twice in {body!r}")
-                seen.add(k)
-            if items:
-                cycles.append(tuple(items))
-        perm = permutation_from_cycles(ctx.r, cycles)
+        cycles = [[_int(t) for t in g.replace(",", " ").split()] for g in _PERM_RE.findall(body)]
+        try:
+            perm = permutation_from_cycles(ctx.r, cycles)
+        except (IndexOutOfRange, BadParameters) as exc:
+            raise ParseError(str(exc)) from exc
         return find_automorphism_for_permutation(ctx, perm)
     image = parse_ring_element(ctx, text)
     return Automorphism(ctx, image)

@@ -354,17 +354,14 @@ class SkewPoly:
 
     def unit_inverse(self) -> "SkewPoly":
         """Two-sided inverse of a unit; NotAUnit for anything else.  The
-        inverse is the power series of _series_inverse, cut where it ends;
-        the product with f is checked on both sides."""
+        inverse is the power series h of _series_inverse, cut where it ends,
+        unchecked: that docstring proves f h = h f = 1, and the unit sweeps
+        of the tests form both products."""
         h = self._series_inverse()
         if h is None:
             raise NotAUnit(f"{self} is not a unit")
         ctx = self.context
-        g = SkewPoly(self.sigma, [RingElement(ctx, c) if c else ctx.zero for c in h])
-        identity = SkewPoly.one(self.sigma)
-        if g * self != identity or self * g != identity:
-            raise AssertionError("inverse failed to be two-sided")
-        return g
+        return SkewPoly(self.sigma, [RingElement(ctx, c) if c else ctx.zero for c in h])
 
 
 # -- bridge between F[z]^n and the skew ring ----------------------------------

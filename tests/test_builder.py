@@ -24,6 +24,7 @@ from skewcyclic.errors import (
     ComponentMismatch,
     FixedIdempotent,
     IndexOutOfRange,
+    MixedContexts,
     NonUnitScalar,
     NotAUnit,
     OverlappingCycles,
@@ -62,10 +63,11 @@ def test_minimal_code_recipe_checks_component_index(sig43, l, d):
         MinimalCodeRecipe(sig43, l, d)
 
 
-def test_minimal_code_recipe_checks_and_scalars(sig43, ctx43):
+def test_minimal_code_recipe_checks_and_scalars(sig43, ctx43, ctx45):
     """The recipe refuses bad inputs in a fixed order (Forney index, fixed
-    idempotent, scalar count, units), turns int scalars into ring elements
-    and fills in the default scalars when given none."""
+    idempotent, scalar count, units), and a ring element of another
+    context; it turns int scalars into ring elements and fills in the
+    default scalars when given none."""
     with pytest.raises(BadParameters):
         MinimalCodeRecipe(sig43, 1, -1, (0,))
     with pytest.raises(FixedIdempotent):
@@ -76,6 +78,8 @@ def test_minimal_code_recipe_checks_and_scalars(sig43, ctx43):
         MinimalCodeRecipe(sig43, 2, 1, (0,))
     with pytest.raises(NonUnitScalar):
         MinimalCodeRecipe(sig43, 2, 1, [ctx43.idempotent(2)])
+    with pytest.raises(MixedContexts):
+        MinimalCodeRecipe(sig43, 2, 1, [ctx45.one])
     recipe = MinimalCodeRecipe(sig43, 2, 2, [1, 3])  # ints read in GF(2)
     assert recipe.scalars == (ctx43.one, ctx43.one)
     assert all(isinstance(s, RingElement) for s in recipe.scalars)

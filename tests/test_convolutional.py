@@ -610,6 +610,8 @@ def test_strong_equivalence_sweep_matches_unpruned_search(field_text, n, sigma, 
             Gp = _random_copy(H, rng)
             found = strong_equivalence(G, Gp)
             assert found == strong_equivalence_by_permutations(G, Gp)
+            if found is not None:
+                assert (Gp * found[0] * found[1] * G.parity_check()).is_zero()
             answers.append(found is not None)
     assert any(answers)
     assert field_text == "GF(2)" or not all(answers)

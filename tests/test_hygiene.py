@@ -184,3 +184,35 @@ def test_cli_import_leaves_heavy_stdlib_unloaded():
     assert "skewcyclic.cli" in added
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "importlib.resources"}
     assert not heavy & added, sorted(heavy & added)
+
+
+def test_self_checks_are_the_listed_ones():
+    """Every `raise AssertionError(...)` left in the package, by innermost
+    function.  Each re-checks a result the code should already guarantee,
+    so each is either cheap or has no proof written down.  The unit
+    inverse, the column reduction's right inverse and parity check, the
+    equivalence witness and the idempotent generator are proven in their
+    docstrings and checked in the tests instead; a self-check added
+    anywhere fails here."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) > 5, PACKAGE
+    found = sorted(
+        f"{path.stem}.{func}"
+        for path in sources
+        for func, _, _ in _calls_in_functions(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), {"AssertionError"}
+        )
+    )
+    assert found == [
+        "automorphisms._roots_in_component",
+        "builder.build_minimal_code",
+        "builder.build_minimal_code",
+        "builder.build_unit_for_profile",
+        "builder.build_unit_for_profile",
+        "builder.orthogonal_sum",
+        "distance.free_distance",
+        "distance.free_distance",
+        "distance.free_distance",
+        "fields.factor_xn_minus_1",
+        "skew.decompose_into_elementary",
+    ], found

@@ -379,6 +379,7 @@ def test_unit_decision_agrees_with_linear_system_oracle(sig27, sig43, sig87):
                     f.unit_inverse()
             else:
                 assert f.unit_inverse() == want
+                assert want * f == f * want == one, f
 
 
 def _perturb(rng, f):
@@ -571,6 +572,7 @@ def test_unit_series_matches_cycle_and_solving_oracles(field_text, n):
             assert f.is_unit() == unit, (sig, f)
             if unit:
                 got = f.unit_inverse()
+                assert got * f == f * got == one, (sig, f)
             else:
                 got = None
                 with pytest.raises(NotAUnit):
