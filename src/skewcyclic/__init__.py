@@ -15,7 +15,7 @@ from .fields import (
     make_field,
     poly_gcd,
 )
-from .ring import CrtVector, RingContext, RingElement
+from .ring import RingContext, RingElement
 from .automorphisms import (
     Automorphism,
     automorphism_count,

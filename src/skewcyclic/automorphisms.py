@@ -6,8 +6,8 @@ bijective (see `Automorphism`).  That permutation of the primitive
 idempotents, its cycles, and the per-component orders are kept with it.
 
 Enumerated and permutation-built automorphisms are correct by construction
-(sigma(x) is the CRT lift of a root of pi_k in component perm(k), for
-each k), so nothing is re-checked; only a supplied image of x
+(sigma(x) is the sum over k of eps_perm(k) * root, for a root of pi_k in
+K_perm(k)), so nothing is re-checked; only a supplied image of x
 goes through `Automorphism(ctx, a)`.
 The brute-force enumeration, the `aut-*` goldens and a test that rebuilds
 every enumerated automorphism through that validating path cross-check it.
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .fields import Poly, _accumulate, _divide
 from .packed import _unpacker, _word_ops
-from .ring import CrtVector, RingContext, RingElement, accumulate_rows, sparse_row
+from .ring import RingContext, RingElement, accumulate_rows, cyclic_accumulate, sparse_row
 
 # enumerate_automorphisms refuses larger groups (GF(2), n = 31 has 11,250,000)
 MAX_LISTED_AUTOMORPHISMS = 10 ** 5
@@ -207,9 +207,8 @@ def identity_automorphism(ctx: RingContext) -> Automorphism:
     return Automorphism._trusted(ctx, ctx.x, range(1, ctx.r + 1))
 
 
-def _roots_in_component(ctx: RingContext, l: int, m: int, count: int = None):
-    """Roots of pi_l inside K_m = F[x]/(pi_m), as a Frobenius orbit, or its
-    first `count` roots when given.
+def _roots_in_component(ctx: RingContext, l: int, m: int):
+    """Roots of pi_l inside K_m = F[x]/(pi_m), as a Frobenius orbit, lazily.
 
     The first root is the earliest one in a scan of K_m residues by
     coefficient-code order; the rest are its q-power iterates.  Valid only
@@ -232,10 +231,11 @@ def _roots_in_component(ctx: RingContext, l: int, m: int, count: int = None):
             break
     else:
         raise AssertionError("equal-degree factors must share roots")
-    orbit = [Poly(field, codes)]
-    for _ in range((kappa if count is None else min(count, kappa)) - 1):
-        orbit.append(orbit[-1].pow_mod(field.q, pi_m))
-    return orbit
+    root = Poly(field, codes)
+    yield root
+    for _ in range(kappa - 1):
+        root = root.pow_mod(field.q, pi_m)
+        yield root
 
 
 def enumerate_automorphisms(ctx: RingContext):
@@ -244,10 +244,10 @@ def enumerate_automorphisms(ctx: RingContext):
     SearchSpaceTooLarge, before any root search, when the group has more
     than MAX_LISTED_AUTOMORPHISMS elements.
 
-    sigma(x) is the CRT lift of one root of pi_k in K_perm(k) per k, so the
-    sum of the lifts of single roots: each root of pi_k in each K_m of its
-    class is lifted and packed once, and each sigma(x) costs r packed adds
-    and one unpack.  A permutation is one tuple from each class's
+    sigma(x) is the sum over k of the lifts eps_perm(k) * root of one root
+    of pi_k in K_perm(k): each root of pi_k in each K_m of its class is
+    lifted and packed once, and each sigma(x) costs r packed adds and one
+    unpack.  A permutation is one tuple from each class's
     `itertools.permutations`, concatenated, as the classes are consecutive
     runs of 1..r.  Cycles are built on first use.
     """
@@ -262,11 +262,9 @@ def enumerate_automorphisms(ctx: RingContext):
     classes = ctx.degree_classes
     lifts = {}  # (k, m) -> the packed lifts of the roots of pi_k in K_m
     for k, m in ((k, m) for c in classes for k in c for m in c):
-        parts = [Poly.zero(ctx.field)] * ctx.r
-        lifts[k, m] = []
-        for root in _roots_in_component(ctx, k, m):
-            parts[m - 1] = root
-            lifts[k, m].append(pack(ctx.crt_backward(CrtVector(ctx, tuple(parts))).codes))
+        e = ctx.idempotents[m - 1].codes
+        lifts[k, m] = [pack(cyclic_accumulate(ctx.field, [0] * ctx.n, root.codes, e))
+                       for root in _roots_in_component(ctx, k, m)]
     out = []
     for images in itertools.product(*(itertools.permutations(c) for c in classes)):
         perm = tuple(itertools.chain.from_iterable(images))
@@ -306,8 +304,9 @@ def enumerate_automorphisms_bruteforce(ctx: RingContext):
 def find_automorphism_for_permutation(ctx: RingContext, target) -> Automorphism:
     """First automorphism (lowest Frobenius exponents, lex) inducing the
     given permutation of 1..r; the permutation must preserve degree classes.
-    sigma(x) is one CRT lift, of the first root of pi_k in K_target(k) for
-    each k: the first element with that permutation in the enumeration."""
+    sigma(x) is the sum over k of eps_target(k) * the first root of pi_k in
+    K_target(k), the lift the enumeration uses: so this is the first element
+    with that permutation in the enumeration."""
     target = tuple(target)
     if sorted(target) != list(range(1, ctx.r + 1)):
         raise ClassViolation(f"{target} is not a permutation of 1..{ctx.r}")
@@ -315,10 +314,11 @@ def find_automorphism_for_permutation(ctx: RingContext, target) -> Automorphism:
         for k in cls:
             if target[k - 1] not in cls:
                 raise ClassViolation(f"permutation moves component {k} out of its degree class")
-    parts = [None] * ctx.r
+    out = [0] * ctx.n
     for k, m in enumerate(target, start=1):
-        parts[m - 1] = _roots_in_component(ctx, k, m, 1)[0]
-    return Automorphism._trusted(ctx, ctx.crt_backward(CrtVector(ctx, tuple(parts))), target)
+        root = next(_roots_in_component(ctx, k, m))
+        cyclic_accumulate(ctx.field, out, root.codes, ctx.idempotents[m - 1].codes)
+    return Automorphism._trusted(ctx, RingElement(ctx, out), target)
 
 
 def permutation_from_cycles(r: int, cycles) -> tuple:

@@ -54,8 +54,9 @@ def _is_prime(n: int) -> bool:
 class FieldSpec:
     """The field GF(p^deg) with a fixed monic irreducible modulus over F_p.
 
-    A multiplicative generator is discovered at construction; elements
-    print as 0, 1 or powers a^k of that generator.
+    A multiplicative generator is discovered at construction, and none
+    existing means a reducible modulus; elements print as 0, 1 or powers
+    a^k of that generator.
     """
 
     def __init__(self, p: int, deg: int, modulus):
@@ -71,8 +72,6 @@ class FieldSpec:
         self.deg = deg
         self.q = p ** deg
         self.modulus = modulus
-        if deg > 1 and not is_irreducible(Poly(FieldSpec(p, 1, (0, 1)), modulus)):
-            raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
         self._build_tables()
         self._find_generator()
 
@@ -125,16 +124,22 @@ class FieldSpec:
         self._neg = neg
 
     def _find_generator(self):
-        # first code (in natural code order) of multiplicative order q-1
-        q = self.q
+        """The first code (in natural code order) of multiplicative order
+        q - 1, which also decides irreducibility: F_p[y]/(mu) is a field iff
+        such an element exists, as a reducible mu leaves zero divisors and
+        so fewer than q - 1 units.  Powers stop at q - 1, where a zero
+        divisor's would cycle short of 1 forever."""
+        q, mul = self.q, self._mul
         for g in range(1, q):
             x, order = g, 1
-            while x != 1:
-                x = self._mul[x][g]
+            while x != 1 and order < q - 1:
+                x = mul[x][g]
                 order += 1
-            if order == q - 1:
+            if x == 1 and order == q - 1:
                 self.generator_code = g
                 break
+        else:
+            raise ReducibleModulus(f"modulus {self.modulus} is reducible over F_{self.p}")
         exp = [1] * max(q - 1, 1)
         log = [0] * q
         x = 1

@@ -9,7 +9,8 @@ automorphisms, and matrices, as used by the CLI and fixture files.
     sigma:        x^5 | sigma:x^5 | perm:(1)(2,3)
     matrix JSON:  {"rows": k, "cols": n, "entries": [["1+z^2", ...], ...]}
 
-A z-exponent in a skew poly or matrix entry is at most MAX_Z_DEGREE.
+An exponent in a polynomial, and a z-exponent in a skew poly or matrix
+entry, is at most MAX_Z_DEGREE.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def _squeezed(text) -> str:
 
 
 def parse_poly(field: FieldSpec, text: str, var: str = "x") -> Poly:
-    return Poly(field, _add_terms(field, [], _squeezed(text), var))
+    return Poly(field, _add_terms(field, [], _squeezed(text), var, max_exp=MAX_Z_DEGREE))
 
 
 def parse_ring_element(ctx: RingContext, text: str) -> RingElement:

@@ -1,16 +1,15 @@
 """The commutative quotient ring A = F[x]/(x^n - 1).
 
 A RingContext bundles the ordered irreducible factors pi_1..pi_r of
-x^n - 1, the primitive idempotents eps_1..eps_r, and the Chinese
-remainder isomorphism onto prod F[x]/(pi_k).  Component indices are
-1-based throughout.
+x^n - 1 and the primitive idempotents eps_1..eps_r; A splits into the
+fields K_k = eps_k A, and the component of a in K_k is the product
+eps_k * a.  Component indices are 1-based throughout.
 """
 
 from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import NamedTuple
 
 from .errors import (
     BadParameters,
@@ -59,7 +58,7 @@ def cyclic_accumulate(field: FieldSpec, out: list, a, b) -> list:
 
 
 class RingContext:
-    """F[x]/(x^n - 1) with its CRT decomposition precomputed."""
+    """F[x]/(x^n - 1) with its factors and primitive idempotents precomputed."""
 
     def __init__(self, field: FieldSpec, n: int):
         self.factors = factor_xn_minus_1(field, n)  # checks n >= 1 and gcd(n, q) = 1
@@ -129,26 +128,8 @@ class RingContext:
         for codes in itertools.product(range(self.field.q), repeat=self.n):
             yield RingElement(self, codes)
 
-    # -- CRT --------------------------------------------------------------
-
-    def crt_forward(self, a: "RingElement") -> "CrtVector":
-        self._check(a)
-        poly = a.as_poly()
-        return CrtVector(self, tuple(poly % pi for pi in self.factors))
-
-    def crt_backward(self, v: "CrtVector") -> "RingElement":
-        """sum_k eps_k * part_k, one cyclic product per component; a part of
-        degree >= kappa_k is reduced mod pi_k first, as eps_k * pi_k = 0."""
-        if v.context is not self and v.context != self:
-            raise MixedContexts("CRT vector from a different ring")
-        out = [0] * self.n
-        for part, pi, e in zip(v.parts, self.factors, self.idempotents):
-            if part.degree >= pi.degree:
-                part = part % pi
-            cyclic_accumulate(self.field, out, part.codes, e.codes)
-        return RingElement(self, out)
-
     def component(self, a: "RingElement", k: int) -> "RingElement":
+        """The part eps_k * a of a in the field K_k = eps_k A."""
         return self.idempotent(k) * self._check(a)
 
     def _inverse_codes(self, a: "RingElement"):
@@ -176,11 +157,7 @@ class RingContext:
         self._check(a)
         if not a:
             raise ZeroInput("cannot normalize the zero element")
-        support = tuple(
-            k
-            for k, part in enumerate(self.crt_forward(a).parts, start=1)
-            if not part.is_zero()
-        )
+        support = tuple(k for k in range(1, self.r + 1) if self.component(a, k))
         # a + (idempotents off the support) is a unit whose inverse b has
         # b*a = sum of the idempotents on the support
         fill = [self.idempotent(k) for k in range(1, self.r + 1) if k not in support]
@@ -291,12 +268,3 @@ class RingElement:
     def __repr__(self):
         return f"({self}) in {self.context!r}"
 
-
-class CrtVector(NamedTuple):
-    """Residues of a ring element modulo each pi_k, reduced."""
-
-    context: RingContext
-    parts: tuple
-
-    def __str__(self):
-        return "<" + ", ".join(p.to_str("x") for p in self.parts) + ">"

@@ -33,7 +33,7 @@ from skewcyclic.errors import (
 from skewcyclic.fields import NEG_INF, FieldElement, FieldSpec, Poly, monic_polys, poly_gcd
 from skewcyclic.literals import parse_element
 from skewcyclic.packed import _word_ops
-from skewcyclic.ring import CrtVector
+from skewcyclic.ring import cyclic_accumulate
 from skewcyclic.skew import SkewPoly
 
 
@@ -61,6 +61,24 @@ PINNED_FIELDS = [
 ]
 
 
+def crt_forward(ctx, a):
+    """The CRT map psi: the residues a mod pi_k, one per component."""
+    poly = ctx._check(a).as_poly()
+    return tuple(poly % pi for pi in ctx.factors)
+
+
+def crt_backward(ctx, parts):
+    """The inverse of psi: sum_k eps_k * part_k, one cyclic product per
+    component; a part of degree >= kappa_k is reduced mod pi_k first, as
+    eps_k * pi_k = 0."""
+    out = [0] * ctx.n
+    for part, pi, e in zip(parts, ctx.factors, ctx.idempotents):
+        if part.degree >= pi.degree:
+            part = part % pi
+        cyclic_accumulate(ctx.field, out, part.codes, e.codes)
+    return ctx.from_codes(out)
+
+
 def crt_round_trip(ctx, samples, seed):
     """backward(forward(a)) == a on `samples` random elements and on 0, 1, x."""
     rng = random.Random(seed)
@@ -69,7 +87,7 @@ def crt_round_trip(ctx, samples, seed):
         ctx.from_codes([rng.randrange(q) for _ in range(n)]) for _ in range(samples)
     ]
     for a in elements:
-        assert ctx.crt_backward(ctx.crt_forward(a)) == a, f"round trip fails on {a}"
+        assert crt_backward(ctx, crt_forward(ctx, a)) == a, f"round trip fails on {a}"
 
 
 def _class_preserving_perms(ctx):
@@ -112,9 +130,9 @@ def automorphisms_by_crt_lift(ctx):
             parts = [None] * ctx.r
             for k, m in enumerate(perm, start=1):
                 if (k, m) not in roots:
-                    roots[k, m] = _roots_in_component(ctx, k, m)
+                    roots[k, m] = list(_roots_in_component(ctx, k, m))
                 parts[m - 1] = roots[k, m][exps[k - 1]]
-            sigma_x = ctx.crt_backward(CrtVector(ctx, tuple(parts)))
+            sigma_x = crt_backward(ctx, parts)
             out.append((sigma_x, perm, _cycles_by_walk(perm)))
     return out
 
@@ -142,7 +160,7 @@ def automorphism_perm_by_rank(ctx, a):
 
 def is_unit_by_crt_residues(ctx, a):
     """a is a unit of A iff no residue a mod pi_k vanishes."""
-    return all(not part.is_zero() for part in ctx.crt_forward(a).parts)
+    return all(not part.is_zero() for part in crt_forward(ctx, a))
 
 
 def all_element_codes(ctx):
@@ -167,10 +185,10 @@ def psi_isomorphism_exhaustive(ctx):
     image = {}
     for codes in codes_list:
         a = ctx.from_codes(codes)
-        v = ctx.crt_forward(a)
-        assert ctx.crt_backward(v) == a, "backward(forward(a)) != a"
+        v = crt_forward(ctx, a)
+        assert crt_backward(ctx, v) == a, "backward(forward(a)) != a"
         image[codes] = tuple(
-            norm(p.codes, d) for p, d in zip(v.parts, degs)
+            norm(p.codes, d) for p, d in zip(v, degs)
         )
     assert len(set(image.values())) == len(codes_list), "psi is not injective"
 
@@ -690,7 +708,8 @@ def strong_equivalence_by_permutations(G: PolyMatrix, Gp: PolyMatrix):
     """Test-only oracle for convolutional.strong_equivalence: the same
     search with no pruning, one F-nullspace for each of the n! column
     permutations, and every product Gp[r][i] * Q[j][c] formed before the
-    loop.  The first permutation (in itertools order) with a diagonal of
+    loop.  Q = I - Gtilde*G takes Gtilde from the Smith form, so a fault in
+    the column reduction cannot reach both sides.  The first permutation (in itertools order) with a diagonal of
     nonzero entries is the answer, so it must give the same (P, D)."""
     field = G.field
     if G.shape != Gp.shape:
@@ -700,9 +719,12 @@ def strong_equivalence_by_permutations(G: PolyMatrix, Gp: PolyMatrix):
         raise SearchSpaceTooLarge(
             f"n <= {EQUIVALENCE_MAX_N} and q <= {EQUIVALENCE_MAX_Q} required"
         )
-    gt = G.right_inverse()
-    if not right_invertible_by_minors(Gp):
+    if not (right_invertible_by_minors(G) and right_invertible_by_minors(Gp)):
         raise NotRightInvertible("both matrices must be right invertible")
+    # Gtilde from the Smith form, not from the column reduction that
+    # production uses: Linv*G*Rinv = [I 0], so G * Rinv[:, :k] * Linv = I
+    _, Linv, Rinv = G.smith_form()
+    gt = PolyMatrix(field, [row[:k] for row in Rinv.entries]) * Linv
     # Q = I - Gtilde*G annihilates exactly im G (row vectors w with w*Q = 0)
     Q = PolyMatrix.identity(field, n) - (gt * G)
     # z-coefficients of Gp[r][i] * Q[j][c], shared by every permutation

@@ -93,8 +93,7 @@ def test_records_are_immutable_values(sig43, ctx43):
     recipe = MinimalCodeRecipe(sig43, 2, 1, (1,))
     code = build_minimal_code(recipe)
     report = free_distance(code.generator)
-    crt = ctx43.crt_forward(ctx43.x)
-    for record, name in ((recipe, "d"), (code, "k"), (report, "distance"), (crt, "parts")):
+    for record, name in ((recipe, "d"), (code, "k"), (report, "distance")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
         with pytest.raises(AttributeError):
@@ -107,7 +106,6 @@ def test_records_are_immutable_values(sig43, ctx43):
         "delta=1, forney=(1,), support=None, reduced_generator=None)"
     )
     assert report == free_distance(code.generator)
-    assert crt == ctx43.crt_forward(ctx43.x) and hash(crt) == hash(ctx43.crt_forward(ctx43.x))
 
 
 def test_minimal_code_invariants_all_contexts(sig43, sig45, sig27, sig87):

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard library only."""
 
 import ast
+import importlib
 import pathlib
 import subprocess
 import sys
@@ -216,3 +217,30 @@ def test_self_checks_are_the_listed_ones():
         "fields.factor_xn_minus_1",
         "skew.decompose_into_elementary",
     ], found
+
+
+def test_traced_names_resolve():
+    """Every LAYERS entry of perfbench/tracer.py names a function of its
+    module, or an attribute in its class's own __dict__, as Tracer._build
+    looks them up; a removed or renamed traced name fails here, not only in
+    a traced benchmark run.  The file is read, not imported."""
+    path = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    ]
+    assert len(layers) > 10, layers
+    missing = []
+    for module, attr_path, _ in layers:
+        mod = importlib.import_module(f"skewcyclic.{module}")
+        if "." in attr_path:
+            cls_name, attr = attr_path.split(".")
+            found = attr in getattr(getattr(mod, cls_name, None), "__dict__", {})
+        else:
+            found = callable(getattr(mod, attr_path, None))
+        if not found:
+            missing.append(f"{module}.{attr_path}")
+    assert not missing, "unresolved traced names:\n" + "\n".join(missing)

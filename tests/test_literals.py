@@ -141,8 +141,9 @@ def test_parse_skew_golden_literals(sig27):
 
 
 def test_z_exponent_cap(sig27, F4):
-    """z-exponents up to MAX_Z_DEGREE read as usual; terms above it are
-    summed apart and must cancel, as the y-terms of a field modulus do."""
+    """z-exponents, and the exponents of a plain polynomial, up to
+    MAX_Z_DEGREE read as usual; terms above it are summed apart and must
+    cancel, as the y-terms of a field modulus do."""
     top = MAX_Z_DEGREE
     assert parse_skew(sig27, f"1+z^{top}*(x)").degree == top
     assert parse_skew(sig27, f"1+z^{top + 1}*(x)+z^{top + 1}*(x)") == SkewPoly.one(sig27)
@@ -154,6 +155,9 @@ def test_z_exponent_cap(sig27, F4):
     assert matrix_to_dict(M)["entries"] == [[f"1+z^{top}", "a"]]
     with pytest.raises(ParseError, match=f"in z exceeds {top}"):
         matrix_from_dict(F4, {"rows": 1, "cols": 1, "entries": [[f"z^{top + 1}"]]})
+    assert parse_poly(F4, f"1+x^{top}").degree == top
+    with pytest.raises(ParseError, match=f"in x exceeds {top}"):
+        parse_poly(F4, "x^2000000")
 
 
 def test_parse_sigma_forms(ctx27):

@@ -15,9 +15,14 @@ from skewcyclic.errors import (
 )
 from skewcyclic.fields import Poly, factor_xn_minus_1
 from skewcyclic.literals import parse_field
-from skewcyclic.ring import CrtVector
-
-from helpers import PINNED_FIELDS, SWEEP_CONTEXTS, crt_round_trip, is_unit_by_crt_residues
+from helpers import (
+    PINNED_FIELDS,
+    SWEEP_CONTEXTS,
+    crt_backward,
+    crt_forward,
+    crt_round_trip,
+    is_unit_by_crt_residues,
+)
 
 
 def test_context_rejects_noncoprime(F2):
@@ -51,7 +56,7 @@ def test_idempotents_f4n5(ctx45):
 
 
 def test_idempotent_identities(F2, ctx27, ctx43, ctx45, ctx87):
-    # the only check of these identities (RingContext trusts its CRT); r = 13 at n = 63
+    # the only check of these identities (RingContext trusts its idempotents); r = 13 at n = 63
     for ctx in (ctx27, ctx43, ctx45, ctx87, RingContext(F2, 63)):
         total = ctx.zero
         for i in range(1, ctx.r + 1):
@@ -68,9 +73,9 @@ def test_crt_round_trip(field, n):
     ctx = RingContext(parse_field(field), n)
     crt_round_trip(ctx, 50, seed=n)
     # a part left unreduced lifts as its residue
-    parts = list(ctx.crt_forward(ctx.x).parts)
+    parts = list(crt_forward(ctx, ctx.x))
     parts[-1] = parts[-1] + ctx.factors[-1]
-    assert ctx.crt_backward(CrtVector(ctx, tuple(parts))) == ctx.x
+    assert crt_backward(ctx, parts) == ctx.x
 
 
 def test_ring_mul_examples(ctx27):
@@ -107,12 +112,12 @@ def test_from_poly_folds_powers_mod_n(ctx27, ctx43):
 
 
 def test_crt_goldens(ctx27):
-    v = ctx27.crt_forward(ctx27.idempotent(3))
-    assert [p.to_str("x") for p in v.parts] == ["0", "0", "1"]
-    v1 = ctx27.crt_forward(ctx27.one)
-    assert all(p == Poly.one(ctx27.field) for p in v1.parts)
+    v = crt_forward(ctx27, ctx27.idempotent(3))
+    assert [p.to_str("x") for p in v] == ["0", "0", "1"]
+    v1 = crt_forward(ctx27, ctx27.one)
+    assert all(p == Poly.one(ctx27.field) for p in v1)
     g0 = ctx27.element([1, 0, 1, 1, 1])
-    assert [p.to_str("x") for p in ctx27.crt_forward(g0).parts] == ["0", "0", "1+x+x^2"]
+    assert [p.to_str("x") for p in crt_forward(ctx27, g0)] == ["0", "0", "1+x+x^2"]
 
 
 def _all_elements(ctx):
