@@ -153,11 +153,16 @@ class Automorphism:
             codes = self._apply_once(codes)
         return RingElement(self.context, codes)
 
-    def perm_power(self, k: int, power: int = 1) -> int:
-        """Pi_sigma^power(k) on 1..r."""
+    def _cycle_at(self, k: int):
+        """(the Pi_sigma-cycle holding k, k's position there);
+        IndexOutOfRange unless 1 <= k <= r."""
         if not 1 <= k <= self.context.r:
             raise IndexOutOfRange(f"component index {k} not in 1..{self.context.r}")
-        cyc, i = self._cycle_of[k]
+        return self._cycle_of[k]
+
+    def perm_power(self, k: int, power: int = 1) -> int:
+        """Pi_sigma^power(k) on 1..r."""
+        cyc, i = self._cycle_at(k)
         return cyc[(i + power) % len(cyc)]
 
     def sigma_equiv_classes(self):
@@ -166,12 +171,12 @@ class Automorphism:
 
     def l_order(self, l: int) -> int:
         """Length of the Pi_sigma-cycle containing l."""
-        if not 1 <= l <= self.context.r:
-            raise IndexOutOfRange(f"component index {l} not in 1..{self.context.r}")
-        return len(self._cycle_of[l][0])
+        return len(self._cycle_at(l)[0])
 
     def same_cycle(self, k: int, l: int) -> bool:
-        return any(k in cyc and l in cyc for cyc in self.cycles)
+        """Whether k and l lie in one Pi_sigma-cycle (the cycles are
+        disjoint, so one cycle object holds both)."""
+        return self._cycle_at(k)[0] is self._cycle_at(l)[0]
 
     def __eq__(self, other):
         # RingElement equality compares the contexts too
@@ -246,10 +251,14 @@ def enumerate_automorphisms(ctx: RingContext):
 
     sigma(x) is the sum over k of the lifts eps_perm(k) * root of one root
     of pi_k in K_perm(k): each root of pi_k in each K_m of its class is
-    lifted and packed once, and each sigma(x) costs r packed adds and one
-    unpack.  A permutation is one tuple from each class's
-    `itertools.permutations`, concatenated, as the classes are consecutive
-    runs of 1..r.  Cycles are built on first use.
+    lifted and packed once.  A depth-first walk over the positions
+    k = 1..r tries the unused m of k's class in increasing order, so the
+    permutations come in lexicographic order (the classes are consecutive
+    runs of 1..r).  It carries the packed sum of the single-root lifts
+    (kappa = 1) chosen so far, one add per tree node; each leaf expands the
+    multi-root lifts in `itertools.product` order, so the Frobenius choices
+    vary innermost, and unpacks each sum once.  Cycles are built on first
+    use.
     """
     count = automorphism_count(ctx)
     if count > MAX_LISTED_AUTOMORPHISMS:
@@ -259,18 +268,41 @@ def enumerate_automorphisms(ctx: RingContext):
         )
     pack, add, _, _, _ = _word_ops(ctx.field, ctx.n)
     unpack = _unpacker(ctx.field, ctx.n)
-    classes = ctx.degree_classes
-    lifts = {}  # (k, m) -> the packed lifts of the roots of pi_k in K_m
-    for k, m in ((k, m) for c in classes for k in c for m in c):
+
+    def lifts(k, m):
         e = ctx.idempotents[m - 1].codes
-        lifts[k, m] = [pack(cyclic_accumulate(ctx.field, [0] * ctx.n, root.codes, e))
-                       for root in _roots_in_component(ctx, k, m)]
+        return [pack(cyclic_accumulate(ctx.field, [0] * ctx.n, root.codes, e))
+                for root in _roots_in_component(ctx, k, m)]
+
+    # options[k]: (m, lifts(k, m)) for each m of k's class, in increasing order
+    options = [None] + [[(m, lifts(k, m)) for m in c] for c in ctx.degree_classes for k in c]
+    r = ctx.r
+    used = [False] * (r + 1)
+    perm = [0] * r
+    multi = []  # the multi-root lift lists chosen so far, by position
     out = []
-    for images in itertools.product(*(itertools.permutations(c) for c in classes)):
-        perm = tuple(itertools.chain.from_iterable(images))
-        for terms in itertools.product(*map(lifts.__getitem__, enumerate(perm, start=1))):
-            sigma_x = RingElement(ctx, unpack(functools.reduce(add, terms)))
-            out.append(Automorphism._trusted(ctx, sigma_x, perm))
+
+    def walk(k, acc):
+        if k > r:
+            p = tuple(perm)
+            for terms in itertools.product(*multi):
+                sigma_x = RingElement(ctx, unpack(functools.reduce(add, terms, acc)))
+                out.append(Automorphism._trusted(ctx, sigma_x, p))
+            return
+        for m, roots in options[k]:
+            if used[m]:
+                continue
+            used[m] = True
+            perm[k - 1] = m
+            if len(roots) == 1:
+                walk(k + 1, add(acc, roots[0]))
+            else:
+                multi.append(roots)
+                walk(k + 1, acc)
+                multi.pop()
+            used[m] = False
+
+    walk(1, 0)
     return out
 
 

@@ -7,7 +7,7 @@ import re
 from typing import NamedTuple
 
 from skewcyclic import linalg
-from skewcyclic.automorphisms import Automorphism, _roots_in_component
+from skewcyclic.automorphisms import Automorphism
 from skewcyclic.convolutional import (
     EQUIVALENCE_MAX_N,
     EQUIVALENCE_MAX_Q,
@@ -116,13 +116,81 @@ def _cycles_by_walk(perm):
     return tuple(cycles)
 
 
+def roots_by_scan(ctx, l, m):
+    """Test-only oracle for automorphisms._roots_in_component: the roots of
+    pi_l in K_m = F[x]/(pi_m) as a Frobenius orbit.  The first root is the
+    first residue beta, in `itertools.product` code order, at which the sum
+    of c_i * beta^i mod pi_m vanishes in Poly arithmetic; the orbit is
+    beta^(q^j) by pow_mod, j < deg pi_m."""
+    field = ctx.field
+    pi_l, pi_m = ctx.factors[l - 1], ctx.factors[m - 1]
+    kappa = int(pi_m.degree)
+    for codes in itertools.product(range(field.q), repeat=kappa):
+        beta = Poly(field, codes)
+        value = Poly.zero(field)
+        for i, c in enumerate(pi_l.codes):
+            value = value + beta.pow_mod(i, pi_m).scale(c)
+        if (value % pi_m).is_zero():
+            return [beta.pow_mod(field.q ** j, pi_m) for j in range(kappa)]
+    raise AssertionError(f"pi_{l} has no root in K_{m}")
+
+
+def inverse_by_elimination(field, rows):
+    """The inverse of a nonsingular square matrix of field codes, by
+    Gauss-Jordan elimination on [M | I] with the FieldSpec code operations."""
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = field.inv_c(aug[col][col])
+        aug[col] = [field.mul_c(inv, v) for v in aug[col]]
+        for i in range(n):
+            f = aug[i][col]
+            if i != col and f:
+                aug[i] = [field.sub_c(v, field.mul_c(f, w)) for v, w in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def crt_lift_by_solving(ctx):
+    """The inverse of the CRT map psi as a function of the parts, by solving
+    the F-linear system a mod pi_k = part_k: column j of the system holds
+    the codes of x^j mod pi_k for every k, stacked, and it is inverted once
+    by `inverse_by_elimination`.  No idempotent is read."""
+    field, n = ctx.field, ctx.n
+    x_pows = [Poly(field, [0] * j + [1]) for j in range(n)]
+    rows = []
+    for pi in ctx.factors:
+        residues = [(xj % pi).codes for xj in x_pows]
+        for i in range(int(pi.degree)):
+            rows.append([r[i] if i < len(r) else 0 for r in residues])
+    inverse = inverse_by_elimination(field, rows)
+
+    def lift(parts):
+        rhs = [
+            part.codes[i] if i < len(part.codes) else 0
+            for part, pi in zip(parts, ctx.factors)
+            for i in range(int(pi.degree))
+        ]
+        codes = [0] * n
+        for j, row in enumerate(inverse):
+            for w, b in zip(row, rhs):
+                if w and b:
+                    codes[j] = field.add_c(codes[j], field.mul_c(w, b))
+        return ctx.from_codes(codes)
+
+    return lift
+
+
 def automorphisms_by_crt_lift(ctx):
     """The automorphism group in enumeration order, as (sigma(x), perm,
-    cycles) with one CRT lift per element: for each class-preserving
-    permutation, then each Frobenius exponent tuple in `itertools.product`
-    order, sigma(x) is the lift of the CRT vector whose part in K_perm(k)
-    is root^(q^exps[k]) of pi_k, and the cycles are walked afresh for
-    every element."""
+    cycles), independent of the production lift and root search: for each
+    class-preserving permutation, then each Frobenius exponent tuple in
+    `itertools.product` order, sigma(x) is the solution a of a mod pi_m =
+    root^(q^exps[k]) of pi_k in K_m, m = perm(k), for every k
+    (`crt_lift_by_solving`, on roots from `roots_by_scan`), and the cycles
+    are walked afresh for every element."""
+    lift = crt_lift_by_solving(ctx)
     roots = {}
     out = []
     for perm in _class_preserving_perms(ctx):
@@ -130,10 +198,9 @@ def automorphisms_by_crt_lift(ctx):
             parts = [None] * ctx.r
             for k, m in enumerate(perm, start=1):
                 if (k, m) not in roots:
-                    roots[k, m] = list(_roots_in_component(ctx, k, m))
+                    roots[k, m] = roots_by_scan(ctx, k, m)
                 parts[m - 1] = roots[k, m][exps[k - 1]]
-            sigma_x = crt_backward(ctx, parts)
-            out.append((sigma_x, perm, _cycles_by_walk(perm)))
+            out.append((lift(parts), perm, _cycles_by_walk(perm)))
     return out
 
 

@@ -15,6 +15,7 @@ from skewcyclic import (
     make_field,
     permutation_from_cycles,
 )
+from skewcyclic import automorphisms
 from skewcyclic.errors import (
     BadParameters,
     ClassViolation,
@@ -158,6 +159,25 @@ def test_perm_power_matches_walk():
                     sig.perm_power(k, 1)
 
 
+def test_same_cycle_checks_indices(sig27, sig87):
+    """same_cycle against the cycle list, on every pair of 1..r; an index
+    outside 1..r, in either place, raises IndexOutOfRange as perm_power and
+    l_order do (same_cycle(0, 9) answered False before)."""
+    for sig in (sig27, sig87):
+        r = sig.context.r
+        for k in range(1, r + 1):
+            for l in range(1, r + 1):
+                want = any(k in cyc and l in cyc for cyc in sig.cycles)
+                assert sig.same_cycle(k, l) == want, (sig, k, l)
+            for bad in (0, r + 1, 9):
+                with pytest.raises(IndexOutOfRange):
+                    sig.same_cycle(k, bad)
+                with pytest.raises(IndexOutOfRange):
+                    sig.same_cycle(bad, k)
+    with pytest.raises(IndexOutOfRange):
+        sig27.same_cycle(0, 9)
+
+
 def test_l_order_is_minimal(sig27, sig87):
     for sig in (sig27, sig87):
         ctx = sig.context
@@ -177,6 +197,19 @@ def test_enumeration_counts(ctx27, ctx43, ctx45):
         assert len(images) == want
         bf = enumerate_automorphisms_bruteforce(ctx)
         assert {s.sigma_x.codes for s in bf} == images
+
+
+def test_enumeration_cap_before_root_search(monkeypatch):
+    """GF(2), n = 31 has 11,250,000 automorphisms: the listing is refused
+    before any root of a factor is searched for."""
+    ctx = RingContext(make_field(2, 1), 31)
+
+    def refuse(*args):
+        raise AssertionError("root search started before the cap")
+
+    monkeypatch.setattr(automorphisms, "_roots_in_component", refuse)
+    with pytest.raises(SearchSpaceTooLarge, match="11250000 automorphisms exceed"):
+        enumerate_automorphisms(ctx)
 
 
 def test_enumeration_n1():
