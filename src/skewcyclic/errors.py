@@ -37,6 +37,10 @@ class MixedContexts(SkewCyclicError):
     pass
 
 
+class NotAnElement(SkewCyclicError, TypeError):
+    """A ring element was expected and something else was passed."""
+
+
 class IndexOutOfRange(SkewCyclicError):
     pass
 

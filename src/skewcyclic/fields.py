@@ -8,13 +8,15 @@ taken digit by digit (coefficient by coefficient mod p); the product a*b
 is the F_p-linear combination sum_i b_i * (a*y^i) of the images of the
 basis 1, y, ..., y^(deg-1), with a*y a shift reduced by the modulus.
 The one polynomial factored, x^n - 1, has each cyclotomic part Phi_m split
-at degree ord_m(q), with trial division and q-cyclotomic cosets as oracles.
+at degree ord_m(q) with no randomness: by gcds with the F_p-coordinates of
+the sums of x^j over the q-cyclotomic cosets of Z/m, which are constants
+modulo every irreducible factor.  Trial division, q-cyclotomic coset sizes
+and sympy are the oracles in the tests.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 
 from .errors import (
     BadParameters,
@@ -556,9 +558,22 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor."""
     if f.is_zero() and g.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
-    while not g.is_zero():
-        f, g = g, f % g
-    return f.monic()
+    return Poly._trusted(f.field, tuple(_monic_gcd(f.field, f.codes, f._checked(g).codes)))
+
+
+def _monic_gcd(field, a, b) -> list:
+    """Monic gcd of two code lists, not both empty: Euclid by `_divide`."""
+    mul, neg, inv = field._mul, field._neg, field._inv
+    a, b = list(a), list(b)
+    while b:
+        dv = len(b) - 1
+        scale = mul[inv[b[-1]]]
+        r = _divide(field, a, [neg[scale[c]] for c in b[:-1]])[:dv]
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, r
+    scale = mul[inv[a[-1]]]
+    return [scale[c] for c in a]
 
 
 def poly_ext_gcd(f: Poly, g: Poly):
@@ -606,31 +621,137 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def _equal_degree_split(f: Poly, d: int, rng: random.Random):
-    """Split a product of distinct irreducibles, all of degree d."""
-    if f.degree == d:
+def _cyclotomic_cosets(q: int, n: int):
+    """The q-cyclotomic cosets {i, iq, iq^2, ...} of Z/n, gcd(n, q) = 1,
+    in the order of their least elements, each listed from that element."""
+    seen = [False] * n
+    cosets = []
+    for i in range(n):
+        if not seen[i]:
+            coset, j = [], i
+            while not seen[j]:
+                seen[j] = True
+                coset.append(j)
+                j = j * q % n
+            cosets.append(coset)
+    return cosets
+
+
+def _mul_mod(field, a, b, pivot) -> list:
+    """a * b reduced by the monic divisor whose `_divide` row is `pivot`."""
+    out = [0] * (len(a) + len(b) - 1)
+    _accumulate(field, out, a, b)
+    r = _divide(field, out, pivot)[: len(pivot)]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _values_mod(field, t, pivot):
+    """The values in F_p of t modulo the irreducible factors of f (monic,
+    squarefree, `pivot` its `_divide` row), where t is not a constant and
+    t^p = t mod f.
+
+    They are the roots of the minimal polynomial of t in F[x]/(f): that
+    polynomial divides X^p - X, so its roots lie in F_p and are distinct.
+    It is read off the first linear relation among 1, t, t^2, ..., found
+    by elimination (a row per power, with the combination of powers it
+    stands for).  1 and t are independent; with no relation below t^p,
+    it is X^p - X itself and every element of F_p is a value, so no p-th
+    power is formed."""
+    p, size = field.p, len(pivot)
+    if p == 2:
+        return [0, 1]  # the loop below is empty: X^2 - X
+    mul, add, neg, inv = field._mul, field._add, field._neg, field._inv
+    # (lead index, row with 1 there, its combination of powers); the row
+    # of t is t - t_0, scaled, led by its first nonzero coefficient past 0
+    lead = next(i for i, c in enumerate(t) if i and c)
+    s = mul[inv[t[lead]]]
+    row = [0] + [s[c] for c in t[1:]]
+    rows = [(0, [1] + [0] * (size - 1), [1]), (lead, row + [0] * (size - len(row)), [s[neg[t[0]]], s[1]])]
+    power = t
+    for j in range(2, p):
+        power = _mul_mod(field, power, t, pivot)
+        vec = power + [0] * (size - len(power))
+        comb = [0] * j + [1]
+        for lead, row, rcomb in rows:
+            c = vec[lead]
+            if c:
+                s = mul[neg[c]]
+                vec = [add[a][s[b]] for a, b in zip(vec, row)]
+                for i, b in enumerate(rcomb):
+                    comb[i] = add[comb[i]][s[b]]
+        lead = next((i for i, c in enumerate(vec) if c), None)
+        if lead is None:
+            break
+        s = mul[inv[vec[lead]]]
+        rows.append((lead, [s[c] for c in vec], [s[c] for c in comb]))
+    else:
+        return list(range(p))  # the codes below p are the elements of F_p
+    roots = []
+    for c in range(p):
+        acc = 0
+        for a in reversed(comb):
+            acc = add[mul[acc][c]][a]
+        if not acc:
+            roots.append(c)
+    return roots
+
+
+def _split_by_values(field, f, u) -> list:
+    """The monic squarefree code list f, split into the products of its
+    irreducible factors on which u (a code list of length > deg f, F_p-valued
+    modulo each of them) takes one value: gcd(f, u - c) for each value c but
+    the last, whose class is what is left."""
+    add, neg = field._add, field._neg
+    pivot = [neg[c] for c in f[:-1]]
+    t = _divide(field, list(u), pivot)[: len(pivot)]
+    while t and not t[-1]:
+        t.pop()
+    if len(t) < 2:  # a constant: one value on every factor
         return [f]
-    field = f.field
-    e = field.deg  # q = p^e
-    while True:
-        h = Poly(field, [rng.randrange(field.q) for _ in range(int(f.degree))])
-        if h.degree < 1:
+    values = _values_mod(field, t, pivot)
+    out, rest = [], f
+    for c in values[:-1]:
+        w = list(t)
+        w[0] = add[w[0]][neg[c]]
+        g = _monic_gcd(field, rest, w)
+        rest = _divide(field, list(rest), [neg[b] for b in g[:-1]])[len(g) - 1 :]
+        out.append(g)
+    out.append(rest)
+    return out
+
+
+def _refine(field, part, order: int, cosets, m: int) -> list:
+    """Split Phi_m (the code list `part`) by the F_p-coordinates of the theta_C,
+    C over the q-cyclotomic `cosets` of Z/m, until every piece has degree
+    `order` or the coordinates run out.  The coordinates of pC are those of
+    C, so one coset of each orbit under multiplication by p is used."""
+    add = field._add
+    p, e = field.p, field.deg
+    done, todo = [], [part]
+    seen = {0}  # theta_{0} = 1 is constant
+    for coset in cosets:
+        if not todo:
+            break
+        if coset[0] in seen:
             continue
-        if field.p == 2:
-            # absolute trace map h + h^2 + h^4 + ... splits in char 2
-            t = h % f
-            acc = Poly.zero(field)
-            for _ in range(e * d):
-                acc = acc + t
-                t = (t * t) % f
-            g = poly_gcd(f, acc) if not acc.is_zero() else Poly.zero(field)
-        else:
-            m = (field.q ** d - 1) // 2
-            g = poly_gcd(f, h.pow_mod(m, f) - Poly.one(field))
-        if not g.is_zero() and 0 < g.degree < f.degree:
-            return _equal_degree_split(g, d, rng) + _equal_degree_split(
-                f.exact_div(g), d, rng
-            )
+        seen.update(j * p ** k % m for k in range(e) for j in coset)
+        for i in range(e):
+            # Tr(y^i theta_C) = sum_k y^(i p^k) theta_(p^k C), a code list mod x^m - 1
+            u = [0] * m
+            for k in range(e):
+                c = field.pow_c(p ** i, p ** k)
+                for j in coset:
+                    idx = j * p ** k % m
+                    u[idx] = add[u[idx]][c]
+            pending, todo = todo, []
+            for g in pending:
+                for h in _split_by_values(field, g, u):
+                    (todo if len(h) - 1 > order else done).append(h)
+            if not todo:
+                break
+    return done + todo
 
 
 def factor_xn_minus_1(field: FieldSpec, n: int):
@@ -638,10 +759,32 @@ def factor_xn_minus_1(field: FieldSpec, n: int):
 
     Requires n >= 1 and gcd(n, q) = 1 so the polynomial is squarefree.  It
     is the product of the cyclotomic parts Phi_m = (x^m - 1) / prod Phi_e
-    (m | n, e | m, e < m), and each Phi_m, a product of distinct irreducibles
-    of degree ord_m(q) (Lidl-Niederreiter, Finite Fields, Thm 2.47), is split
-    at that degree by Cantor-Zassenhaus.  Trial division and q-cyclotomic
-    cosets are the oracles in the tests.  Factors come back sorted by
+    (m | n, e | m, e < m), and each Phi_m is a product of distinct
+    irreducibles of degree ord_m(q) (Lidl-Niederreiter, Finite Fields,
+    Thm 2.47), split deterministically over the q-cyclotomic cosets C of
+    Z/m (Berlekamp, Bell Syst. Tech. J. 46, 1967):
+
+    - Frobenius a -> a^q is F_q-linear on F[x]/(x^m - 1) and sends x^j to
+      x^(qj), so theta_C = sum_(j in C) x^j has theta_C^q = theta_C.  Modulo
+      an irreducible factor g, F[x]/(g) is a field whose only such elements
+      are those of F_q: each theta_C is a constant c_g(C) of F_q mod g.
+    - The theta_C are linearly independent and as many as the irreducible
+      factors of x^m - 1, which is squarefree; they span the subalgebra of
+      Frobenius-fixed elements, which the CRT maps onto F_q^r.  So for any
+      two factors g != h of Phi_m some theta_C has c_g(C) != c_h(C).
+    - The F_p-coordinates u = Tr(beta theta_C) = sum_k beta^(p^k)
+      theta_(p^k C) (beta over 1, y, ..., y^(e-1), q = p^e) take the values
+      Tr(beta c_g(C)) in F_p mod g, and as the trace form is nondegenerate,
+      two distinct values c_g(C) differ in some coordinate.  No power of
+      u is formed: (beta theta_C)^(p^k) is beta^(p^k) theta_(p^k C).
+    - A piece f is split into the classes gcd(f, u - c), one for each value
+      c that u takes on its factors (`_values_mod`).  After every
+      coordinate of every coset, any two factors of Phi_m lie in different
+      pieces, so each piece is one factor of degree ord_m(q).
+
+    The cosets of Z/n are computed once: those of Z/m are the cosets of
+    multiples of n/m, divided by n/m.  Trial division and q-cyclotomic
+    coset sizes are the oracles in the tests.  Factors come back sorted by
     degree, ties broken by coefficient lex order with 0 < 1 < a < a^2 < ...;
     this order fixes the component indices 1..r.
     """
@@ -649,22 +792,29 @@ def factor_xn_minus_1(field: FieldSpec, n: int):
         raise BadParameters(f"length must be positive, got {n}")
     if n % field.p == 0:
         raise LengthNotCoprime(f"length {n} is not coprime to the field size {field.q}")
-    f = Poly.x_pow_n_minus_1(field, n)
-    rng = random.Random(0xC0DE)
+    neg = field._neg
+    cosets = _cyclotomic_cosets(field.q, n)
     factors = []
-    parts = {}  # m -> Phi_m, for the divisors m of n so far
+    unsplit = False
+    pivots = {}  # e -> the `_divide` row of Phi_e, for the divisors e of n so far
     for m in (m for m in range(1, n + 1) if n % m == 0):
-        part = Poly.x_pow_n_minus_1(field, m)
-        for e in parts:
+        part = [neg[1]] + [0] * (m - 1) + [1]
+        for e, pivot in pivots.items():
             if m % e == 0:
-                part = part.exact_div(parts[e])
-        parts[m] = part
+                part = _divide(field, part, pivot)[len(pivot) :]
+        pivots[m] = [neg[c] for c in part[:-1]]
         order = next(d for d in itertools.count(1) if pow(field.q, d, m) == 1 % m)
-        factors.extend(_equal_degree_split(part, order, rng))
+        pieces = [part]
+        if len(part) - 1 > order:
+            step = n // m
+            ours = [[j // step for j in c] for c in cosets if c[0] % step == 0]
+            pieces = _refine(field, part, order, ours, m)
+        unsplit = unsplit or any(len(g) - 1 != order for g in pieces)
+        factors.extend(Poly._trusted(field, tuple(g)) for g in pieces)
     factors.sort(key=Poly.lex_key)
-    prod = Poly.one(field)
+    prod = [1]
     for g in factors:
-        prod = prod * g
-    if prod != f:
+        prod = _accumulate(field, [0] * (len(prod) + len(g.codes) - 1), prod, g.codes)
+    if unsplit or prod != [neg[1]] + [0] * (n - 1) + [1]:
         raise AssertionError("factorization sanity check failed")
     return tuple(factors)

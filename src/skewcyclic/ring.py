@@ -17,6 +17,7 @@ from .errors import (
     LengthMismatch,
     MixedContexts,
     MixedFields,
+    NotAnElement,
     NotAUnit,
     ZeroInput,
 )
@@ -164,6 +165,10 @@ class RingContext:
         return self.inv(sum(fill, a)), support
 
     def _check(self, a: "RingElement") -> "RingElement":
+        """a itself; NotAnElement unless it is a RingElement (nothing is
+        coerced), MixedContexts unless it is one of this ring."""
+        if not isinstance(a, RingElement):
+            raise NotAnElement(f"expected an element of A, got {type(a).__name__}")
         if a.context is not self and a.context != self:
             raise MixedContexts("ring element from a different context")
         return a

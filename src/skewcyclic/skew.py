@@ -516,11 +516,15 @@ def decompose_into_elementary(u: SkewPoly):
         raise NotAUnit("only units decompose into elementary units")
     applied = []
     cur = u
-    for _ in range(MAX_DECOMPOSITION_STEPS):
+    while True:
         comps = {k: cur.component(k) for k in range(1, ctx.r + 1)}
         degs = {k: (len(f.coeffs) - 1 if f.coeffs else -1) for k, f in comps.items()}
         if all(d <= 0 for d in degs.values()):
             break
+        if len(applied) == MAX_DECOMPOSITION_STEPS:
+            raise DecompositionNotFound(
+                f"no constant reached in {MAX_DECOMPOSITION_STEPS} steps"
+            )
         move = None
         for j in sorted(degs, key=lambda k: (-degs[k], k)):
             dj = degs[j]
@@ -549,10 +553,6 @@ def decompose_into_elementary(u: SkewPoly):
             raise AssertionError(f"u_a({d}) on component {l} is not an elementary unit")
         applied.append((d, a, l))
         cur = e * cur
-    else:
-        raise DecompositionNotFound(
-            f"no constant reached in {MAX_DECOMPOSITION_STEPS} steps"
-        )
     factors = [elementary_unit(sigma, d, -a, l) for d, a, l in applied]
     factors.extend(_constant_factors(sigma, cur.constant_term))
     check = SkewPoly.one(sigma)

@@ -211,6 +211,33 @@ def test_factor_matches_sympy_over_prime_fields(p):
     assert cells == 40 - 40 // p
 
 
+@pytest.mark.parametrize("p,n", [(2, 239), (5, 312)])
+def test_factor_long_lengths_match_sympy(p, n):
+    """Two long lengths against sympy: GF(2) n = 239 (two factors of
+    degree 119) and GF(5) n = 312 (24 divisors, factors of degree 1 to 12)."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    lc, parts = sympy.Poly(x ** n - 1, x, modulus=p).factor_list()
+    assert int(lc) % p == 1 and all(m == 1 for _, m in parts)
+    expected = sorted(tuple(int(c) % p for c in reversed(f.all_coeffs())) for f, _ in parts)
+    assert sorted(f.codes for f in factor_xn_minus_1(make_field(p, 1), n)) == expected
+
+
+@pytest.mark.parametrize("p,deg,n", [(2, 4, 255), (2, 8, 239)])
+def test_factor_long_lengths_coset_sizes(p, deg, n):
+    """GF(16) n = 255 and GF(256) n = 239: monic factors whose degrees are
+    the q-cyclotomic coset sizes mod n, and whose product is x^n - 1."""
+    field = make_field(p, deg)
+    fs = factor_xn_minus_1(field, n)
+    assert sorted(int(f.degree) for f in fs) == cyclotomic_coset_sizes(field.q, n)
+    assert all(f.lc() == 1 for f in fs)
+    prod = Poly.one(field)
+    for f in fs:
+        prod = prod * f
+    assert prod == Poly.x_pow_n_minus_1(field, n)
+
+
 FACTOR_PIN_SHA256 = "73b3f47cf3701bb3067deac210f117415f6a61af7ee5083201517f651e6fb73c"
 
 

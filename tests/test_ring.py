@@ -3,18 +3,20 @@ import random
 
 import pytest
 
-from skewcyclic import RingContext, make_field
+from skewcyclic import Automorphism, RingContext, identity_automorphism, make_field
 from skewcyclic.errors import (
     BadParameters,
     IndexOutOfRange,
     LengthNotCoprime,
     MixedContexts,
     MixedFields,
+    NotAnElement,
     NotAUnit,
     ZeroInput,
 )
 from skewcyclic.fields import Poly, factor_xn_minus_1
 from skewcyclic.literals import parse_field
+from skewcyclic.skew import SkewPoly
 from helpers import (
     PINNED_FIELDS,
     SWEEP_CONTEXTS,
@@ -215,3 +217,25 @@ def test_normalize_property_random(ctx45):
         assert supp == tuple(
             l for l in range(1, ctx45.r + 1) if ctx45.component(a, l)
         )
+
+
+# every call below takes a ring element where 3 is passed
+NON_ELEMENT_CALLS = {
+    "Automorphism.apply": lambda ctx, sig: sig.apply(3),
+    "Automorphism": lambda ctx, sig: Automorphism(ctx, 3),
+    "SkewPoly.constant": lambda ctx, sig: SkewPoly.constant(sig, 3),
+    "SkewPoly.z_power": lambda ctx, sig: SkewPoly.z_power(sig, 1, 3),
+    "RingContext.component": lambda ctx, sig: ctx.component(3, 1),
+    "RingContext.is_unit": lambda ctx, sig: ctx.is_unit(3),
+    "RingContext.inv": lambda ctx, sig: ctx.inv(3),
+    "RingContext.normalize_to_idempotent_sum": lambda ctx, sig: ctx.normalize_to_idempotent_sum(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_ELEMENT_CALLS))
+def test_non_element_raises_not_an_element(ctx27, name):
+    """An int where a ring element belongs raises NotAnElement, a
+    SkewCyclicError (and a TypeError); it is not coerced."""
+    sig = identity_automorphism(ctx27)
+    with pytest.raises(NotAnElement, match="expected an element of A, got int"):
+        NON_ELEMENT_CALLS[name](ctx27, sig)

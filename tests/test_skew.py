@@ -22,6 +22,7 @@ from skewcyclic import (
     Automorphism,
     RingContext,
     decompose_into_elementary,
+    default_scalars,
     elementary_unit,
     elementary_unit_inverse,
     enumerate_automorphisms,
@@ -36,6 +37,7 @@ from skewcyclic import (
 )
 from skewcyclic.errors import (
     BadParameters,
+    DecompositionNotFound,
     FixedIdempotent,
     MixedAlgebras,
     NonUnitScalar,
@@ -796,6 +798,27 @@ def test_decompose_examples(sig43):
     for f in factors:
         prod = prod * f
     assert prod == u
+
+
+def test_decompose_takes_exactly_the_step_cap(ctx27, monkeypatch):
+    """A unit that needs exactly MAX_DECOMPOSITION_STEPS moves decomposes:
+    the all-constant test runs after the last move too.  On GF(2) n=7 with
+    sigma = x^3, the unit product of d default scalars takes d moves; the
+    cap is patched small so the boundary is cheap to reach."""
+    import skewcyclic.skew as skew
+
+    sig = Automorphism(ctx27, ctx27.element([0, 0, 0, 1]))
+    u = unit_product(sig, 2, default_scalars(ctx27, 3))
+    monkeypatch.setattr(skew, "MAX_DECOMPOSITION_STEPS", 3)
+    factors = decompose_into_elementary(u)
+    assert len(factors) == 3
+    prod = SkewPoly.one(sig)
+    for f in factors:
+        prod = prod * f
+    assert prod == u
+    monkeypatch.setattr(skew, "MAX_DECOMPOSITION_STEPS", 2)
+    with pytest.raises(DecompositionNotFound, match="no constant reached in 2 steps"):
+        decompose_into_elementary(u)
 
 
 def test_decompose_random_units(sig27, sig43):
