@@ -81,10 +81,6 @@ class NonUnitScalar(SkewCyclicError):
     pass
 
 
-class DecompositionNotFound(SkewCyclicError):
-    pass
-
-
 # -- polynomial matrices and codes ------------------------------------------
 
 class LengthMismatch(SkewCyclicError):

@@ -21,11 +21,11 @@ from types import MappingProxyType
 
 from .errors import (
     BadParameters,
-    DecompositionNotFound,
     FixedIdempotent,
     IndexOutOfRange,
     LengthMismatch,
     MixedAlgebras,
+    MixedFields,
     NonUnitScalar,
     NotAUnit,
 )
@@ -400,6 +400,8 @@ def skew_from_vector(sigma, polys) -> SkewPoly:
     polys = list(polys)
     if len(polys) != ctx.n:
         raise LengthMismatch(f"expected {ctx.n} entries, got {len(polys)}")
+    if any(p.field is not ctx.field and p.field != ctx.field for p in polys):
+        raise MixedFields("polynomial over a different field")
     depth = max((len(p.codes) for p in polys), default=0)
     return SkewPoly(
         sigma,
@@ -464,7 +466,7 @@ def unit_product(sigma: Automorphism, l: int, scalars) -> SkewPoly:
     """u_{a_1}(1) * ... * u_{a_d}(d); component l keeps full degree d."""
     ctx = sigma.context
     scalars = [_ring_scalar(ctx, s) for s in scalars]
-    if scalars and sigma.l_order(l) == 1:
+    if sigma.l_order(l) == 1 and scalars:  # l_order checks l in 1..r
         raise FixedIdempotent(f"sigma fixes eps_{l}")
     u = SkewPoly.one(sigma)
     for i, a in enumerate(scalars, start=1):
@@ -476,10 +478,6 @@ def unit_product(sigma: Automorphism, l: int, scalars) -> SkewPoly:
 
 # -- decomposition into elementary units --------------------------------------
 
-# guard on decompose_into_elementary's greedy loop, each step of which lowers
-# the total of the component degrees
-MAX_DECOMPOSITION_STEPS = 1000
-
 
 def _local_inverse(ctx, c: RingElement, i: int) -> RingElement:
     """Inverse of a nonzero element of K^(i), inside that component."""
@@ -487,77 +485,67 @@ def _local_inverse(ctx, c: RingElement, i: int) -> RingElement:
     return ctx.inv(c * e + ctx.one - e) * e
 
 
-def _constant_factors(sigma, c: RingElement):
-    """Write a constant unit c as a product of degree-0 elementary units."""
-    ctx = sigma.context
-    out = []
-    for l in range(1, ctx.r + 1):
-        a = (c - ctx.one) * ctx.idempotent(l)
-        if a:
-            out.append(elementary_unit(sigma, 0, a, l))
-    return out
-
-
 def decompose_into_elementary(u: SkewPoly):
-    """Best-effort factorization of a unit into elementary units.
+    """Factor a unit into elementary units: e_1 * ... * e_t = u, each e_i
+    elementary, after at most sum_k deg u^(k) moves; NotAUnit for anything
+    else.  The unit 1 comes back as [] and an elementary unit as [u].
 
-    Returns factors e_1, ..., e_t (each elementary) with e_1 * ... * e_t = u.
-    Works by repeatedly killing the top term of a maximal-degree component
-    against a lower component of the same cycle, which strictly decreases
-    the total of the component degrees; raises DecompositionNotFound when
-    no such cancellation applies (the paper-level existence proof relies on
-    a reduction engine that is out of scope here).  The unit 1 comes back
-    as [] and an elementary unit as [u]: the one move cancels it to 1, or
-    it is constant.
+    Each move left-multiplies by 1 + z^d a eps_l and cancels the top term
+    of a component j against component l = Pi^d(j) of degree d_j - d.
+    Such a move exists while u is not constant (the predictable-degree
+    argument for minimal bases, Forney 1975):
+    - The components u^(k) = eps_k u are nonzero, as eps_k = eps_k u u^-1.
+      With d_k = deg u^(k) and the mark m_k = Pi^(d_k)(k), the leading
+      coefficient c_k of u^(k) is a nonzero element of K_(m_k).
+    - The n rows vec(x^i u^(k)), i < kappa_k = dim K_k, span
+      vec(A[z;sigma] u) = F[z]^n, so they form a unimodular n x n matrix.
+      Row (k, i) has degree d_k and leading coefficient sigma^(d_k)(x)^i
+      c_k; for i < kappa_k these are an F-basis of K_(m_k).
+    - If the marks are distinct, the leading row-coefficient matrix is
+      invertible, so 0 = deg det = sum_k kappa_k d_k and u is constant.
+    - Otherwise two components j != l of one cycle of length o share a
+      mark, with l = Pi^s(j), s != 0 (mod o).  Then d_j = d_l + s (mod o),
+      so d_j != d_l; say d_j > d_l.  d = d_j - d_l >= 1 has Pi^d(j) = l: the
+      search below meets this move or an earlier one.
+    Every move found has l = Pi^d(j) != j, so o does not divide d, and
+    with a = sigma^(-d_l)(-c_j c_l^-1), a nonzero element of K_l,
+    1 + z^d a eps_l is elementary with inverse 1 - z^d a eps_l.  As
+    eps_k z^d a eps_l = z^d eps_(Pi^d(k)) a eps_l vanishes unless k = j,
+    the move changes component j alone, to u^(j) + z^d a u^(l), whose
+    z^(d_j) coefficient c_j + sigma^(d_l)(a) c_l is 0.  So sum_k d_k falls
+    with every move, and the loop stops at a constant unit
+    c = prod_l (1 + (c - 1) eps_l), whose l-th factor is
+    1 + (c^(l) - eps_l).  The inverses of the moves, then those factors,
+    multiply back to u.
     """
     sigma = u.sigma
     ctx = u.context
     if not u.is_unit():
         raise NotAUnit("only units decompose into elementary units")
-    applied = []
-    cur = u
-    while True:
-        comps = {k: cur.component(k) for k in range(1, ctx.r + 1)}
-        degs = {k: (len(f.coeffs) - 1 if f.coeffs else -1) for k, f in comps.items()}
-        if all(d <= 0 for d in degs.values()):
+    comps = {k: u.component(k) for k in range(1, ctx.r + 1)}
+    degs = {k: len(f.coeffs) - 1 for k, f in comps.items()}
+    moves = []
+    # each move lowers sum_k d_k, so the starting total bounds the moves
+    for _ in range(sum(degs.values())):
+        if not any(degs.values()):
             break
-        if len(applied) == MAX_DECOMPOSITION_STEPS:
-            raise DecompositionNotFound(
-                f"no constant reached in {MAX_DECOMPOSITION_STEPS} steps"
-            )
-        move = None
-        for j in sorted(degs, key=lambda k: (-degs[k], k)):
-            dj = degs[j]
-            if dj <= 0:
-                continue
-            for d in range(1, dj + 1):
-                l = sigma.perm_power(j, d)
-                if degs[l] != dj - d:
-                    continue
-                i = sigma.perm_power(j, dj)  # leading component index of comp j
-                c_j = comps[j].coeffs[dj]
-                c_l = comps[l].coeffs[dj - d]
-                b = (-c_j) * _local_inverse(ctx, c_l, i)
-                a = sigma.apply(b, -(dj - d))
-                move = (d, a, l)
-                break
-            if move:
-                break
-        if move is None:
-            raise DecompositionNotFound(
-                "greedy cancellation found no applicable elementary unit"
-            )
-        d, a, l = move
-        e = elementary_unit(sigma, d, a, l)
-        if not is_elementary_unit(sigma, d, a, l):
-            raise AssertionError(f"u_a({d}) on component {l} is not an elementary unit")
-        applied.append((d, a, l))
-        cur = e * cur
-    factors = [elementary_unit(sigma, d, -a, l) for d, a, l in applied]
-    factors.extend(_constant_factors(sigma, cur.constant_term))
-    check = SkewPoly.one(sigma)
-    for f in factors:
-        check = check * f
-    if check != u:
-        raise DecompositionNotFound("factor product failed verification")
+        j, d = next(
+            (j, d)
+            for j in sorted(degs, key=lambda k: (-degs[k], k))
+            for d in range(1, degs[j] + 1)
+            if degs[sigma.perm_power(j, d)] == degs[j] - d
+        )
+        l, dl = sigma.perm_power(j, d), degs[j] - d
+        c_j, c_l = comps[j].coeffs[-1], comps[l].coeffs[dl]
+        # c_j and c_l lie in K_i, i = Pi^(d_j)(j), the mark they share
+        b = (-c_j) * _local_inverse(ctx, c_l, sigma.perm_power(j, degs[j]))
+        a = sigma.apply(b, -dl)
+        moves.append((d, a, l))
+        comps[j] = comps[j] + SkewPoly.z_power(sigma, d, a) * comps[l]
+        degs[j] = len(comps[j].coeffs) - 1
+    factors = [elementary_unit(sigma, d, -a, l) for d, a, l in moves]
+    for l, f in comps.items():
+        a = f.constant_term - ctx.idempotent(l)
+        if a:
+            factors.append(elementary_unit(sigma, 0, a, l))
     return factors

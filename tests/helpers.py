@@ -393,6 +393,20 @@ def is_unit_by_components(f):
     return True
 
 
+def units_by_enumeration(sigma, degree_cap):
+    """Every unit of A[z;sigma] of z-degree <= degree_cap, by exhaustion.
+    z = 0 is a ring map onto A, so a unit's constant term is a unit of A;
+    the candidates with such a term are decided by is_unit_by_components,
+    never by the production test."""
+    ctx = sigma.context
+    elems = [ctx.from_codes(c) for c in all_element_codes(ctx)]
+    for f0 in (a for a in elems if is_unit_by_crt_residues(ctx, a)):
+        for tail in itertools.product(elems, repeat=degree_cap):
+            f = SkewPoly(sigma, (f0,) + tail)
+            if is_unit_by_components(f):
+                yield f
+
+
 def identity_units_constant(ctx, degree_cap, restrict_to_unit_constant=False):
     """With the identity twist, every unit of the polynomial ring is constant.
     Units are decided by is_unit_by_components, never by the production

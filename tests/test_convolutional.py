@@ -100,6 +100,14 @@ def test_map_length_mismatch(sig27):
         skew_from_vector(sig27, [Poly.one(sig27.context.field)] * 3)
 
 
+def test_map_refuses_another_field(sig27):
+    """A polynomial over GF(4) does not lift into a GF(2) context."""
+    F4 = make_field(2, 2, [1, 1, 1])
+    polys = [Poly.one(sig27.context.field)] * 6 + [Poly.x(F4)]
+    with pytest.raises(MixedFields):
+        skew_from_vector(sig27, polys)
+
+
 def test_generator_matrix_golden(sig27, poly_g):
     G = generator_matrix(poly_g)
     assert G.to_strings() == GOLDEN_G

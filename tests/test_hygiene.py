@@ -192,9 +192,10 @@ def test_self_checks_are_the_listed_ones():
     function.  Each re-checks a result the code should already guarantee,
     so each is either cheap or has no proof written down.  The unit
     inverse, the column reduction's right inverse and parity check, the
-    equivalence witness and the idempotent generator are proven in their
-    docstrings and checked in the tests instead; a self-check added
-    anywhere fails here."""
+    equivalence witness, the idempotent generator, the elementary
+    decomposition and the unit assembled for a degree profile are proven
+    in their docstrings and checked in the tests instead; a self-check
+    added anywhere fails here."""
     sources = sorted(PACKAGE.glob("*.py"))
     assert len(sources) > 5, PACKAGE
     found = sorted(
@@ -209,13 +210,11 @@ def test_self_checks_are_the_listed_ones():
         "builder.build_minimal_code",
         "builder.build_minimal_code",
         "builder.build_unit_for_profile",
-        "builder.build_unit_for_profile",
         "builder.orthogonal_sum",
         "distance.free_distance",
         "distance.free_distance",
         "distance.free_distance",
         "fields.factor_xn_minus_1",
-        "skew.decompose_into_elementary",
     ], found
 
 

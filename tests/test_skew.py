@@ -7,15 +7,18 @@ import pytest
 from helpers import (
     SWEEP_CONTEXTS,
     Monomial,
+    crt_forward,
     generator_rows_by_products,
     inverse_degree_bound,
     is_reduced_by_terms,
     is_unit_by_components,
+    is_unit_by_crt_residues,
     leading_monomial,
     module_determinant,
     module_unit_inverse,
     skew_product_by_terms,
     unit_inverse_by_solving,
+    units_by_enumeration,
     x_multiples_by_products,
 )
 from skewcyclic import (
@@ -37,14 +40,14 @@ from skewcyclic import (
 )
 from skewcyclic.errors import (
     BadParameters,
-    DecompositionNotFound,
     FixedIdempotent,
+    IndexOutOfRange,
     MixedAlgebras,
     NonUnitScalar,
     NotAUnit,
     ZeroPolynomial,
 )
-from skewcyclic.literals import parse_field
+from skewcyclic.literals import parse_field, parse_sigma
 from skewcyclic.skew import SkewPoly, x_multiples
 
 
@@ -762,6 +765,13 @@ def test_unit_product_rejects(sig43):
         unit_product(sig43, 2, [ctx.idempotent(2)])
 
 
+def test_unit_product_checks_l_without_scalars(sig43):
+    """l is checked to lie in 1..r also when no scalars are given."""
+    for l in (0, sig43.context.r + 1):
+        with pytest.raises(IndexOutOfRange):
+            unit_product(sig43, l, [])
+
+
 def test_identity_units_are_constant_exhaustive_f2n3(F2):
     from helpers import identity_units_constant
     from skewcyclic import RingContext
@@ -800,25 +810,18 @@ def test_decompose_examples(sig43):
     assert prod == u
 
 
-def test_decompose_takes_exactly_the_step_cap(ctx27, monkeypatch):
-    """A unit that needs exactly MAX_DECOMPOSITION_STEPS moves decomposes:
-    the all-constant test runs after the last move too.  On GF(2) n=7 with
-    sigma = x^3, the unit product of d default scalars takes d moves; the
-    cap is patched small so the boundary is cheap to reach."""
-    import skewcyclic.skew as skew
-
+def test_decompose_unit_product_takes_one_move_per_scalar(ctx27):
+    """On GF(2) n=7 with sigma = x^3, the unit product of d default scalars
+    has components of degree d and d - 1 on the cycle (2,3), and takes d
+    moves, below the bound 2d - 1 on their number."""
     sig = Automorphism(ctx27, ctx27.element([0, 0, 0, 1]))
     u = unit_product(sig, 2, default_scalars(ctx27, 3))
-    monkeypatch.setattr(skew, "MAX_DECOMPOSITION_STEPS", 3)
     factors = decompose_into_elementary(u)
     assert len(factors) == 3
     prod = SkewPoly.one(sig)
     for f in factors:
         prod = prod * f
     assert prod == u
-    monkeypatch.setattr(skew, "MAX_DECOMPOSITION_STEPS", 2)
-    with pytest.raises(DecompositionNotFound, match="no constant reached in 2 steps"):
-        decompose_into_elementary(u)
 
 
 def test_decompose_random_units(sig27, sig43):
@@ -858,6 +861,58 @@ def test_decompose_elementary_unit_is_itself(sig27, sig43, sig87):
                         continue
                     u = elementary_unit(sig, d, a, l)
                     assert decompose_into_elementary(u) == [u], (sig, d, a, l)
+
+
+def _is_elementary_by_terms(f):
+    """Whether f = 1 + z^d b with b a nonzero element of a single K_l that
+    passes the elementary criterion: 1 + b a unit of A when d = 0, the
+    cycle through l of a length that does not divide d when d > 0.  The
+    component of b comes from its CRT residues."""
+    ctx = f.context
+    terms = [(d, b - ctx.one if d == 0 else b) for d, b in enumerate(f.coeffs)]
+    terms = [(d, b) for d, b in terms if b]
+    if len(terms) != 1:
+        return False
+    d, b = terms[0]
+    support = [k for k, part in enumerate(crt_forward(ctx, b), start=1) if not part.is_zero()]
+    if len(support) != 1:
+        return False
+    if d == 0:
+        return is_unit_by_crt_residues(ctx, ctx.one + b)
+    (cycle,) = [c for c in f.sigma.cycles if support[0] in c]
+    return d % len(cycle) != 0
+
+
+@pytest.mark.parametrize(
+    "field, n, sigma, degree, count",
+    [
+        ("GF(4)", 3, "x^2", 1, 189),
+        ("GF(4)", 3, "perm:(1,2,3)", 1, 999),
+        ("GF(2)", 5, "x^2", 1, 15),
+        # sigma = x^3 fixes every component: the 32 units are constants
+        ("GF(3)", 4, "x^3", 1, 32),
+        # odd characteristic with moves: a wrong-sign cancellation fails here
+        ("GF(3)", 4, "perm:(1,2)", 1, 160),
+        ("GF(3)", 2, "perm:(1,2)", 2, 52),
+    ],
+)
+def test_decompose_every_unit_of_small_degree(field, n, sigma, degree, count):
+    """Every unit of z-degree <= degree, found by exhaustion, decomposes
+    into elementary factors whose product, formed term by term, is the
+    unit, after at most sum_k deg u^(k) moves (the positive-degree
+    factors)."""
+    sig = parse_sigma(RingContext(parse_field(field), n), sigma)
+    units = list(units_by_enumeration(sig, degree))
+    assert len(units) == count
+    for u in units:
+        factors = decompose_into_elementary(u)
+        assert all(_is_elementary_by_terms(f) for f in factors), u
+        prod = SkewPoly.one(sig)
+        for f in factors:
+            prod = skew_product_by_terms(prod, f)
+        assert prod == u
+        moves = sum(1 for f in factors if f.degree > 0)
+        assert moves <= sum(c.degree for c in u.components().values()), u
 
 
 def test_skew_str_roundtrip(sig27, poly_g):
