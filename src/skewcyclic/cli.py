@@ -4,7 +4,8 @@ Commands: factor, automorphisms, build, distance, bounds, equivalence,
 verify-paper.  Machine output is JSON (default); --format table renders
 aligned text.  Exit codes: 0 success, 1 golden/expected mismatch,
 2 violated precondition, 3 parse error, 4 mathematical obstruction.  Each
-command returns an Outcome, and `main` alone prints it.
+command returns an Outcome, and `main` alone prints it.  Each call builds
+only the parser of the command named by argv[0], or all seven if none is.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def cmd_factor(args) -> Outcome:
 
 def cmd_automorphisms(args) -> Outcome:
     ctx = _context(args)
-    if args.sigma:
+    if args.sigma is not None:
         listed = [parse_sigma(ctx, args.sigma)]
         count = automorphism_count(ctx)
     else:
@@ -359,72 +360,84 @@ def cmd_verify_paper(args) -> Outcome:
     return Outcome(payload, table, 0 if all(r.ok for r in results) else EXIT_MISMATCH)
 
 
-def _parser() -> argparse.ArgumentParser:
+_FORMAT = ("--format", {"choices": ("json", "table"), "default": "json"})
+_FIELD = ("--field", {"required": True, "help": 'field literal, e.g. "GF(4):y^2+y+1"'})
+_LENGTH = ("--n", {"type": int, "required": True, "help": "code length"})
+_DESCRIPTOR = (
+    ("--recipe", {"required": True, "help": "descriptor JSON file"}),
+    ("--field", {"default": None, "help": "override the descriptor's field"}),
+    ("--n", {"type": int, "default": None, "help": "override the descriptor's length"}),
+    ("--sigma", {"default": None, "help": "override the descriptor's automorphism"}),
+    ("--state-cap", {"type": int, "default": DEFAULT_STATE_CAP}),
+)
+
+# command -> (help, handler, its options in --help order)
+_COMMANDS = {
+    "factor": ("factor x^n-1 and list the primitive idempotents", cmd_factor, (_FORMAT, _FIELD, _LENGTH)),
+    "automorphisms": ("enumerate the automorphism group of A", cmd_automorphisms, (
+        _FORMAT, _FIELD, _LENGTH,
+        ("--sigma", {"default": None, "help": 'show only this automorphism, e.g. "x^5" or "perm:(1)(2,3)"'}),
+    )),
+    "build": ("build a code from a recipe/descriptor file", cmd_build, (
+        _FORMAT, *_DESCRIPTOR,
+        ("--with-distance", {"action": "store_true", "help": "also compute the free distance"}),
+    )),
+    "distance": ("free distance of a code given by a descriptor", cmd_distance, (_FORMAT, *_DESCRIPTOR)),
+    "bounds": ("generalized Singleton and Griesmer bounds", cmd_bounds, (
+        _FORMAT,
+        ("--n", {"type": int, "required": True}),
+        ("--k", {"type": int, "required": True}),
+        ("--delta", {"type": int, "required": True}),
+        ("--m", {"type": int, "required": True, "help": "largest Forney index"}),
+        ("--q", {"type": int, "required": True, "help": "field size"}),
+    )),
+    "equivalence": ("search for a strong equivalence between two matrices", cmd_equivalence, (
+        _FORMAT, _FIELD,
+        ("--matrix-a", {"required": True, "help": "matrix JSON file"}),
+        ("--matrix-b", {"required": True, "help": "matrix JSON file"}),
+    )),
+    "verify-paper": ("reproduce all worked examples (golden suite)", cmd_verify_paper, (
+        _FORMAT,
+        ("--only", {"default": None, "help": "substring filter on check names"}),
+        ("--fixtures", {"default": None, "help": "override the golden fixture file"}),
+    )),
+}
+
+
+def _parser(argv) -> argparse.ArgumentParser:
+    """The parser for this argv, holding only the subcommands argparse can reach.
+
+    The top level has no option but -h, so when argv[0] names a command,
+    argparse hands everything after it to that command's parser: that one
+    subcommand is all it needs, and the metavar keeps the top-level usage
+    line (printed for a trailing unrecognized argument) naming all seven.
+    Any other argv[0] (none, -h, --, an unknown or miscased name) can end in
+    the top-level help, a "choose from" list or "required: command", so all
+    seven are registered as before, without the metavar that would rename
+    `command`.  Only argv[0] decides: in `nope build` the command is `nope`.
+    """
     ap = argparse.ArgumentParser(
         prog="skewcyclic",
         description="Cyclic convolutional codes via skew polynomials over F[x]/(x^n-1).",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, field=False, n=False):
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        if field:
-            p.add_argument("--field", required=True, help='field literal, e.g. "GF(4):y^2+y+1"')
-        if n:
-            p.add_argument("--n", type=int, required=True, help="code length")
-
-    p = sub.add_parser("factor", help="factor x^n-1 and list the primitive idempotents")
-    common(p, field=True, n=True)
-    p.set_defaults(func=cmd_factor)
-
-    p = sub.add_parser("automorphisms", help="enumerate the automorphism group of A")
-    common(p, field=True, n=True)
-    p.add_argument("--sigma", default=None, help='show only this automorphism, e.g. "x^5" or "perm:(1)(2,3)"')
-    p.set_defaults(func=cmd_automorphisms)
-
-    def build_like(p):
-        p.add_argument("--recipe", required=True, help="descriptor JSON file")
-        p.add_argument("--field", default=None, help="override the descriptor's field")
-        p.add_argument("--n", type=int, default=None, help="override the descriptor's length")
-        p.add_argument("--sigma", default=None, help="override the descriptor's automorphism")
-        p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
-
-    p = sub.add_parser("build", help="build a code from a recipe/descriptor file")
-    common(p)
-    build_like(p)
-    p.add_argument("--with-distance", action="store_true", help="also compute the free distance")
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("distance", help="free distance of a code given by a descriptor")
-    common(p)
-    build_like(p)
-    p.set_defaults(func=cmd_distance)
-
-    p = sub.add_parser("bounds", help="generalized Singleton and Griesmer bounds")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--m", type=int, required=True, help="largest Forney index")
-    p.add_argument("--q", type=int, required=True, help="field size")
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("equivalence", help="search for a strong equivalence between two matrices")
-    common(p, field=True)
-    p.add_argument("--matrix-a", required=True, help="matrix JSON file")
-    p.add_argument("--matrix-b", required=True, help="matrix JSON file")
-    p.set_defaults(func=cmd_equivalence)
-
-    p = sub.add_parser("verify-paper", help="reproduce all worked examples (golden suite)")
-    common(p)
-    p.add_argument("--only", default=None, help="substring filter on check names")
-    p.add_argument("--fixtures", default=None, help="override the golden fixture file")
-    p.set_defaults(func=cmd_verify_paper)
+    if argv and argv[0] in _COMMANDS:
+        names, usage = argv[:1], {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    else:
+        names, usage = _COMMANDS, {}
+    sub = ap.add_subparsers(dest="command", required=True, **usage)
+    for name in names:
+        help_text, handler, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return ap
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parser(argv).parse_args(argv)
     try:
         outcome = args.func(args)
     except ParseError as exc:

@@ -1,5 +1,6 @@
 """Shared heavy property checks used by module tests and the acceptance gate."""
 
+import argparse
 import heapq
 import itertools
 import random
@@ -8,6 +9,15 @@ from typing import NamedTuple
 
 from skewcyclic import linalg
 from skewcyclic.automorphisms import Automorphism
+from skewcyclic.cli import (
+    cmd_automorphisms,
+    cmd_bounds,
+    cmd_build,
+    cmd_distance,
+    cmd_equivalence,
+    cmd_factor,
+    cmd_verify_paper,
+)
 from skewcyclic.convolutional import (
     EQUIVALENCE_MAX_N,
     EQUIVALENCE_MAX_Q,
@@ -15,6 +25,7 @@ from skewcyclic.convolutional import (
     _nonvanishing_combination,
 )
 from skewcyclic.distance import (
+    DEFAULT_STATE_CAP,
     _check_cap,
     _coefficient_tables,
     _report,
@@ -988,3 +999,70 @@ def parse_skew_by_terms(sigma: Automorphism, text: str) -> SkewPoly:
     depth = max(parts) + 1 if parts else 0
     coeffs = [parts.get(j, ctx.zero) for j in range(depth)]
     return SkewPoly(sigma, coeffs)
+
+
+def full_cli_parser() -> argparse.ArgumentParser:
+    """The CLI parser as it was built before it registered only the named
+    command: all seven subcommands on every call.  The oracle for the
+    production parser's namespaces, exit codes, stdout and stderr."""
+    ap = argparse.ArgumentParser(
+        prog="skewcyclic",
+        description="Cyclic convolutional codes via skew polynomials over F[x]/(x^n-1).",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def common(p, field=False, n=False):
+        p.add_argument("--format", choices=("json", "table"), default="json")
+        if field:
+            p.add_argument("--field", required=True, help='field literal, e.g. "GF(4):y^2+y+1"')
+        if n:
+            p.add_argument("--n", type=int, required=True, help="code length")
+
+    p = sub.add_parser("factor", help="factor x^n-1 and list the primitive idempotents")
+    common(p, field=True, n=True)
+    p.set_defaults(func=cmd_factor)
+
+    p = sub.add_parser("automorphisms", help="enumerate the automorphism group of A")
+    common(p, field=True, n=True)
+    p.add_argument("--sigma", default=None, help='show only this automorphism, e.g. "x^5" or "perm:(1)(2,3)"')
+    p.set_defaults(func=cmd_automorphisms)
+
+    def build_like(p):
+        p.add_argument("--recipe", required=True, help="descriptor JSON file")
+        p.add_argument("--field", default=None, help="override the descriptor's field")
+        p.add_argument("--n", type=int, default=None, help="override the descriptor's length")
+        p.add_argument("--sigma", default=None, help="override the descriptor's automorphism")
+        p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+
+    p = sub.add_parser("build", help="build a code from a recipe/descriptor file")
+    common(p)
+    build_like(p)
+    p.add_argument("--with-distance", action="store_true", help="also compute the free distance")
+    p.set_defaults(func=cmd_build)
+
+    p = sub.add_parser("distance", help="free distance of a code given by a descriptor")
+    common(p)
+    build_like(p)
+    p.set_defaults(func=cmd_distance)
+
+    p = sub.add_parser("bounds", help="generalized Singleton and Griesmer bounds")
+    common(p)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--delta", type=int, required=True)
+    p.add_argument("--m", type=int, required=True, help="largest Forney index")
+    p.add_argument("--q", type=int, required=True, help="field size")
+    p.set_defaults(func=cmd_bounds)
+
+    p = sub.add_parser("equivalence", help="search for a strong equivalence between two matrices")
+    common(p, field=True)
+    p.add_argument("--matrix-a", required=True, help="matrix JSON file")
+    p.add_argument("--matrix-b", required=True, help="matrix JSON file")
+    p.set_defaults(func=cmd_equivalence)
+
+    p = sub.add_parser("verify-paper", help="reproduce all worked examples (golden suite)")
+    common(p)
+    p.add_argument("--only", default=None, help="substring filter on check names")
+    p.add_argument("--fixtures", default=None, help="override the golden fixture file")
+    p.set_defaults(func=cmd_verify_paper)
+    return ap

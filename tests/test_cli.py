@@ -7,6 +7,7 @@ import sys
 import time
 
 import pytest
+from helpers import full_cli_parser
 
 from skewcyclic import cli
 from skewcyclic.literals import MAX_Z_DEGREE, matrix_from_dict, parse_field
@@ -761,3 +762,73 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["singleton"] == 6
+
+
+_COMMAND_NAMES = ("factor", "automorphisms", "build", "distance", "bounds", "equivalence", "verify-paper")
+_BOUNDS = ["--n", "3", "--k", "1", "--delta", "1", "--m", "1", "--q", "4"]
+
+# every class of argv that argparse treats differently: no command, the
+# top-level help and its abbreviation, unknown and miscased commands, a
+# command only after another token, each command's help, missing and bad
+# values, trailing extras, abbreviated and `=`-joined options, and a
+# command name as an option's value
+_DIFFERENTIAL_ARGV = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["nope"],
+    ["Build"],
+    ["nope", "build"],
+    ["--"],
+    ["--", "bounds", *_BOUNDS],
+    ["-h", "build"],
+    ["--format", "json"],
+    *([name, "-h"] for name in _COMMAND_NAMES),
+    ["build"],
+    ["bounds", "--n", "3"],
+    ["factor", "--field", "GF(2)", "--n", "7"],
+    ["factor", "--field", "GF(2)", "--n", "7", "--format", "xml"],
+    ["factor", "--field", "GF(2)", "--n", "x"],
+    ["automorphisms", "--field", "GF(2)", "--n", "7", "--sigma", "x^5", "--format", "table"],
+    ["build", "--recipe", "f", "extra"],
+    ["build", "--recipe", "f", "--with-dist"],
+    ["build", "--recipe", "factor"],
+    ["build", "--recipe", "f", "--field=GF(2)", "--n", "7", "--sigma", "x^3", "--state-cap", "9"],
+    ["distance", "--recipe", "f", "--with-distance"],
+    ["bounds", *_BOUNDS],
+    ["bounds", *_BOUNDS, "build"],
+    ["equivalence", "--field", "GF(2)", "--matrix-a", "a", "--matrix-b", "b"],
+    ["verify-paper", "--on", "minC3"],
+    ["verify-paper", "--fixtures", "f", "-h"],
+]
+
+
+def _parsed(parser, argv, capsys):
+    """vars of the namespace, or SystemExit's code; then stdout and stderr."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["30", "80", "200"])
+@pytest.mark.parametrize("argv", _DIFFERENTIAL_ARGV, ids=" ".join)
+def test_parser_matches_full_parser(argv, columns, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", columns)
+    expected = _parsed(full_cli_parser(), list(argv), capsys)
+    assert _parsed(cli._parser(list(argv)), list(argv), capsys) == expected
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["skewcyclic", "bounds", *_BOUNDS])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out)["singleton"] == 6
+
+
+def test_automorphisms_empty_sigma_exit_3(capsys):
+    code, out, err = run(capsys, "automorphisms", "--field", "GF(2)", "--n", "7", "--sigma", "")
+    assert (code, out) == (3, "")
+    assert err == "parse error: no terms in ''\n"
